@@ -58,7 +58,6 @@ from .simplex import (
     MaxSectionResult,
     WeightVector,
     density_at_zero,
-    density_at_zero_residue,
     geometry_oracle_volume,
     maximize_section,
     section_volume,

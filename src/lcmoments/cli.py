@@ -163,16 +163,16 @@ def _cmd_slice(args, cfg):
     if args.volume and n < 2:
         raise DomainError(f"section volume needs n >= 2, got n = {n}")
     weights = simplex.WeightVector.from_raw(values, project=args.project)
-    outputs = {"density_at_zero": simplex.density_at_zero(weights, cfg)}
+    outputs = {"density_at_zero": simplex.density_at_zero(weights)}
     if args.volume:
-        outputs["volume"] = simplex.section_volume(weights, n, cfg)
+        outputs["volume"] = simplex.section_volume(weights, n)
     inputs = {"weights": list(weights.a), "n": n, "project": bool(args.project)}
     return [OutputRecord("slice", inputs, outputs)], 0
 
 
 def _cmd_max_section(args, cfg):
     seed = args.seed if args.seed is not None else _default_seed()
-    result = simplex.maximize_section(args.n, args.restarts, seed, cfg)
+    result = simplex.maximize_section(args.n, args.restarts, seed)
     outputs = {
         "a_star": list(result.a_star.a),
         "value": result.value,

@@ -3,14 +3,17 @@
 A central section of the regular n-simplex is encoded by a unit normal with
 zero coordinate sum; its (n-1)-volume equals sqrt(n+1)/(n-1)! times the
 density at zero of the correspondingly weighted sum of i.i.d. standard
-exponentials.  The density at zero is computed by inverting the
-characteristic function,
+exponentials.  By Curry and Schoenberg that density is a B-spline: with the
+m nonzero weights as knots (zero weights contribute nothing),
 
-    f(0) = (1/pi) * int_0^inf Re prod_j (1 + i w_j s)^(-1) ds,
+    f(0) = N(0; w) / (w_max - w_min),
 
-over the nonzero weights w_j (zero weights contribute a factor one), with a
-partial-fraction closed form as an independent route when the nonzero
-weights are distinct.  A direct polytope-slicing oracle covers n in {2, 3}.
+where N is the normalised B-spline of degree m - 2 on the sorted weights.
+N(0) is evaluated by de Boor's recurrence, a chain of convex combinations
+that stays stable for any spacing of the knots, repeated knots included.
+The gradient of f(0) in the weights is a difference of two such B-splines
+on the knots with one weight doubled, which drives the optimiser.  A direct
+polytope-slicing oracle covers n in {2, 3}.
 """
 
 from __future__ import annotations
@@ -21,12 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSectionError, DomainError, NumericalError
-from .specfun import DEFAULT_QUADRATURE, QuadratureConfig, integrate_adaptive
 
 __all__ = [
     "WeightVector",
     "density_at_zero",
-    "density_at_zero_residue",
     "section_volume",
     "MaxSectionResult",
     "maximize_section",
@@ -36,12 +37,11 @@ __all__ = [
 # weights at or below this magnitude are treated as exactly zero
 ZERO_WEIGHT_TOL = 1e-12
 
-# nonzero weights closer than this relative gap route away from the residue
-# form, whose partial fractions cancel catastrophically near coincidence
-DISTINCT_REL_GAP = 1e-8
+# Webb's ceiling f(0) <= 2^(-1/2) holds for every unit zero-sum normal; the
+# margin covers rounding in the recurrence and in the normalisation
+_CEILING = (1.0 + 1e-12) / math.sqrt(2.0)
 
-# the two computation routes must agree this tightly whenever both apply
-_ROUTE_AGREEMENT = 1e-8
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -82,116 +82,68 @@ class WeightVector:
         return int(self.a.size)
 
 
-def _nonzero_weights(a: np.ndarray) -> np.ndarray:
-    w = np.asarray(a, dtype=float)
-    w = w[np.abs(w) > ZERO_WEIGHT_TOL]
-    if w.size == 0:
-        raise DomainError("all weights are zero")
-    if w.size == 1 or not (np.any(w > 0.0) and np.any(w < 0.0)):
-        raise DomainError("weights must include both signs for a density at zero")
-    return w
+def _support(a: np.ndarray) -> np.ndarray | None:
+    """Indices of the nonzero weights in ascending order of weight, or None
+    when they carry no density at zero (fewer than two, or of one sign)."""
+    idx = np.flatnonzero(np.abs(a) > ZERO_WEIGHT_TOL)
+    idx = idx[np.argsort(a[idx])]
+    if idx.size < 2 or not a[idx[0]] < 0.0 < a[idx[-1]]:
+        return None
+    return idx
 
 
-def _weights_distinct(w: np.ndarray) -> bool:
-    scale = float(np.max(np.abs(w)))
-    diff = np.abs(w[:, None] - w[None, :])
-    np.fill_diagonal(diff, np.inf)
-    return bool(np.min(diff) > DISTINCT_REL_GAP * scale)
+def _bspline_at_zero(knots: np.ndarray) -> np.ndarray:
+    """N(0) for each row of ``knots``, shape (k, m): the normalised B-spline
+    of degree m - 2 on the row's ascending knots, none of them zero.
 
+    de Boor's recurrence at x = 0, with q_i = N_{i,p-1} / (t_{i+p} - t_i):
 
-def _density_fourier(w: np.ndarray, cfg: QuadratureConfig) -> float:
-    """Characteristic-function inversion over a ladder of scale knots.
+        N_{i,p} = -t_i q_i + t_{i+p+1} q_{i+1}.
 
-    Each weight contributes structure to the integrand near s = 1/|w|, so
-    the range is split there and refined geometrically out to the point
-    where the crude bound prod_j min(1, 1/(|w_j| s)) integrates to below the
-    absolute tolerance; the remaining tail is dropped.
+    Where N_{i,p-1} is nonzero, 0 lies inside its support, so both terms are
+    nonnegative and the step is a convex combination.  A span of zero only
+    carries a zero spline; flooring it at the smallest normal float makes
+    its q zero without a division by zero.
     """
-    aw = np.abs(w)
-    m = aw.size
-
-    def re_cf(s):
-        return float(np.prod(1.0 / (1.0 + 1j * w * s)).real)
-
-    scales = sorted({1.0 / float(x) for x in aw})
-    inv_prod = float(np.prod(aw))
-    upper = scales[-1]
-    while upper ** (-(m - 1)) / (inv_prod * (m - 1)) > 0.5 * cfg.abs_tol:
-        upper *= 4.0
-    knots = [0.0]
-    for s in scales:
-        if s > knots[-1]:
-            knots.append(s)
-    while knots[-1] < upper:
-        knots.append(min(4.0 * knots[-1], upper))
-    total = 0.0
-    for lo, hi in zip(knots[:-1], knots[1:]):
-        total += integrate_adaptive(re_cf, lo, hi, cfg)
-    return total / math.pi
+    t = knots
+    b = ((t[:, :-1] < 0.0) & (t[:, 1:] > 0.0)).astype(float)
+    for p in range(1, t.shape[1] - 1):
+        q = b / np.maximum(t[:, p:] - t[:, :-p], _TINY)
+        b = -t[:, : -p - 1] * q[:, :-1] + t[:, p + 1 :] * q[:, 1:]
+    return b[:, 0]
 
 
-def _residue_side(w: np.ndarray, positive: bool) -> tuple[float, float]:
-    """Partial-fraction sum over one sign of poles, with its conditioning.
-
-    Returns (value, cond) where cond is the smallest relative gap
-    |w_j - w_k| / |w_j| over contributing j; the per-term rounding error
-    grows like eps / cond.
-    """
-    total = 0.0
-    cond = math.inf
-    for j, wj in enumerate(w):
-        if (wj > 0.0) != positive:
-            continue
-        diffs = wj - np.delete(w, j)
-        cond = min(cond, float(np.min(np.abs(diffs))) / abs(wj))
-        total += float(np.prod(wj / diffs)) / abs(wj)
-    return total, cond
+def _density(a: np.ndarray) -> float:
+    """Density at zero for raw weights, N(0; w) / (w_max - w_min) over the
+    nonzero ones; zero when they carry no density at zero."""
+    idx = _support(a)
+    if idx is None:
+        return 0.0
+    w = a[idx]
+    return float(_bspline_at_zero(w[None, :])[0]) / (w[-1] - w[0])
 
 
-def density_at_zero_residue(weights) -> float:
-    """Partial-fraction closed form; requires distinct nonzero weights.
+def density_at_zero(weights: WeightVector) -> float:
+    """Density at zero of the weighted exponential sum, N(0; w) / (w_max - w_min).
 
-    The density of the weighted sum is a signed mixture of one-sided
-    exponentials, so f(0) can be read off the poles of either sign:
-    f(0) = sum_{w_j > 0} (1/w_j) prod_{k != j} w_j/(w_j - w_k), and the
-    mirror-image sum over negative weights.  Both are evaluated and the
-    better-conditioned side is returned.
-    """
-    w = _nonzero_weights(weights.a if isinstance(weights, WeightVector) else weights)
-    if not _weights_distinct(w):
-        raise DomainError("residue form requires distinct nonzero weights")
-    pos_val, pos_cond = _residue_side(w, positive=True)
-    neg_val, neg_cond = _residue_side(w, positive=False)
-    return pos_val if pos_cond >= neg_cond else neg_val
-
-
-def density_at_zero(weights: WeightVector, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
-    """Density at zero of the weighted exponential sum.
-
-    Computed by characteristic-function inversion; whenever the nonzero
-    weights are distinct the residue form is evaluated as well and the two
-    routes must agree to 1e-8.
+    Raises NumericalError unless the value is finite and within Webb's
+    bound [0, 2^(-1/2)], which every unit zero-sum normal satisfies.
     """
     if not isinstance(weights, WeightVector):
         weights = WeightVector(np.asarray(weights, dtype=float))
-    w = _nonzero_weights(weights.a)
-    value = _density_fourier(w, cfg)
-    if _weights_distinct(w):
-        check = density_at_zero_residue(w)
-        if abs(value - check) > _ROUTE_AGREEMENT * max(1.0, abs(value)):
-            raise NumericalError(
-                f"inversion and residue routes disagree: {value:.12g} vs {check:.12g}"
-            )
+    value = _density(weights.a)
+    if not 0.0 <= value <= _CEILING:
+        raise NumericalError(f"density at zero {value!r} lies outside Webb's bound [0, 2^(-1/2)]")
     return value
 
 
-def section_volume(weights: WeightVector, n: int, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
+def section_volume(weights: WeightVector, n: int) -> float:
     """vol_{n-1} of the central section with the given unit normal."""
     if n < 2:
         raise DomainError(f"sections need dimension n >= 2, got {n}")
     if len(weights) != n + 1:
         raise DomainError(f"normal of a {n}-simplex section needs {n + 1} coordinates")
-    return math.sqrt(n + 1.0) / math.factorial(n - 1) * density_at_zero(weights, cfg)
+    return math.sqrt(n + 1.0) / math.factorial(n - 1) * density_at_zero(weights)
 
 
 # ---------------------------------------------------------------------------
@@ -281,18 +233,28 @@ class MaxSectionResult:
     evaluations: int
 
 
-def _objective(raw: np.ndarray, cfg: QuadratureConfig) -> float:
-    """Density at zero as a function of raw weights; residue route from the
-    better-conditioned side when one exists, inversion otherwise."""
-    w = raw[np.abs(raw) > ZERO_WEIGHT_TOL]
-    if w.size < 2 or not (np.any(w > 0.0) and np.any(w < 0.0)):
-        return 0.0
-    value, cond = _residue_side(w, positive=True)
-    if cond < 1e-4:
-        value, cond = _residue_side(w, positive=False)
-    if cond < 1e-4:
-        return _density_fourier(w, cfg)
-    return value
+def _density_gradient(a: np.ndarray) -> np.ndarray:
+    """Gradient of the density at zero in the raw weights.
+
+    d f(0)/d w_j = -N_j'(0) / ((m-1)(w_max - w_min)), where N_j is the
+    B-spline on the knots with w_j doubled; N_j' is (m-1) times the
+    difference of the degree m-2 B-splines on its first and on its last m
+    knots, each divided by its span (a zero span carries a zero spline).
+    All 2m rows share one recurrence.  Weights treated as zero get a zero
+    derivative.
+    """
+    grad = np.zeros_like(a)
+    idx = _support(a)
+    if idx is None:
+        return grad
+    w = a[idx]
+    m = w.size
+    pos = np.arange(m + 1)
+    doubled = w[pos - (pos[None, :] > np.arange(m)[:, None])]  # row j repeats w_j
+    rows = np.vstack([doubled[:, :-1], doubled[:, 1:]])
+    q = _bspline_at_zero(rows) / np.maximum(rows[:, -1] - rows[:, 0], _TINY)
+    grad[idx] = (q[m:] - q[:m]) / (w[-1] - w[0])
+    return grad
 
 
 def _project_tangent(g: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -305,18 +267,14 @@ def _renormalise(v: np.ndarray) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def maximize_section(
-    n: int,
-    restarts: int = 20,
-    seed: int = 0,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-) -> MaxSectionResult:
+def maximize_section(n: int, restarts: int = 20, seed: int = 0) -> MaxSectionResult:
     """Maximise the density at zero over unit zero-sum normals.
 
-    Projected finite-difference ascent with backtracking steps and random
-    restarts; restart streams are derived from (seed, restart index) so the
-    result does not depend on execution order.  The expected optimum is
-    2^(-1/2), attained on normals supported on exactly two coordinates.
+    Projected gradient ascent with the analytic gradient, backtracking steps
+    and random restarts; restart streams are derived from (seed, restart
+    index) so the result does not depend on execution order.  The expected
+    optimum is 2^(-1/2), attained on normals supported on exactly two
+    coordinates.
     """
     if n < 2:
         raise DomainError(f"need dimension n >= 2, got {n}")
@@ -327,7 +285,7 @@ def maximize_section(
     tracked = {"max": -math.inf, "count": 0}
 
     def candidate_value(a: np.ndarray) -> float:
-        val = _objective(a, cfg)
+        val = _density(a)
         tracked["count"] += 1
         if val > tracked["max"]:
             tracked["max"] = val
@@ -335,29 +293,23 @@ def maximize_section(
 
     def ascend(a: np.ndarray) -> tuple[np.ndarray, float]:
         val = candidate_value(a)
-        for fd_step in (1e-5, 1e-7):
-            for _ in range(200):
-                grad = np.empty(dim)
-                for i in range(dim):
-                    probe = np.zeros(dim)
-                    probe[i] = fd_step
-                    grad[i] = (_objective(a + probe, cfg) - _objective(a - probe, cfg)) / (2.0 * fd_step)
-                grad = _project_tangent(grad, a)
-                gnorm = float(np.linalg.norm(grad))
-                if gnorm < 1e-10:
+        eta = 0.5
+        for _ in range(400):
+            grad = _project_tangent(_density_gradient(a), a)
+            if float(np.linalg.norm(grad)) < 1e-10:
+                break
+            # the steps shrink as the ascent closes in on the kinked optimum,
+            # so each search starts just above the last accepted step
+            eta = min(0.5, 4.0 * eta)
+            for _ in range(20):
+                trial = _renormalise(a + eta * grad)
+                trial_val = candidate_value(trial)
+                if trial_val > val + 1e-13:
+                    a, val = trial, trial_val
                     break
-                improved = False
-                eta = 0.5
-                for _ in range(20):
-                    trial = _renormalise(a + eta * grad)
-                    trial_val = candidate_value(trial)
-                    if trial_val > val + 1e-13:
-                        a, val = trial, trial_val
-                        improved = True
-                        break
-                    eta *= 0.5
-                if not improved:
-                    break
+                eta *= 0.5
+            else:
+                break
         return a, val
 
     best_a, best_val = None, -math.inf

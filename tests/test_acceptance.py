@@ -76,7 +76,7 @@ def test_criterion_1_branch_crossover():
 
 def test_criterion_2_maximal_sections():
     with _Criterion(2, "maximal sections attain 2^-1/2 on transposition normals"):
-        for n in (2, 3, 4, 5):
+        for n in (2, 3, 4, 5, 10, 25, 50):
             result = maximize_section(n, restarts=20, seed=3)
             assert result.value == pytest.approx(INV_SQRT2, abs=1e-6)
             assert result.max_evaluated <= INV_SQRT2 + 1e-9

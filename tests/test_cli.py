@@ -129,3 +129,11 @@ def test_config_file_overrides(tmp_path, capsys):
 
 def test_unknown_subcommand_exit_code(capsys):
     assert main(["no-such-command"]) == 2
+
+
+def test_slice_many_repeated_weights(capsys):
+    # the product of the 201 weights underflows to zero in the inversion route
+    weights = ",".join(["1"] * 190 + ["-1"] * 11)
+    code, payload = _run(capsys, ["slice", "--project", "--weights", weights])
+    assert code == 0
+    assert payload["outputs"]["density_at_zero"] == pytest.approx(0.397902344289480, abs=1e-12)

@@ -1,18 +1,65 @@
 import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.interpolate import BSpline
 
-from lcmoments.errors import DomainError
+from lcmoments import simplex
+from lcmoments.errors import DomainError, NumericalError
 from lcmoments.simplex import (
     WeightVector,
     density_at_zero,
-    density_at_zero_residue,
     geometry_oracle_volume,
     maximize_section,
     section_volume,
 )
+
+INV_SQRT2 = 1.0 / math.sqrt(2.0)
+
+
+def _mp_density_at_zero(a) -> float:
+    """Partial-fraction sum f(0) = sum_{w_j > 0} w_j^(m-2) / prod_{k != j} (w_j - w_k)
+    over distinct nonzero weights, to 40 significant digits: the working
+    precision adds the digits that cancel between the largest term and the sum."""
+
+    def partial_fractions(dps):
+        with mpmath.workdps(dps):
+            w = [mpmath.mpf(float(x)) for x in a if abs(x) > 1e-12]
+            terms = [
+                wj ** (len(w) - 2) / mpmath.fprod(wj - wk for k, wk in enumerate(w) if k != j)
+                for j, wj in enumerate(w)
+                if wj > 0
+            ]
+            return mpmath.fsum(terms), max(abs(t) for t in terms)
+
+    total, largest = partial_fractions(40)
+    lost = max(0, int(mpmath.ceil(mpmath.log10(largest / abs(total)))))
+    total, _ = partial_fractions(50 + lost)
+    return float(total)
+
+
+def _scipy_density_at_zero(a) -> float:
+    """N(0) / (w_max - w_min) with scipy's B-spline on the sorted nonzero weights."""
+    knots = np.sort(a[np.abs(a) > 1e-12])
+    return float(BSpline.basis_element(knots, extrapolate=False)(0.0)) / (knots[-1] - knots[0])
+
+
+# raw coordinates for unit zero-sum normals up to n = 200, repeated values included
+_raw_weights = st.lists(
+    st.one_of(st.floats(-1.0, 1.0), st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0])),
+    min_size=2,
+    max_size=201,
+)
+
+
+def _unit_normal(raw) -> WeightVector:
+    raw = np.asarray(raw)
+    assume(float(np.ptp(raw)) > 1e-3)
+    return WeightVector.from_raw(raw, project=True)
 
 
 def _pair_normal(n, j, k, sign=1.0):
@@ -70,35 +117,50 @@ class TestDensityAtZero:
         assert density_at_zero(permuted) == pytest.approx(value, abs=1e-10)
         assert density_at_zero(negated) == pytest.approx(value, abs=1e-10)
 
-    def test_repeated_weights_use_inversion(self):
-        w = WeightVector.from_raw([2.0, -1.0, -1.0], project=True)
-        value = density_at_zero(w)
-        with pytest.raises(DomainError):
-            density_at_zero_residue(w)
-        assert 0.0 < value < 1.0 / math.sqrt(2.0)
+    def test_repeated_weights_match_scipy_bspline(self):
+        many = [1.0] * 9 + [-2.0] * 4 + [0.5] * 3
+        for raw in ([2.0, -1.0, -1.0], [1.0, 1.0, -1.0, -1.0], [3.0, 1.0, -2.0, -2.0], many):
+            w = WeightVector.from_raw(raw, project=True)
+            assert density_at_zero(w) == pytest.approx(_scipy_density_at_zero(w.a), abs=1e-14)
 
-    def test_routes_agree_on_random_vectors(self):
+    def test_matches_mpmath_on_random_vectors(self):
         rng = np.random.default_rng(11)
-        checked = 0
-        while checked < 100:
-            dim = int(rng.integers(2, 8))
-            raw = rng.standard_normal(dim)
-            raw -= raw.mean()
-            norm = np.linalg.norm(raw)
-            if norm < 1e-6:
-                continue
-            w = WeightVector(raw / norm)
-            try:
-                residue = density_at_zero_residue(w)
-            except DomainError:
-                continue
-            fourier = density_at_zero(w)  # internally cross-checked at 1e-8
-            assert residue == pytest.approx(fourier, abs=1e-8)
-            checked += 1
+        for _ in range(100):
+            w = WeightVector.from_raw(rng.standard_normal(int(rng.integers(2, 8))), project=True)
+            assert density_at_zero(w) == pytest.approx(_mp_density_at_zero(w.a), abs=1e-14)
+
+    @pytest.mark.parametrize("n", [50, 100, 150, 200])
+    def test_matches_mpmath_in_high_dimension(self, n):
+        # the inversion/residue cross-check raised NumericalError here
+        rng = np.random.default_rng(n)
+        for _ in range(3):
+            w = WeightVector.from_raw(rng.standard_normal(n + 1), project=True)
+            assert density_at_zero(w) == pytest.approx(_mp_density_at_zero(w.a), abs=1e-14)
 
     def test_all_zero_rejected(self):
         with pytest.raises(DomainError):
-            density_at_zero_residue(np.zeros(3))
+            density_at_zero(np.zeros(3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1e-3, 1.2])
+    def test_guard_rejects_values_outside_webb_bound(self, monkeypatch, bad):
+        monkeypatch.setattr(simplex, "_bspline_at_zero", lambda knots: np.full(len(knots), bad))
+        with pytest.raises(NumericalError):
+            density_at_zero(_pair_normal(1, 0, 1))
+
+    @settings(max_examples=60, deadline=None)
+    @given(raw=_raw_weights)
+    def test_webb_ceiling(self, raw):
+        value = density_at_zero(_unit_normal(raw))
+        assert 0.0 < value <= 1.0 / math.sqrt(2.0) + 1e-15
+
+    @settings(max_examples=60, deadline=None)
+    @given(raw=_raw_weights, data=st.data())
+    def test_permutation_and_negation_invariance_property(self, raw, data):
+        w = _unit_normal(raw)
+        value = density_at_zero(w)
+        order = data.draw(st.permutations(range(len(w))))
+        assert density_at_zero(WeightVector(w.a[list(order)])) == value
+        assert density_at_zero(WeightVector(-w.a)) == pytest.approx(value, abs=1e-14)
 
 
 class TestSectionVolume:
@@ -155,6 +217,27 @@ class TestGeometryOracle:
 
 
 class TestMaximizeSection:
+    def test_no_overshoot_in_dimension_eight(self):
+        # the residue route returned 16.0 here
+        result = maximize_section(8, 20, seed=3)
+        assert result.max_evaluated <= INV_SQRT2 + 1e-9
+        assert result.value <= INV_SQRT2 + 1e-9
+        assert result.value == pytest.approx(INV_SQRT2, abs=1e-6)
+
+    def test_gradient_matches_central_differences(self):
+        rng = np.random.default_rng(8)
+        h = 1e-6
+        for m in range(2, 21):
+            a = WeightVector.from_raw(rng.standard_normal(m), project=True).a
+            f = simplex._density
+            central = [(f(a + e) - f(a - e)) / (2.0 * h) for e in h * np.eye(m)]
+            assert np.allclose(simplex._density_gradient(a), central, rtol=0.0, atol=1e-8)
+
+    def test_value_reproduced_at_optimum(self):
+        # the inversion route returned half the value at this optimum
+        result = maximize_section(4, 20, seed=3)
+        assert density_at_zero(result.a_star) == pytest.approx(result.value, abs=1e-9)
+
     def test_triangle_optimum(self):
         result = maximize_section(2, restarts=20, seed=0)
         assert result.value == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-6)
