@@ -15,11 +15,11 @@ from lcmoments import (
     find_l2_transition,
     find_p0,
     lp_l1_lower,
-    lp_l1_upper,
     lp_l2_lower,
     norm_ebar,
     scan_family_extrema,
     scan_l2_ratio,
+    sharp_constant,
 )
 
 print("=== Branch crossover of the upper L_p-L_1 constant ===")
@@ -33,7 +33,7 @@ print(f"{'p':>6} {'lower vs L1':>14} {'lower vs L2':>14} {'upper vs L1':>14}")
 for p in (-0.5, 0.5, 1.0):
     print(f"{p:6.2f} {lp_l1_lower(p):14.8f} {lp_l2_lower(p):14.8f} {'-':>14}")
 for p in (1.5, 2.0, p0, 4.0, 6.0):
-    print(f"{p:6.3f} {'-':>14} {'-':>14} {lp_l1_upper(p):14.8f}")
+    print(f"{p:6.3f} {'-':>14} {'-':>14} {sharp_constant(p):14.8f}")
 print()
 
 print("=== Family profiles: where the extremum sits ===")
@@ -59,4 +59,4 @@ for p in (1.5, pstar - 0.05, pstar + 0.05, 3.0):
     shape = "symmetric" if result.argopt_t == 0.5 else "one-sided"
     print(f"p = {p:6.4f}: {direction} at s = {result.argopt_t:4.2f} ({shape}), ratio {result.opt_value:.8f}")
 print()
-print(f"check: 1/C_2 = {1.0 / lp_l1_upper(2.0):.12f} = 2^(-1/2) = {1.0 / math.sqrt(2.0):.12f}")
+print(f"check: 1/C_2 = {1.0 / sharp_constant(2.0):.12f} = 2^(-1/2) = {1.0 / math.sqrt(2.0):.12f}")

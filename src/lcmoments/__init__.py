@@ -7,7 +7,6 @@ from .constants import (
     find_l2_transition,
     find_p0,
     lp_l1_lower,
-    lp_l1_upper,
     lp_l2_lower,
     lp_lq_ratio,
     scan_family_extrema,
@@ -33,7 +32,6 @@ from .errors import (
 )
 from .expfamily import (
     ComparisonCheck,
-    FamilyPoint,
     LogConcaveTestDensity,
     TwoSidedExpParams,
     abs_moment,
@@ -64,7 +62,6 @@ from .simplex import (
 )
 from .specfun import (
     DEFAULT_QUADRATURE,
-    MomentOrder,
     QuadratureConfig,
     exp_power_integral,
     gamma,

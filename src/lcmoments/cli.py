@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -101,22 +102,22 @@ def _cmd_constant(args, cfg):
     if which == "lp-lq":
         if args.q is None:
             raise DomainError("lp-lq needs --q")
-        value = constants.lp_lq_ratio(args.p, args.q, cfg)
+        value = constants.lp_lq_ratio(args.p, args.q)
         inputs = {"which": which, "p": args.p, "q": args.q}
     else:
         fn = {
             "lp-l1-lower": constants.lp_l1_lower,
-            "lp-l1-upper": constants.lp_l1_upper,
+            "lp-l1-upper": constants.sharp_constant,
             "lp-l2-lower": constants.lp_l2_lower,
         }[which]
-        value = fn(args.p, cfg)
+        value = fn(args.p)
         inputs = {"which": which, "p": args.p}
     return [OutputRecord("constant", inputs, {"value": value})], 0
 
 
 def _cmd_p0(args, cfg):
-    p0 = constants.find_p0(cfg)
-    residual = constants.branch_gap(p0, cfg)
+    p0 = constants.find_p0()
+    residual = constants.branch_gap(p0)
     record = OutputRecord(
         "p0",
         {},
@@ -128,7 +129,7 @@ def _cmd_p0(args, cfg):
 
 
 def _cmd_scan(args, cfg):
-    result = constants.scan_family_extrema(args.p, args.grid, cfg)
+    result = constants.scan_family_extrema(args.p, args.grid)
     if args.csv:
         _write_profile_csv(args.csv, result.profile)
     outputs = {"argopt_t": result.argopt_t, "opt_value": result.opt_value}
@@ -138,7 +139,7 @@ def _cmd_scan(args, cfg):
 
 
 def _cmd_scan_l2(args, cfg):
-    result = constants.scan_l2_ratio(args.p, args.grid, cfg)
+    result = constants.scan_l2_ratio(args.p, args.grid)
     if args.csv:
         _write_profile_csv(args.csv, result.profile, columns=("s", "value"))
     outputs = {"argopt_s": result.argopt_t, "opt_value": result.opt_value}
@@ -148,7 +149,7 @@ def _cmd_scan_l2(args, cfg):
 
 
 def _cmd_moment(args, cfg):
-    raw = expfamily.moment_et(args.p, args.t, cfg)
+    raw = expfamily.moment_et(args.p, args.t)
     outputs = {"moment": raw}
     if args.normalized:
         outputs["moment"] = raw / expfamily.family_scale(args.t) ** args.p
@@ -257,7 +258,7 @@ def _suite_crossings(cfg, seed, samples):
             )
         )
     for p in (-0.5, 2.0, 3.5):
-        ok = crossings.nonneg_decomposition_check(0.5, p, cfg=cfg)
+        ok = crossings.nonneg_decomposition_check(0.5, p)
         records.append(
             OutputRecord(
                 "verify/decomposition",
@@ -272,15 +273,15 @@ def _suite_crossings(cfg, seed, samples):
 
 def _suite_constants(cfg, seed, samples):
     records = []
-    p0 = constants.find_p0(cfg)
+    p0 = constants.find_p0()
     checks = [
         ("p0_bracket", 2.9414 < p0 < 2.9415, {"p0": p0}),
-        ("gap_below", constants.branch_gap(2.9414, cfg) > 1e-5, {}),
-        ("gap_above", constants.branch_gap(2.9415, cfg) < -1e-5, {}),
+        ("gap_below", constants.branch_gap(2.9414) > 1e-5, {}),
+        ("gap_above", constants.branch_gap(2.9415) < -1e-5, {}),
     ]
     for p in (0.5, 2.0, 4.0):
-        scan = constants.scan_family_extrema(p, 400, cfg)
-        target = constants.lp_l1_lower(p, cfg) if p <= 1 else constants.lp_l1_upper(p, cfg)
+        scan = constants.scan_family_extrema(p, 400)
+        target = constants.lp_l1_lower(p) if p <= 1 else constants.sharp_constant(p)
         checks.append(
             (f"scan_p{p:g}", abs(scan.opt_value - target) < 1e-8, {"opt": scan.opt_value})
         )
@@ -297,9 +298,9 @@ def _suite_mc(cfg, seed, samples):
     records = []
     config = mc.McConfig(seed=seed, samples=samples)
     cases = [
-        ((1.0, 1.0), 2.0, expfamily.moment_et(2.0, 1.0, cfg)),
-        ((1.0, 0.5), 2.0, expfamily.moment_et(2.0, 0.5, cfg)),
-        ((1.0, 0.0), 4.0, expfamily.moment_et(4.0, 0.0, cfg)),
+        ((1.0, 1.0), 2.0, expfamily.moment_et(2.0, 1.0)),
+        ((1.0, 0.5), 2.0, expfamily.moment_et(2.0, 0.5)),
+        ((1.0, 0.0), 4.0, expfamily.moment_et(4.0, 0.0)),
     ]
     for (a, b), p, target in cases:
         stream = mc.sample_xab(expfamily.TwoSidedExpParams(a, b), config)
@@ -338,6 +339,7 @@ def _cmd_verify(args, cfg):
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lcmoments",

@@ -11,21 +11,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 
 import numpy as np
 
 from .errors import DomainError
 from .expfamily import moment_et, norm_ebar
 from .search import bisect_root, golden_section_max, golden_section_min
-from .specfun import DEFAULT_QUADRATURE, QuadratureConfig, as_order, gamma
+from .specfun import as_order, gamma
 
 __all__ = [
     "sharp_constant",
     "branch_gap",
     "find_p0",
     "lp_l1_lower",
-    "lp_l1_upper",
     "lp_l2_lower",
     "lp_lq_ratio",
     "ScanResult",
@@ -39,7 +38,7 @@ __all__ = [
 _ENDPOINT_SNAP = 1e-8
 
 
-def sharp_constant(p, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
+def sharp_constant(p) -> float:
     """The sharp L_p-L_1 comparison constant for p >= 1.
 
     max{ Gamma(p+1)^(1/p), (e/2) * (E|E-1|^p)^(1/p) }; the second branch uses
@@ -49,11 +48,11 @@ def sharp_constant(p, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
     if p < 1.0:
         raise DomainError(f"the upper constant is defined for p >= 1, got {p}")
     symmetric = gamma(p + 1.0) ** (1.0 / p)
-    one_sided = 0.5 * math.e * moment_et(p, 0.0, cfg) ** (1.0 / p)
+    one_sided = 0.5 * math.e * moment_et(p, 0.0) ** (1.0 / p)
     return max(symmetric, one_sided)
 
 
-def branch_gap(p, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
+def branch_gap(p) -> float:
     """Signed gap Gamma(p+1) - (e/2)^p E|E-1|^p between the branch p-th powers.
 
     Positive below the crossover order, negative above; zero at p = 1 and at
@@ -62,16 +61,16 @@ def branch_gap(p, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
     p = float(p)
     if not p >= 1.0:
         raise DomainError(f"branch gap is defined for p >= 1, got {p}")
-    return gamma(p + 1.0) - (0.5 * math.e) ** p * moment_et(p, 0.0, cfg)
+    return gamma(p + 1.0) - (0.5 * math.e) ** p * moment_et(p, 0.0)
 
 
-@lru_cache(maxsize=8)
-def find_p0(cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
+@cache
+def find_p0() -> float:
     """The unique branch-crossover order in (1, inf), bracketed in [2, 4]."""
-    return bisect_root(lambda p: branch_gap(p, cfg), 2.0, 4.0)
+    return bisect_root(branch_gap, 2.0, 4.0)
 
 
-def lp_l1_lower(p, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
+def lp_l1_lower(p) -> float:
     """Sharp constant in ||X||_p >= c ||X||_1 for -1 < p <= 1."""
     p = as_order(p)
     if p == 0.0 or p > 1.0:
@@ -79,12 +78,7 @@ def lp_l1_lower(p, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
     return gamma(p + 1.0) ** (1.0 / p)
 
 
-def lp_l1_upper(p, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
-    """Sharp constant in ||X||_p <= C ||X||_1 for p >= 1."""
-    return sharp_constant(p, cfg)
-
-
-def lp_l2_lower(p, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
+def lp_l2_lower(p) -> float:
     """Sharp constant in ||X||_p >= c ||X||_2 for -1 < p <= 1."""
     p = as_order(p)
     if p == 0.0 or p > 1.0:
@@ -92,13 +86,13 @@ def lp_l2_lower(p, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
     return gamma(p + 1.0) ** (1.0 / p) / math.sqrt(2.0)
 
 
-def lp_lq_ratio(p, q, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
+def lp_lq_ratio(p, q) -> float:
     """Sharp constant in ||X||_p >= c ||X||_q for -1 < p <= 1 <= q <= p0."""
     p = as_order(p)
     q = float(q)
     if p == 0.0 or p > 1.0:
         raise DomainError(f"ratio constant needs p in (-1, 0) u (0, 1], got {p}")
-    if not 1.0 <= q <= find_p0(cfg) + 1e-12:
+    if not 1.0 <= q <= find_p0() + 1e-12:
         raise DomainError(f"ratio constant needs q in [1, p0], got {q}")
     return gamma(p + 1.0) ** (1.0 / p) / gamma(q + 1.0) ** (1.0 / q)
 
@@ -110,46 +104,45 @@ class ScanResult:
     profile: np.ndarray  # rows (t, value)
 
 
-def _snap_candidates(f, argopt, opt, candidates, prefer_max):
-    """Report a listed candidate point instead of the refined optimum when
-    its value is indistinguishable at the snap tolerance."""
-    for c in candidates:
-        vc = f(c)
-        close = (opt - vc) if prefer_max else (vc - opt)
-        if close <= _ENDPOINT_SNAP:
-            return c, vc
-    return argopt, opt
+def _grid_then_refine(objective, grid_size: int, maximize: bool, snap) -> ScanResult:
+    """Extremise ``objective`` over [0, 1]: a uniform grid, then golden-section
+    refinement to 1e-10 around the best grid point.
+
+    The grid guards against multimodality.  A ``snap`` candidate whose value
+    is within _ENDPOINT_SNAP of the refined optimum is reported instead,
+    the first such candidate winning.
+    """
+    if grid_size < 100:
+        raise DomainError(f"grid_size must be at least 100, got {grid_size}")
+    xs = np.linspace(0.0, 1.0, grid_size)
+    vals = np.array([objective(x) for x in xs])
+    profile = np.column_stack([xs, vals])
+
+    idx = int(np.argmax(vals)) if maximize else int(np.argmin(vals))
+    lo = xs[max(idx - 1, 0)]
+    hi = xs[min(idx + 1, grid_size - 1)]
+    refine = golden_section_max if maximize else golden_section_min
+    argopt, opt = refine(objective, lo, hi, tol=1e-10)
+    for c in snap:
+        vc = objective(c)
+        if ((opt - vc) if maximize else (vc - opt)) <= _ENDPOINT_SNAP:
+            return ScanResult(argopt_t=c, opt_value=vc, profile=profile)
+    return ScanResult(argopt_t=argopt, opt_value=opt, profile=profile)
 
 
-def scan_family_extrema(p, grid_size: int = 1000, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> ScanResult:
+def scan_family_extrema(p, grid_size: int = 1000) -> ScanResult:
     """Profile of t -> ||E_t||_p / scale(t) with grid-then-refine optimisation.
 
-    Minimises for p <= 1, maximises for p >= 1.  The grid guards against
-    multimodality; golden-section refinement then sharpens the bracket to
-    1e-10 in t.  Ties within 1e-8 of an endpoint report the endpoint.
+    Minimises for p <= 1, maximises for p >= 1.  Ties within 1e-8 of an
+    endpoint report the endpoint.
     """
     p = as_order(p)
     if p == 0.0:
         raise DomainError("p = 0 (geometric mean) is not supported")
-    if grid_size < 100:
-        raise DomainError(f"grid_size must be at least 100, got {grid_size}")
-    ts = np.linspace(0.0, 1.0, grid_size)
-    vals = np.array([norm_ebar(p, t, cfg) for t in ts])
-    profile = np.column_stack([ts, vals])
-
-    maximize = p > 1.0
-    idx = int(np.argmax(vals)) if maximize else int(np.argmin(vals))
-    lo = ts[max(idx - 1, 0)]
-    hi = ts[min(idx + 1, grid_size - 1)]
-    refine = golden_section_max if maximize else golden_section_min
-    argopt, opt = refine(lambda t: norm_ebar(p, t, cfg), lo, hi, tol=1e-10)
-    argopt, opt = _snap_candidates(
-        lambda t: norm_ebar(p, t, cfg), argopt, opt, (1.0, 0.0), prefer_max=maximize
-    )
-    return ScanResult(argopt_t=argopt, opt_value=opt, profile=profile)
+    return _grid_then_refine(lambda t: norm_ebar(p, t), grid_size, p > 1.0, (1.0, 0.0))
 
 
-def l2_ratio(p, s: float, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
+def l2_ratio(p, s: float) -> float:
     """||Z_s||_p / ||Z_s||_2 for Z_s = s(E-1) - (1-s)(E'-1), s in [0, 1].
 
     By homogeneity and the swap symmetry s <-> 1-s this only depends on
@@ -160,10 +153,10 @@ def l2_ratio(p, s: float, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
         raise DomainError(f"s must lie in [0, 1], got {s}")
     big = max(s, 1.0 - s)
     u = min(s, 1.0 - s) / big
-    return moment_et(p, u, cfg) ** (1.0 / p) / math.sqrt(1.0 + u * u)
+    return moment_et(p, u) ** (1.0 / p) / math.sqrt(1.0 + u * u)
 
 
-def scan_l2_ratio(p, grid_size: int = 1000, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> ScanResult:
+def scan_l2_ratio(p, grid_size: int = 1000) -> ScanResult:
     """Extremise ||Z_s||_p / ||Z_s||_2 over s in [0, 1].
 
     The open problem behind this scan minimises the ratio for 1 < p < 2 and
@@ -175,34 +168,19 @@ def scan_l2_ratio(p, grid_size: int = 1000, cfg: QuadratureConfig = DEFAULT_QUAD
     p = float(p)
     if p <= 1.0 or p == 2.0:
         raise DomainError(f"the ratio scan needs p > 1, p != 2, got {p}")
-    if grid_size < 100:
-        raise DomainError(f"grid_size must be at least 100, got {grid_size}")
-    ss = np.linspace(0.0, 1.0, grid_size)
-    vals = np.array([l2_ratio(p, s, cfg) for s in ss])
-    profile = np.column_stack([ss, vals])
-
-    maximize = p > 2.0
-    idx = int(np.argmax(vals)) if maximize else int(np.argmin(vals))
-    lo = ss[max(idx - 1, 0)]
-    hi = ss[min(idx + 1, grid_size - 1)]
-    refine = golden_section_max if maximize else golden_section_min
-    argopt, opt = refine(lambda s: l2_ratio(p, s, cfg), lo, hi, tol=1e-10)
-    argopt, opt = _snap_candidates(
-        lambda s: l2_ratio(p, s, cfg), argopt, opt, (0.0, 1.0, 0.5), prefer_max=maximize
-    )
-    return ScanResult(argopt_t=argopt, opt_value=opt, profile=profile)
+    return _grid_then_refine(lambda s: l2_ratio(p, s), grid_size, p > 2.0, (0.0, 1.0, 0.5))
 
 
-def find_l2_transition(cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
+def find_l2_transition() -> float:
     """Order in (1, 2) where the symmetric and one-sided L_p/L_2 ratios tie.
 
     Below it the symmetric exponential has the smaller ratio, above it the
     one-sided one does; this is the scan's extremiser switch point.
     """
-    return bisect_root(lambda p: l2_ratio(p, 0.5, cfg) - l2_ratio(p, 0.0, cfg), 1.05, 1.95)
+    return bisect_root(lambda p: l2_ratio(p, 0.5) - l2_ratio(p, 0.0), 1.05, 1.95)
 
 
-def small_t_bound_coefficient(cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
+def small_t_bound_coefficient() -> float:
     """2^p0 e^(-p0) Gamma(p0+1) (p0-1), the slope constant of the small-t bound."""
-    p0 = find_p0(cfg)
+    p0 = find_p0()
     return 2.0**p0 * math.exp(-p0) * gamma(p0 + 1.0) * (p0 - 1.0)

@@ -19,7 +19,7 @@ from .constants import find_p0
 from .errors import BracketError, CrossingPatternError, DomainError, NumericalError
 from .expfamily import abs_ebar_breakpoint, density_abs_ebar, family_scale, moment_et
 from .search import bisect_root
-from .specfun import DEFAULT_QUADRATURE, QuadratureConfig, as_order
+from .specfun import as_order
 
 __all__ = [
     "SignChangeReport",
@@ -87,19 +87,6 @@ def _evaluate(f, xs):
     return np.array([float(f(x)) for x in xs])
 
 
-def _refine_crossing(f, lo, hi, flo, xtol=1e-10):
-    for _ in range(200):
-        if hi - lo <= xtol:
-            break
-        mid = 0.5 * (lo + hi)
-        fm = float(f(mid))
-        if (fm < 0.0) == (flo < 0.0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def detect_sign_changes(
     f: Callable,
     domain: tuple[float, float],
@@ -151,7 +138,7 @@ def detect_sign_changes(
             unresolved.append((float(xs[i]), float(xs[j])))
             certified = False
             continue
-        x_star = _refine_crossing(f, float(xs[i]), float(xs[j]), float(vals[i]))
+        x_star = bisect_root(lambda x: float(f(x)), float(xs[i]), float(xs[j]), xtol=1e-10)
         for b in inner_bps:
             if abs(x_star - b) < 2e-9:
                 x_star = b  # bisection ran into a known jump
@@ -263,7 +250,6 @@ def matching_order(
     t: float,
     bracket: tuple[float, float] = (2.0, 4.0),
     baseline_t: float = 1.0,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
 ) -> float:
     """The order q where E|Ebar_baseline|^q = E|Ebar_t|^q inside the bracket.
 
@@ -275,8 +261,8 @@ def matching_order(
 
     def gap(q):
         return (
-            moment_et(q, baseline_t, cfg) / family_scale(baseline_t) ** q
-            - moment_et(q, t, cfg) / family_scale(t) ** q
+            moment_et(q, baseline_t) / family_scale(baseline_t) ** q
+            - moment_et(q, t) / family_scale(t) ** q
         )
 
     q_lo, q_hi = bracket
@@ -303,7 +289,6 @@ def nonneg_decomposition_check(
     p,
     grid_size: int = 10_000,
     slack: float = 1e-9,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
 ) -> bool:
     """Confirm (density gap) * (power gap) is pointwise nonnegative.
 
@@ -316,8 +301,8 @@ def nonneg_decomposition_check(
     p = as_order(p)
     if not 0.0 < t < 1.0:
         raise DomainError(f"t must lie strictly inside (0, 1), got {t}")
-    baseline, bracket, flip = _decomposition_regime(p, find_p0(cfg))
-    q = matching_order(t, bracket, baseline_t=baseline, cfg=cfg)
+    baseline, bracket, flip = _decomposition_regime(p, find_p0())
+    q = matching_order(t, bracket, baseline_t=baseline)
     certificates = verify_3crossings(t)
     # crossing locations do not depend on the gap's orientation
     report = certificates.report_upper if baseline == 1.0 else certificates.report_lower

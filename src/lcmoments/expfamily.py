@@ -30,6 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError
+from .search import bisect_root
 from .specfun import (
     DEFAULT_QUADRATURE,
     QuadratureConfig,
@@ -42,7 +43,6 @@ from .specfun import (
 
 __all__ = [
     "TwoSidedExpParams",
-    "FamilyPoint",
     "LogConcaveTestDensity",
     "ComparisonCheck",
     "family_scale",
@@ -92,21 +92,6 @@ def family_scale(t: float) -> float:
     return 2.0 * math.exp(t - 1.0) / (1.0 + t)
 
 
-@dataclass(frozen=True)
-class FamilyPoint:
-    """A parameter t of the normalized family, with its derived L1 scale."""
-
-    t: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.t <= 1.0:
-            raise DomainError(f"family parameter t must lie in [0, 1], got {self.t}")
-
-    @property
-    def scale(self) -> float:
-        return family_scale(self.t)
-
-
 def density_xab(params: TwoSidedExpParams, x):
     """Density of X(a, b); accepts scalars or arrays.
 
@@ -152,18 +137,11 @@ def match_two_sided(alpha: float, l1: float) -> TwoSidedExpParams:
     if alpha - _INV_E <= 1e-15:
         # the map is flat to second order at u = 0; the endpoint is exact
         return TwoSidedExpParams(a, 0.0)
-    lo, hi = 0.0, 1.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if math.exp(mid - 1.0) / (1.0 + mid) < alpha:
-            lo = mid
-        else:
-            hi = mid
-    u = 0.5 * (lo + hi)
+    u = bisect_root(lambda v: math.exp(v - 1.0) / (1.0 + v) - alpha, 0.0, 1.0)
     return TwoSidedExpParams(a, u * a)
 
 
-def moment_et(p, t: float, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
+def moment_et(p, t: float) -> float:
     """E|E_t|^p, assembled from the explicit three-term formula.
 
     E|E_t|^p = e^(t-1)/(1+t) * (int_0^(1-t) x^p e^x dx + Gamma(p+1))
@@ -172,16 +150,16 @@ def moment_et(p, t: float, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
     p = as_order(p)
     if not 0.0 <= t <= 1.0:
         raise DomainError(f"family parameter t must lie in [0, 1], got {t}")
-    head = math.exp(t - 1.0) / (1.0 + t) * (exp_power_integral(p, 1.0 - t, cfg) + gamma(p + 1.0))
-    return head + t / (1.0 + t) * shifted_exp_moment(p, t, cfg)
+    head = math.exp(t - 1.0) / (1.0 + t) * (exp_power_integral(p, 1.0 - t) + gamma(p + 1.0))
+    return head + t / (1.0 + t) * shifted_exp_moment(p, t)
 
 
-def norm_ebar(p, t: float, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
+def norm_ebar(p, t: float) -> float:
     """L_p norm of the normalized family member, (E|E_t|^p)^(1/p) / scale(t)."""
     p = as_order(p)
     if p == 0.0:
         raise DomainError("p = 0 (geometric mean) is not supported")
-    return moment_et(p, t, cfg) ** (1.0 / p) / family_scale(t)
+    return moment_et(p, t) ** (1.0 / p) / family_scale(t)
 
 
 def abs_ebar_breakpoint(t: float) -> float:
@@ -377,7 +355,7 @@ def reduction_check(
     params = match_two_sided(alpha, l1)
     lhs = abs_moment(density, p, cfg) / l1**p
     # E|X(a,b)|^p = a^p E|E_u|^p with u = b/a, and E|X(a,b)| = l1 by matching
-    rhs = params.a**p * moment_et(p, params.b / params.a, cfg) / l1**p
+    rhs = params.a**p * moment_et(p, params.b / params.a) / l1**p
 
     slack = tol * max(1.0, abs(lhs), abs(rhs))
     if 0.0 < p < 1.0:

@@ -3,9 +3,8 @@
 These estimators exist to validate the closed-form and quadrature routes,
 so reproducibility is strict: sampling is split into fixed-size chunks, the
 counter-based Philox generator for chunk c is keyed by (seed, c), and
-reductions run in chunk order.  The ``streams`` field is only a hint for
-how many chunks may be generated concurrently; estimates are bit-identical
-whatever its value and however chunks are scheduled.
+reductions run in chunk order, so identical configurations give
+bit-identical estimates.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ __all__ = [
     "estimate_density_at_zero",
 ]
 
-# fixed draws per chunk; the chunk grid, not the stream count, keys the RNG
+# fixed draws per chunk; the chunk index keys the RNG
 _CHUNK = 1 << 17
 
 
@@ -38,15 +37,12 @@ class McConfig:
     seed: int
     samples: int = 100_000
     density_window: float = 0.01
-    streams: int = 1
 
     def __post_init__(self):
         if self.samples < 100_000:
             raise DomainError(f"need at least 1e5 samples, got {self.samples}")
         if not self.density_window > 0.0:
             raise DomainError("density_window must be positive")
-        if self.streams < 1:
-            raise DomainError("streams must be at least 1")
 
 
 def _chunk_sizes(total: int) -> list[int]:

@@ -1,4 +1,4 @@
-"""One-dimensional root bracketing and golden-section refinement."""
+"""One-dimensional root bisection and golden-section refinement."""
 
 from __future__ import annotations
 
@@ -10,12 +10,16 @@ from .errors import BracketError
 # inverse golden ratio, the fraction of the interval kept each step
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
+# halvings past which a bracket of any practical width is below rounding
+_MAX_HALVINGS = 200
 
-def bisect_root(f: Callable[[float], float], lo: float, hi: float, iterations: int = 200) -> float:
+
+def bisect_root(f: Callable[[float], float], lo: float, hi: float, xtol: float = 0.0) -> float:
     """Bisection on a sign-changing bracket; robust over fast.
 
-    A fixed iteration count halves the bracket far past double precision,
-    so the returned midpoint is exact to rounding.
+    Halves the bracket until it is at most ``xtol`` wide, or, with the
+    default 0, until the midpoint is no longer distinct from an end, so the
+    returned midpoint is exact to rounding.
     """
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:
@@ -24,9 +28,9 @@ def bisect_root(f: Callable[[float], float], lo: float, hi: float, iterations: i
         return hi
     if (flo < 0.0) == (fhi < 0.0):
         raise BracketError(f"no sign change on [{lo}, {hi}]: f(lo)={flo:g}, f(hi)={fhi:g}")
-    for _ in range(iterations):
+    for _ in range(_MAX_HALVINGS):
         mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
+        if hi - lo <= xtol or mid == lo or mid == hi:
             break
         fm = f(mid)
         if fm == 0.0:
@@ -34,7 +38,7 @@ def bisect_root(f: Callable[[float], float], lo: float, hi: float, iterations: i
         if (fm < 0.0) == (flo < 0.0):
             lo, flo = mid, fm
         else:
-            hi, fhi = mid, fm
+            hi = mid
     return 0.5 * (lo + hi)
 
 

@@ -1,14 +1,15 @@
-"""Special functions and quadrature primitives.
+"""Special functions and the adaptive quadrature primitive.
 
-Everything downstream (family moments, sharp constants, slicing integrals)
-reduces to the gamma function plus two exponential-weighted integrals:
+The family moments reduce to the gamma function plus two
+exponential-weighted integrals, both evaluated in closed form:
 
     exp_power_integral(p, c)  = int_0^c x^p e^x dx          (p > -1, c >= 0)
     shifted_exp_moment(p, t)  = E (t*E + 1-t)^p             (E standard exponential)
 
-The x^p factor is integrably singular at 0 when p is in (-1, 0); those
-integrals go through the substitution x = u^(1/(1+p)), which turns the
-integrand into a smooth function of u.
+The first is Kummer's function 1F1 (DLMF 13.2), the second the upper
+incomplete gamma function (DLMF 8.2) or, once e^u would overflow, Tricomi's
+U (DLMF 13.6).  ``integrate_adaptive`` serves only the generic-density
+moments and checks in ``expfamily``, and ``QuadratureConfig`` tunes only it.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .errors import DomainError, QuadratureError
 
 __all__ = [
     "QuadratureConfig",
-    "MomentOrder",
     "DEFAULT_QUADRATURE",
     "as_order",
     "integrate_adaptive",
@@ -36,17 +36,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances for the adaptive integrator.
-
-    ``tail_cutoff_log`` is the number of e-foldings after which an
-    exponential tail is considered fully spent; integrals written against
-    e^{-x/s} may be truncated at x = s * tail_cutoff_log.
-    """
+    """Tolerances for the adaptive integrator."""
 
     abs_tol: float = 1e-12
     rel_tol: float = 1e-10
     max_refinements: int = 200
-    tail_cutoff_log: float = 40.0
 
     def __post_init__(self):
         if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
@@ -57,22 +51,14 @@ class QuadratureConfig:
 
 DEFAULT_QUADRATURE = QuadratureConfig()
 
-
-@dataclass(frozen=True)
-class MomentOrder:
-    """A moment order p > -1, the range on which E|X|^p is finite for
-    log-concave X."""
-
-    p: float
-
-    def __post_init__(self):
-        if not self.p > -1.0:
-            raise DomainError(f"moment order must exceed -1, got {self.p}")
+# u * U(1, p+2, u) = 1 + p/u + O(u^-2): from here on the correction is below rounding
+_HYPERU_CAP = 1e17
 
 
 def as_order(p) -> float:
-    """Validate and unwrap a moment order given as a float or MomentOrder."""
-    value = p.p if isinstance(p, MomentOrder) else float(p)
+    """Validate a moment order p > -1, the range on which E|X|^p is finite
+    for log-concave X."""
+    value = float(p)
     if not value > -1.0:
         raise DomainError(f"moment order must exceed -1, got {value}")
     return value
@@ -127,28 +113,24 @@ def gamma(x: float) -> float:
     return math.gamma(x)
 
 
-def exp_power_integral(p, c: float, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
+def exp_power_integral(p, c: float) -> float:
     """int_0^c x^p e^x dx for p > -1, c >= 0.
 
-    For p in (-1, 0) the substitution x = u^(1/(1+p)) absorbs the endpoint
-    singularity: the integral becomes s * int_0^(c^(1+p)) exp(u^s) du with
-    s = 1/(1+p), a smooth integrand.
+    Closed form c^(p+1)/(p+1) * 1F1(p+1; p+2; c) (DLMF 13.2); the confluent
+    hypergeometric series absorbs the endpoint singularity of x^p for p < 0.
     """
     p = as_order(p)
     if not c >= 0.0:
         raise DomainError(f"upper limit must be nonnegative, got {c}")
     if c == 0.0:
         return 0.0
-    if p < 0.0:
-        s = 1.0 / (1.0 + p)
-        return s * integrate_adaptive(lambda u: math.exp(u**s), 0.0, c ** (1.0 + p), cfg)
-    return integrate_adaptive(lambda x: x**p * math.exp(x), 0.0, c, cfg)
+    return c ** (p + 1.0) / (p + 1.0) * special.hyp1f1(p + 1.0, p + 2.0, c)
 
 
 def exp_power_integral_series(p, c: float, tol: float = 1e-16, max_terms: int = 200) -> float:
     """Series form sum_k c^(p+k+1) / (k! (p+k+1)); converges fast for c <= 2.
 
-    Kept as an independent cross-check of the quadrature route.
+    Kept as an independent test oracle for the closed form.
     """
     p = as_order(p)
     if not c >= 0.0:
@@ -168,13 +150,15 @@ def exp_power_integral_series(p, c: float, tol: float = 1e-16, max_terms: int = 
     raise QuadratureError("series for exp_power_integral did not converge")
 
 
-def shifted_exp_moment(p, t: float, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
+def shifted_exp_moment(p, t: float) -> float:
     """E (t*E + 1-t)^p = int_0^inf (t*x + 1-t)^p e^{-x} dx for t in [0, 1].
 
-    In terms of the upper incomplete gamma function this is
-    e^u * t^p * Gamma(p+1) * Q(p+1, u) with u = (1-t)/t.  The closed form is
-    used while e^u stays representable; for tiny t the integrand is a mild
-    perturbation of e^{-x} and direct quadrature is both safe and accurate.
+    With u = (1-t)/t this is e^u * t^p * Gamma(p+1) * Q(p+1, u) in terms of
+    the regularised upper incomplete gamma function, used while e^u stays
+    representable.  Beyond u = 200 it is (1-t)^p * u * U(1, p+2, u) with
+    Tricomi's U; writing it as t^p u^(p+1) U would overflow for tiny t.
+    From u = 1e17 on, u * U(1, p+2, u) equals 1 + p/u to rounding, so U is
+    evaluated at that cap (scipy's hyperu returns nan beyond about 1e154).
     """
     p = as_order(p)
     if not 0.0 <= t <= 1.0:
@@ -186,9 +170,5 @@ def shifted_exp_moment(p, t: float, cfg: QuadratureConfig = DEFAULT_QUADRATURE) 
     u = (1.0 - t) / t
     if u <= 200.0:
         return math.exp(u) * t**p * gamma(p + 1.0) * special.gammaincc(p + 1.0, u)
-    return integrate_adaptive(
-        lambda x: (t * x + 1.0 - t) ** p * math.exp(-x),
-        0.0,
-        cfg.tail_cutoff_log,
-        cfg,
-    )
+    u = min(u, _HYPERU_CAP)
+    return (1.0 - t) ** p * u * special.hyperu(1.0, p + 2.0, u)

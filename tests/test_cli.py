@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from lcmoments.cli import OutputRecord, main
+from lcmoments.cli import OutputRecord, build_parser, main
 
 
 def _run(capsys, argv):
@@ -111,20 +111,40 @@ def test_verify_constants_suite(capsys):
 
 
 def test_tol_override(capsys):
-    code, payload = _run(capsys, ["--tol", "1e-9", "p0"])
+    code, payload = _run(capsys, ["--tol", "1e-9", "verify", "--suite", "fradelizi"])
     assert code == 0
-    assert 2.9414 < payload["outputs"]["p0"] < 2.9415
+    assert all(record["status"] == "ok" for record in payload)
 
 
 def test_config_file_overrides(tmp_path, capsys):
     cfg = tmp_path / "quad.cfg"
     cfg.write_text("rel_tol = 1e-9\nmax_refinements = 150\n")
-    code, payload = _run(capsys, ["--config", str(cfg), "p0"])
+    code, payload = _run(capsys, ["--config", str(cfg), "verify", "--suite", "fradelizi"])
     assert code == 0
+    assert all(record["status"] == "ok" for record in payload)
 
     bad = tmp_path / "bad.cfg"
     bad.write_text("unknown_key = 1\n")
-    assert main(["--config", str(bad), "p0"]) == 2
+    assert main(["--config", str(bad), "verify", "--suite", "fradelizi"]) == 2
+
+    # the family moments are closed forms, so the tail cutoff is no longer a setting
+    retired = tmp_path / "retired.cfg"
+    retired.write_text("tail_cutoff_log = 40\n")
+    assert main(["--config", str(retired), "verify", "--suite", "fradelizi"]) == 2
+
+
+def test_consecutive_calls_share_no_state(tmp_path, capsys):
+    path = tmp_path / "profile.csv"
+    code, first = _run(capsys, ["--tol", "1e-9", "scan", "--p", "4", "--grid", "200", "--csv", str(path)])
+    assert code == 0 and first["outputs"]["csv"] == str(path)
+    code, second = _run(capsys, ["scan", "--p", "4", "--grid", "200"])
+    assert code == 0 and "csv" not in second["outputs"]
+
+    parser = build_parser()
+    assert parser is build_parser()
+    assert parser.parse_args(["--tol", "1e-9", "scan", "--p", "4", "--csv", "x.csv"]).tol == 1e-9
+    args = parser.parse_args(["scan", "--p", "4"])
+    assert args.tol is None and args.csv is None
 
 
 def test_unknown_subcommand_exit_code(capsys):

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -9,7 +10,6 @@ from lcmoments.constants import (
     find_p0,
     l2_ratio,
     lp_l1_lower,
-    lp_l1_upper,
     lp_l2_lower,
     lp_lq_ratio,
     scan_family_extrema,
@@ -20,6 +20,28 @@ from lcmoments.constants import (
 from lcmoments.errors import DomainError
 from lcmoments.expfamily import norm_ebar
 from lcmoments.specfun import gamma
+
+
+def _mp_one_sided_moment(p):
+    """E|E-1|^p at the working precision of mpmath."""
+    return mpmath.exp(-1) * (mpmath.hyp1f1(p + 1, p + 2, 1) / (p + 1) + mpmath.gamma(p + 1))
+
+
+def test_p0_matches_mpmath_root():
+    with mpmath.workdps(40):
+        root = mpmath.findroot(
+            lambda p: mpmath.gamma(p + 1) - (mpmath.e / 2) ** p * _mp_one_sided_moment(p), 2.94
+        )
+    assert abs(find_p0() - float(root)) <= 1e-14
+
+
+def test_l2_transition_matches_mpmath_root():
+    with mpmath.workdps(40):
+        root = mpmath.findroot(
+            lambda p: mpmath.gamma(p + 1) ** (1 / p) / mpmath.sqrt(2) - _mp_one_sided_moment(p) ** (1 / p),
+            1.68,
+        )
+    assert abs(find_l2_transition() - float(root)) <= 1e-14
 
 
 class TestSharpConstant:
@@ -71,9 +93,6 @@ class TestFindP0:
 class TestClosedFormConstants:
     def test_lp_l2_lower_at_one(self):
         assert lp_l2_lower(1.0) == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-13)
-
-    def test_lp_l1_upper_at_two(self):
-        assert lp_l1_upper(2.0) == pytest.approx(math.sqrt(2.0), rel=1e-12)
 
     def test_lp_lq_ratio(self):
         assert lp_lq_ratio(1.0, 2.0) == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-13)

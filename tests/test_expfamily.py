@@ -1,12 +1,14 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from lcmoments.errors import DomainError
 from lcmoments.expfamily import (
-    FamilyPoint,
     TwoSidedExpParams,
     abs_moment,
     catalogue,
@@ -224,10 +226,41 @@ def test_limit_identity_towards_density_at_zero(t):
     assert abs(extrapolated - target) < 1e-3
 
 
+def _mp_moment_et(p: float, t: float) -> float:
+    """E|E_t|^p at 40 digits from the three-term formula, each term by mpmath."""
+    with mpmath.workdps(40):
+        p, t = mpmath.mpf(p), mpmath.mpf(t)
+        c = 1 - t
+        head = c ** (p + 1) / (p + 1) * mpmath.hyp1f1(p + 1, p + 2, c) + mpmath.gamma(p + 1)
+        total = mpmath.exp(t - 1) / (1 + t) * head
+        if t > 0:
+            u = (1 - t) / t
+            total += t / (1 + t) * t**p * mpmath.exp(u) * mpmath.gammainc(p + 1, u)
+        return float(total)
+
+
+# t = 0 and t = 1, the whole interval, the range t < 1/201 where the shifted
+# moment leaves the incomplete-gamma branch, and tiny t down to 1e-300
+_family_t = st.one_of(
+    st.sampled_from([0.0, 1.0]),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 1.0 / 201.0),
+    st.floats(-300.0, -2.31).map(lambda e: 10.0**e),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=st.floats(-1.0, 15.0, exclude_min=True), t=_family_t)
+def test_moment_et_matches_mpmath(p, t):
+    assert moment_et(p, t) == pytest.approx(_mp_moment_et(p, t), rel=1e-13, abs=0.0)
+
+
 class TestFamilyPoint:
+    """A point t of the family and its L1 scale."""
+
     def test_scale_endpoints(self):
-        assert FamilyPoint(0.0).scale == pytest.approx(2.0 / math.e, rel=1e-15)
-        assert FamilyPoint(1.0).scale == pytest.approx(1.0, rel=1e-15)
+        assert family_scale(0.0) == pytest.approx(2.0 / math.e, rel=1e-15)
+        assert family_scale(1.0) == pytest.approx(1.0, rel=1e-15)
 
     def test_scale_strictly_increasing(self):
         ts = np.linspace(0.0, 1.0, 500)
@@ -236,7 +269,7 @@ class TestFamilyPoint:
 
     def test_out_of_range(self):
         with pytest.raises(DomainError):
-            FamilyPoint(1.5)
+            family_scale(1.5)
 
 
 class TestCatalogue:

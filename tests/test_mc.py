@@ -25,16 +25,10 @@ class TestDeterminism:
         params = TwoSidedExpParams(1.0, 0.4)
         assert np.array_equal(sample_xab(params, cfg), sample_xab(params, cfg))
 
-    def test_stream_count_does_not_change_samples(self):
-        params = TwoSidedExpParams(1.0, 0.4)
-        one = sample_xab(params, McConfig(seed=123, samples=150_000, streams=1))
-        many = sample_xab(params, McConfig(seed=123, samples=150_000, streams=8))
-        assert np.array_equal(one, many)
-
     def test_density_estimate_reproducible(self):
         w = WeightVector.from_raw([1.0, -1.0], project=True)
-        a = estimate_density_at_zero(w, McConfig(seed=5, samples=120_000, streams=1))
-        b = estimate_density_at_zero(w, McConfig(seed=5, samples=120_000, streams=4))
+        a = estimate_density_at_zero(w, McConfig(seed=5, samples=120_000))
+        b = estimate_density_at_zero(w, McConfig(seed=5, samples=120_000))
         assert a == b
 
 

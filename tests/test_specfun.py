@@ -1,13 +1,14 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
 
 from lcmoments.errors import DomainError
 from lcmoments.specfun import (
-    MomentOrder,
     QuadratureConfig,
+    as_order,
     exp_power_integral,
     exp_power_integral_series,
     gamma,
@@ -71,6 +72,15 @@ def test_exp_power_integral_matches_series(p, c):
     )
 
 
+def test_exp_power_integral_small_upper_limit_matches_mpmath():
+    # quadrature lost 8.8e-9 (relative) here; the 1F1 form is exact to rounding
+    p, c = 1.47, 1e-3
+    with mpmath.workdps(40):
+        a, x = mpmath.mpf(p) + 1, mpmath.mpf(c)
+        oracle = x**a / a * mpmath.hyp1f1(a, a + 1, x)
+    assert exp_power_integral(p, c) == pytest.approx(float(oracle), rel=1e-13, abs=0.0)
+
+
 def test_exp_power_integral_domain_errors():
     with pytest.raises(DomainError):
         exp_power_integral(-1.0, 1.0)
@@ -105,6 +115,28 @@ def test_shifted_exp_moment_against_quadrature_oracle():
         assert shifted_exp_moment(p, t) == pytest.approx(oracle, rel=1e-9)
 
 
+def _mp_shifted_exp_moment(p: float, t: float) -> float:
+    with mpmath.workdps(40):
+        p, t = mpmath.mpf(p), mpmath.mpf(t)
+        u = (1 - t) / t
+        return float(t**p * mpmath.exp(u) * mpmath.gammainc(p + 1, u))
+
+
+@pytest.mark.parametrize("p", [-0.95, -0.5, 0.5, 2.5, 7.0, 15.0])
+@pytest.mark.parametrize("u", [201.0, 1e3, 1e5, 1e9])
+def test_shifted_exp_moment_large_u_matches_mpmath(p, u):
+    t = 1.0 / (1.0 + u)
+    oracle = _mp_shifted_exp_moment(p, t)
+    assert shifted_exp_moment(p, t) == pytest.approx(oracle, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("p", [-0.9, 1.0, 15.0])
+@pytest.mark.parametrize("t", [1e-155, 1e-300, 5e-324])
+def test_shifted_exp_moment_tiny_t_is_one(p, t):
+    # t^p u^(p+1) U(1, p+2, u) would overflow here, and hyperu is nan past u ~ 1e154
+    assert shifted_exp_moment(p, t) == pytest.approx(1.0, abs=1e-15)
+
+
 def test_shifted_exp_moment_continuity_in_t():
     dt = 1e-4
     ts = np.arange(dt, 1.0, 0.05)
@@ -115,9 +147,9 @@ def test_shifted_exp_moment_continuity_in_t():
 
 
 def test_moment_order_validation():
-    assert MomentOrder(0.5).p == 0.5
+    assert as_order(0.5) == 0.5
     with pytest.raises(DomainError):
-        MomentOrder(-1.0)
+        as_order(-1.0)
 
 
 def test_quadrature_config_validation():
