@@ -16,7 +16,6 @@ from .constants import (
 from .crossings import (
     SignChangeReport,
     ThreeCrossingsResult,
-    detect_sign_changes,
     matching_order,
     nonneg_decomposition_check,
     vandermonde_coeffs,

@@ -3,7 +3,7 @@
 Every computation is exposed as a subcommand emitting one JSON record (or a
 list of records for the verification suites) on stdout; scan profiles can
 additionally be exported as CSV.  Exit codes: 0 all checks ok, 1 a verified
-inequality was violated, 2 usage or domain error.
+inequality was violated, 2 usage, domain or numerical error.
 """
 
 from __future__ import annotations
@@ -66,7 +66,10 @@ def _quad_config(args) -> QuadratureConfig:
                 key = key.strip()
                 if key not in fields:
                     raise DomainError(f"unknown quadrature option {key!r}")
-                overrides[key] = int(value) if key == "max_refinements" else float(value)
+                try:
+                    overrides[key] = int(value) if key == "max_refinements" else float(value)
+                except ValueError:
+                    raise DomainError(f"cannot read {value.strip()!r} as quadrature option {key}") from None
     if getattr(args, "tol", None) is not None:
         overrides.setdefault("abs_tol", args.tol)
         overrides.setdefault("rel_tol", args.tol)
@@ -83,13 +86,13 @@ def _write_profile_csv(path: str, profile: np.ndarray, columns=("t", "value")) -
 
 def _parse_weights(text: str) -> list[float]:
     text = text.strip()
-    if text.startswith("["):
-        values = json.loads(text)
-    else:
-        values = [float(tok) for tok in text.split(",") if tok.strip()]
+    values = json.loads(text) if text.startswith("[") else [tok for tok in text.split(",") if tok.strip()]
     if not isinstance(values, list) or not values:
         raise DomainError("weights must be a nonempty JSON array or comma-separated list")
-    return [float(v) for v in values]
+    try:
+        return [float(v) for v in values]
+    except (TypeError, ValueError):
+        raise DomainError(f"weights must be numbers, got {text!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +215,7 @@ def _suite_reduction(cfg, seed, samples):
                     "verify/reduction",
                     {"density": density.name, "p": p},
                     {"lhs": check.lhs, "rhs": check.rhs},
-                    tolerances={"slack": 1e-8},
+                    tolerances={"slack": expfamily.COMPARISON_SLACK},
                     status="ok" if check.holds else "violated",
                 )
             )
@@ -230,7 +233,7 @@ def _suite_fradelizi(cfg, seed, samples):
                     "verify/fradelizi",
                     {"density": density.name, "phi": phi.__name__},
                     {"lhs": check.lhs, "rhs": check.rhs},
-                    tolerances={"slack": 1e-8},
+                    tolerances={"slack": expfamily.COMPARISON_SLACK},
                     status="ok" if check.holds else "violated",
                 )
             )
@@ -264,7 +267,7 @@ def _suite_crossings(cfg, seed, samples):
                 "verify/decomposition",
                 {"t": 0.5, "p": p},
                 {"nonnegative": bool(ok)},
-                tolerances={"slack": 1e-9},
+                tolerances={"slack": crossings.DECOMPOSITION_SLACK},
                 status="ok" if ok else "violated",
             )
         )
@@ -412,7 +415,7 @@ def main(argv=None) -> int:
         records, code = args.handler(args, cfg)
     except (
         DomainError,
-        FileNotFoundError,
+        OSError,
         json.JSONDecodeError,
         BracketError,
         DegenerateSectionError,

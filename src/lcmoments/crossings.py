@@ -1,29 +1,39 @@
-"""Sign-change detection and the crossing certificates.
+"""Exact three-crossings certificates and the decomposition check.
 
-The comparison inequalities all reduce to integrals of a product
-(density gap) * (power gap) that is pointwise one-signed once the power
-interpolant alpha + beta*x + gamma*x^q is pinned at the density gap's three
-crossings.  This module locates and certifies those crossings numerically
-and runs the pointwise nonnegativity check regime by regime.
+The comparison inequalities reduce to integrals of (density gap) * (power
+gap), pointwise one-signed once alpha + beta*x + gamma*x^q is pinned at the
+density gap's three crossings.  Between breakpoints each gap is a sum of at
+most four exponentials (``expfamily._abs_ebar_terms``), whose zeros Rolle
+recursion isolates exactly, the constructive proof of Laguerre's rule of
+signs (Polya-Szego, Problems and Theorems in Analysis II, Part V).  A sign
+change across a breakpoint (the t = 0 jump at e/2) is a crossing there.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 import warnings
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from itertools import pairwise
 
 import numpy as np
 
 from .constants import find_p0
 from .errors import BracketError, CrossingPatternError, DomainError, NumericalError
-from .expfamily import abs_ebar_breakpoint, density_abs_ebar, family_scale, moment_et
+from .expfamily import (
+    _abs_ebar_terms,
+    _term_rate,
+    abs_ebar_breakpoint,
+    density_abs_ebar,
+    family_scale,
+    moment_et,
+)
 from .search import bisect_root
 from .specfun import as_order
 
 __all__ = [
     "SignChangeReport",
-    "detect_sign_changes",
     "vandermonde_coeffs",
     "ThreeCrossingsResult",
     "verify_3crossings",
@@ -31,127 +41,137 @@ __all__ = [
     "nonneg_decomposition_check",
 ]
 
-# samples with |f| at or below this count as zero when classifying signs
-DEFAULT_ZERO_BAND = 1e-12
+# a sign is trusted when the sum exceeds this multiple of the rounding of its terms
+_SIGN_MARGIN = 64.0 * sys.float_info.epsilon
 
-# |E_t|-density differences are negligible beyond this abscissa for all t
+# the decomposition product is sampled at this many points of (0, _X_MAX),
+# past which |E_t|-density differences are negligible for all t; the slack
+# absorbs rounding at the nodes, where the product vanishes to first order
+_DECOMPOSITION_GRID = 10_000
 _X_MAX = 48.0
-
-# a zero-band run between opposite signs longer than this many grid steps
-# cannot be attributed to a single crossing
-_MAX_ZERO_RUN = 10
+DECOMPOSITION_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
 class SignChangeReport:
-    """Certified sign changes of a function on an interval of (0, inf).
+    """The sign changes of a density gap on (0, inf).
 
-    ``pattern`` starts with the sign on the segment before the first
-    crossing, e.g. "+-+-" for three crossings starting positive; signs
-    alternate by construction.  ``certified`` is False when any crossing sits
-    in an unresolved zero band.
+    ``pattern`` starts with the sign before the first crossing, e.g. "+-+-"
+    for three crossings starting positive.  ``certified`` is False when a
+    sign the isolation relied on lay within rounding of zero;
+    ``verify_3crossings`` raises NumericalError rather than return that.
     """
 
     crossings: tuple[float, ...]
     pattern: str
-    resolution: float
     certified: bool
-    unresolved: tuple[tuple[float, float], ...] = field(default=())
 
     def __post_init__(self):
-        if list(self.crossings) != sorted(self.crossings):
+        if any(b <= a for a, b in pairwise(self.crossings)):
             raise DomainError("crossings must be strictly increasing")
         if len(self.crossings) + 1 != len(self.pattern):
             raise DomainError("pattern length must be one more than the crossing count")
-        for a, b in zip(self.pattern, self.pattern[1:]):
-            if a == b:
-                raise DomainError("pattern signs must alternate")
+        if any(a == b for a, b in pairwise(self.pattern)):
+            raise DomainError("pattern signs must alternate")
 
     def as_dict(self) -> dict:
-        return {
-            "crossings": list(self.crossings),
-            "pattern": self.pattern,
-            "resolution": self.resolution,
-            "certified": self.certified,
-            "unresolved": [list(band) for band in self.unresolved],
-        }
+        return {"crossings": list(self.crossings), "pattern": self.pattern, "certified": self.certified}
 
 
-def _evaluate(f, xs):
-    try:
-        vals = np.asarray(f(xs), dtype=float)
-        if vals.shape == xs.shape:
-            return vals
-    except (TypeError, ValueError):
-        pass
-    return np.array([float(f(x)) for x in xs])
+def _normalized(coef: dict[int, float]) -> dict[int, float]:
+    """Drop zero coefficients and scale the rest to at most 1 in magnitude."""
+    coef = {i: c for i, c in coef.items() if c != 0.0}
+    scale = max(map(abs, coef.values()), default=1.0)
+    return {i: c / scale for i, c in coef.items()}
 
 
-def detect_sign_changes(
-    f: Callable,
-    domain: tuple[float, float],
-    grid_size: int = 2000,
-    tol: float = DEFAULT_ZERO_BAND,
-    breakpoints: Sequence[float] = (),
-    extra_grid: Sequence[float] = (),
-) -> SignChangeReport:
-    """Locate the sign changes of ``f`` on an open interval.
+def _exp_sum_zeros(terms, lo: float, hi: float):
+    """The zeros of g(x) = sum c * exp(rate * (x - lo)) on (lo, hi); hi may be inf.
 
-    Samples on a uniform grid (plus any supplied breakpoints, so piecewise
-    definitions are never straddled), treats |f| <= tol as zero, and refines
-    each strict change by bisection to 1e-10.  A sign change buried in a
-    zero band wider than ten grid steps is reported as unresolved; a change
-    that bisection tracks into a supplied breakpoint is recorded at the
-    breakpoint itself (jump crossing).  ``extra_grid`` adds sample points
-    where the caller knows structure lives below the uniform resolution.
+    ``terms`` are (c, sign, rho) with rate ``_term_rate(sign, rho)``.  Returns
+    (zeros, sign of g at lo, certified); certified is False if a piece end or
+    a stationary value lay within the rounding bound of zero.
     """
-    lo, hi = float(domain[0]), float(domain[1])
-    if not hi > lo:
-        raise DomainError(f"empty domain ({lo}, {hi})")
-    if grid_size < 1000:
-        raise DomainError(f"grid_size must be at least 1000, got {grid_size}")
+    merged: dict[tuple[float, float], float] = {}
+    for c, sign, rho in terms:
+        merged[sign, rho] = merged.get((sign, rho), 0.0) + c
+    # ordered by rate: negative rates first, then by sign * rho
+    keys = sorted((k for k, c in merged.items() if c != 0.0), key=lambda k: (k[0], k[0] * k[1]))
+    if not keys:
+        return (), "+", False
+    rates = [_term_rate(*k) for k in keys]
+    # rate differences, from expm1 of the log-rates where the signs agree
+    diff = [
+        [rb * math.expm1(a[1] - b[1]) if a[0] == b[0] else ra - rb for b, rb in zip(keys, rates)]
+        for a, ra in zip(keys, rates)
+    ]
 
-    xs = np.linspace(lo, hi, grid_size + 2)[1:-1]
-    inner_bps = sorted(b for b in breakpoints if lo < b < hi)
-    extra = [x for x in extra_grid if lo < x < hi]
-    if inner_bps or extra:
-        xs = np.unique(np.concatenate([xs, np.asarray(inner_bps + extra, dtype=float)]))
-    step = (hi - lo) / (grid_size + 1)
+    def evaluate(coef, x):
+        """The sum and its rounding bound, in the frame of its fastest-growing term."""
+        top = max(coef)
+        exponents = [diff[i][top] * (x - lo) for i in coef]
+        parts = [c * math.exp(e) for c, e in zip(coef.values(), exponents)]
+        bound = _SIGN_MARGIN * sum(abs(v) * (1.0 + abs(e)) for v, e in zip(parts, exponents) if v)
+        return math.fsum(parts), bound
 
-    vals = _evaluate(f, xs)
-    signs = np.sign(vals)
-    signs[np.abs(vals) <= tol] = 0.0
+    def zeros(coef):
+        """Rolle recursion: the zeros of the derivative, in the frame of the
+        median rate (which keeps the shifted rates moderate), cut (lo, hi)
+        into monotone runs, each with a root if its ends differ in sign."""
+        if len(coef) < 2:
+            return [], True
+        k = list(coef)[len(coef) // 2]
+        stationary, certified = zeros(_normalized({i: c * diff[i][k] for i, c in coef.items() if i != k}))
+        edges = [lo, *stationary, hi]
+        values = [evaluate(coef, x) for x in edges]
+        certified = certified and all(abs(v) > bound for v, bound in values)
+        found = [
+            bisect_root(lambda x: evaluate(coef, x)[0], a, b)
+            for (a, (va, _)), (b, (vb, _)) in pairwise(zip(edges, values))
+            if (va < 0.0) != (vb < 0.0)
+        ]
+        return found, certified
 
-    nz = np.nonzero(signs)[0]
-    if nz.size == 0:
-        return SignChangeReport((), "0", step, certified=False, unresolved=((lo, hi),))
+    coef = _normalized({i: merged[k] for i, k in enumerate(keys)})
+    if math.isinf(hi):
+        # past this point the fastest-growing term outweighs all the others together
+        top = len(keys) - 1
+        logs = [math.log(len(keys) * abs(c)) - math.log(abs(coef[top])) for c in coef.values()]
+        hi = lo + max([0.0, *(logs[i] / -diff[i][top] for i in range(top))])
+    found, certified = zeros(coef)
+    return tuple(found), "+" if evaluate(coef, lo)[0] > 0.0 else "-", certified
 
-    crossings: list[float] = []
-    unresolved: list[tuple[float, float]] = []
-    certified = True
-    for i, j in zip(nz[:-1], nz[1:]):
-        if signs[i] == signs[j]:
-            continue
-        if j - i - 1 > _MAX_ZERO_RUN:
-            # an extended tol-band separates the signs; location is ambiguous
-            crossings.append(0.5 * (xs[i] + xs[j]))
-            unresolved.append((float(xs[i]), float(xs[j])))
-            certified = False
-            continue
-        x_star = bisect_root(lambda x: float(f(x)), float(xs[i]), float(xs[j]), xtol=1e-10)
-        for b in inner_bps:
-            if abs(x_star - b) < 2e-9:
-                x_star = b  # bisection ran into a known jump
-                break
-        crossings.append(x_star)
 
-    first = "+" if signs[nz[0]] > 0 else "-"
-    pattern = first
-    for _ in crossings:
-        pattern += "-" if pattern[-1] == "+" else "+"
-    return SignChangeReport(
-        tuple(crossings), pattern, step, certified=certified, unresolved=tuple(unresolved)
-    )
+def _gap_pieces(s: float, t: float):
+    """density(|Ebar_s|) - density(|Ebar_t|) as [(lo, hi, terms)] between
+    breakpoints, the terms anchored at lo; the last piece runs to inf."""
+    tables = [(_abs_ebar_terms(s), 1.0), (_abs_ebar_terms(t), -1.0)]
+    edges = sorted({0.0, *(kink for (kink, _, _), _ in tables)})
+    pieces = []
+    for lo, hi in pairwise([*edges, math.inf]):
+        terms = []
+        for (kink, head, tail), side in tables:
+            part, anchor = (head, 0.0) if hi <= kink else (tail, kink)
+            terms += [(side * c * math.exp(_term_rate(sg, rho) * (lo - anchor)), sg, rho) for c, sg, rho in part]
+        pieces.append((lo, hi, terms))
+    return pieces
+
+
+def _gap_crossings(s: float, t: float):
+    """Crossings, sign pattern and certified flag of density(|Ebar_s|) - density(|Ebar_t|)."""
+    crossings, pattern, certified = [], "", True
+    for lo, hi, terms in _gap_pieces(s, t):
+        found, first, ok = _exp_sum_zeros(terms, lo, hi)
+        certified = certified and ok
+        if not pattern:
+            pattern = first
+        elif first != pattern[-1]:
+            crossings.append(lo)  # the sign changes across the breakpoint
+            pattern += first
+        for x in found:
+            crossings.append(x)
+            pattern += "-" if pattern[-1] == "+" else "+"
+    return tuple(crossings), pattern, certified
 
 
 def vandermonde_coeffs(p: float, q: float, x1: float, x2: float, x3: float) -> tuple[float, float, float]:
@@ -197,53 +217,29 @@ class ThreeCrossingsResult:
     report_lower: SignChangeReport
 
 
-def verify_3crossings(
-    t: float,
-    grid_size: int = 4000,
-    tol: float = DEFAULT_ZERO_BAND,
-) -> ThreeCrossingsResult:
+def verify_3crossings(t: float) -> ThreeCrossingsResult:
     """Certify that both density gaps cross exactly three times as (+,-,+,-).
 
-    The t = 0 density has a jump at e/2 (supplied as a breakpoint candidate);
-    all other kinks sit at the per-parameter breakpoints, which are inserted
-    into the sampling grids.  Raises CrossingPatternError with the offending
-    report attached if either certificate fails.
+    Raises NumericalError if a sign the isolation relies on lies within
+    rounding of zero, and CrossingPatternError, with the reports attached,
+    if either gap shows another pattern.
     """
     if not 0.0 < t < 1.0:
         raise DomainError(f"t must lie strictly inside (0, 1), got {t}")
-
-    # the first crossing can sit inside (0, breakpoint), an interval that
-    # shrinks like 1-t, and crossings can cluster between the kink and the
-    # one-sided member's jump; sample those windows densely
-    kink = abs_ebar_breakpoint(t)
-    jump = abs_ebar_breakpoint(0.0)
-    head = np.linspace(0.0, kink, 512)[1:-1]
-    between = np.linspace(min(kink, jump), max(kink, jump), 256)[1:-1]
-
-    upper = detect_sign_changes(
-        lambda x: density_abs_ebar(1.0, x) - density_abs_ebar(t, x),
-        (0.0, _X_MAX),
-        grid_size=grid_size,
-        tol=tol,
-        breakpoints=[kink],
-        extra_grid=head,
-    )
-    lower = detect_sign_changes(
-        lambda x: density_abs_ebar(t, x) - density_abs_ebar(0.0, x),
-        (0.0, _X_MAX),
-        grid_size=grid_size,
-        tol=tol,
-        breakpoints=[kink, jump],
-        extra_grid=np.concatenate([head, between]),
-    )
-    for label, report in (("upper", upper), ("lower", lower)):
+    reports = []
+    for label, (s, u) in (("upper", (1.0, t)), ("lower", (t, 0.0))):
+        crossings, pattern, certified = _gap_crossings(s, u)
+        if not certified:
+            raise NumericalError(f"{label} comparison at t={t}: a sign lies within rounding of zero")
+        reports.append(SignChangeReport(crossings, pattern, certified))
+    for label, report in zip(("upper", "lower"), reports):
         if len(report.crossings) != 3 or report.pattern != "+-+-":
             raise CrossingPatternError(
                 f"{label} comparison at t={t}: expected 3 crossings (+,-,+,-), "
                 f"got {len(report.crossings)} with pattern {report.pattern}",
-                reports=(upper, lower),
+                reports=reports,
             )
-    return ThreeCrossingsResult(t=t, report_upper=upper, report_lower=lower)
+    return ThreeCrossingsResult(t, *reports)
 
 
 def matching_order(
@@ -284,19 +280,13 @@ def _decomposition_regime(p: float, p0: float):
     raise DomainError(f"no decomposition regime covers p = {p}")
 
 
-def nonneg_decomposition_check(
-    t: float,
-    p,
-    grid_size: int = 10_000,
-    slack: float = 1e-9,
-) -> bool:
+def nonneg_decomposition_check(t: float, p) -> bool:
     """Confirm (density gap) * (power gap) is pointwise nonnegative.
 
     Picks the regime's baseline density and matching bracket, pins the
     interpolant at the certified crossing nodes, and samples the product on
     a dense grid.  For p in (0, 1) the pattern of the power gap flips, so
-    the product is checked with the opposite sign.  The slack absorbs float
-    rounding at the nodes, where the product vanishes to first order.
+    the product is checked with the opposite sign, against DECOMPOSITION_SLACK.
     """
     p = as_order(p)
     if not 0.0 < t < 1.0:
@@ -308,7 +298,7 @@ def nonneg_decomposition_check(
     report = certificates.report_upper if baseline == 1.0 else certificates.report_lower
     alpha, beta, gamma_q = vandermonde_coeffs(p, q, *report.crossings)
 
-    xs = np.linspace(0.0, _X_MAX, grid_size + 2)[1:-1]
+    xs = np.linspace(0.0, _X_MAX, _DECOMPOSITION_GRID + 2)[1:-1]
     extra = [abs_ebar_breakpoint(t), abs_ebar_breakpoint(baseline), *report.crossings]
     extra = [x for x in extra if 0.0 < x < _X_MAX]
     xs = np.unique(np.concatenate([xs, np.asarray(extra, dtype=float)]))
@@ -319,7 +309,7 @@ def nonneg_decomposition_check(
         product = -product
 
     worst = int(np.argmin(product))
-    if product[worst] >= -slack:
+    if product[worst] >= -DECOMPOSITION_SLACK:
         return True
     warnings.warn(
         f"decomposition product negative at x={xs[worst]:.6g}: {product[worst]:.3e} "

@@ -24,6 +24,7 @@ and moments of convex powers can only grow when X is swapped for X(a, b).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -64,6 +65,10 @@ __all__ = [
 ]
 
 _INV_E = 1.0 / math.e
+_TWO_OVER_E = 2.0 * _INV_E
+
+# relative slack of the comparison checks, for the quadrature error of both sides
+COMPARISON_SLACK = 1e-8
 
 
 @dataclass(frozen=True)
@@ -167,33 +172,52 @@ def abs_ebar_breakpoint(t: float) -> float:
     return (1.0 - t) / family_scale(t)
 
 
+def _term_rate(sign: float, rho: float) -> float:
+    """The rate sign * (2/e) * e^rho of an exponential term; 2/e = scale(0)."""
+    return sign * _TWO_OVER_E * math.exp(rho)
+
+
+def _abs_ebar_terms(t: float):
+    """The density of |E_t|/scale(t) as two exponential sums: (kink, head, tail).
+
+    A term (c, sign, rho) is c * exp(_term_rate(sign, rho) * (x - anchor)),
+    anchored at 0 on the head [0, kink] and at the kink on the tail.  With
+    mu = scale(t) = (2/e) e^rho, rho = t - log1p(t), the head is
+    mu^2/2 (e^(mu x) + e^(-mu x)) and the tail mu^2 e^(t-1)/2 e^(-mu (x-kink))
+    + mu/(1+t) e^(-(mu/t)(x-kink)), whose second term t = 0 lacks (a jump at
+    e/2).  Log-rates give accurate rate differences through expm1, and the
+    anchors keep e^(1/t) from forming.
+    """
+    mu = family_scale(t)
+    rho = t - math.log1p(t)
+    half = 0.5 * mu * mu
+    head = ((half, 1.0, rho), (half, -1.0, rho))
+    tail = ((half * math.exp(t - 1.0), -1.0, rho),)
+    # for subnormal t the rate mu/t overflows; the term then vanishes at every
+    # float past the kink, and the head owns the kink itself
+    if t >= sys.float_info.min:
+        tail += ((mu / (1.0 + t), -1.0, rho - math.log(t)),)
+    return abs_ebar_breakpoint(t), head, tail
+
+
 def density_abs_ebar(t: float, x):
     """Density of |E_t| / scale(t) on [0, inf); accepts scalars or arrays.
 
-    Piecewise: 2*pref*cosh(y) up to the breakpoint, then the sum of the two
-    decaying exponential terms, with y = scale(t)*x and pref = scale(t)/2.
-    At t = 0 the second term is dropped, leaving a jump at x = e/2; the
-    left branch owns the breakpoint.
+    Sums the terms of ``_abs_ebar_terms``: the head up to and including the
+    kink (the left branch owns the breakpoint), the tail beyond it.
     """
     if not 0.0 <= t <= 1.0:
         raise DomainError(f"family parameter t must lie in [0, 1], got {t}")
-    mu = family_scale(t)
     xs = np.asarray(x, dtype=float)
     scalar = xs.ndim == 0
     xs = np.atleast_1d(xs)
     if np.any(xs < 0.0):
         raise DomainError("density of |.| is defined on x >= 0")
-    y = mu * xs
-    pref = 0.5 * mu  # e^(t-1)/(1+t)
-    out = np.empty_like(y)
-    head = y <= 1.0 - t
-    out[head] = 2.0 * pref * np.cosh(y[head])
-    tail = ~head
-    if t > 0.0:
-        out[tail] = pref * (np.exp(-y[tail]) + np.exp((1.0 - y[tail]) / t - t))
-    else:
-        out[tail] = pref * np.exp(-y[tail])
-    out *= mu
+    kink, head, tail = _abs_ebar_terms(t)
+    out = np.empty_like(xs)
+    left = xs <= kink
+    for part, terms, anchor in ((left, head, 0.0), (~left, tail, kink)):
+        out[part] = sum(c * np.exp(_term_rate(sign, rho) * (xs[part] - anchor)) for c, sign, rho in terms)
     return float(out[0]) if scalar else out
 
 
@@ -332,10 +356,7 @@ def _reflected(density: LogConcaveTestDensity) -> LogConcaveTestDensity:
 
 
 def reduction_check(
-    density: LogConcaveTestDensity,
-    p,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-    tol: float = 1e-8,
+    density: LogConcaveTestDensity, p, cfg: QuadratureConfig = DEFAULT_QUADRATURE
 ) -> ComparisonCheck:
     """Compare E|X/E|X||^p against the matched two-sided exponential.
 
@@ -349,7 +370,7 @@ def reduction_check(
         lambda x: float(density.pdf(x)), 0.0, hi, cfg, points=[b for b in density.breakpoints if b > 0]
     )
     if alpha > 0.5 + 1e-13:
-        return reduction_check(_reflected(density), p, cfg, tol)
+        return reduction_check(_reflected(density), p, cfg)
 
     l1 = abs_moment(density, 1.0, cfg)
     params = match_two_sided(alpha, l1)
@@ -357,7 +378,7 @@ def reduction_check(
     # E|X(a,b)|^p = a^p E|E_u|^p with u = b/a, and E|X(a,b)| = l1 by matching
     rhs = params.a**p * moment_et(p, params.b / params.a) / l1**p
 
-    slack = tol * max(1.0, abs(lhs), abs(rhs))
+    slack = COMPARISON_SLACK * max(1.0, abs(lhs), abs(rhs))
     if 0.0 < p < 1.0:
         holds = lhs >= rhs - slack
     elif p == 1.0:
@@ -380,10 +401,7 @@ def convex_power(exponent: float) -> Callable:
 
 
 def fradelizi_check(
-    density: LogConcaveTestDensity,
-    phi: Callable,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-    tol: float = 1e-8,
+    density: LogConcaveTestDensity, phi: Callable, cfg: QuadratureConfig = DEFAULT_QUADRATURE
 ) -> ComparisonCheck:
     """int phi f <= int phi(x) f(0) e^{-2 f(0) |x|} dx for convex phi, mean-zero f."""
     f0 = float(density.pdf(0.0))
@@ -405,5 +423,5 @@ def fradelizi_check(
         cfg,
         points=[0.0],
     )
-    holds = lhs <= rhs + tol * max(1.0, abs(rhs))
+    holds = lhs <= rhs + COMPARISON_SLACK * max(1.0, abs(rhs))
     return ComparisonCheck(lhs, rhs, holds)

@@ -29,6 +29,9 @@ __all__ = [
 # fixed draws per chunk; the chunk index keys the RNG
 _CHUNK = 1 << 17
 
+# blocks of the delete-one-block jackknife
+_JACKKNIFE_BLOCKS = 100
+
 
 @dataclass(frozen=True)
 class McConfig:
@@ -71,7 +74,7 @@ class McEstimate:
     standard_error: float
 
 
-def estimate_abs_moment(samples: np.ndarray, p, blocks: int = 100) -> McEstimate:
+def estimate_abs_moment(samples: np.ndarray, p) -> McEstimate:
     """Sample mean of |x|^p with a delete-one-block jackknife standard error.
 
     For p in (-1, 0) this is still the raw mean of |x|^p; the heavier tail
@@ -80,6 +83,7 @@ def estimate_abs_moment(samples: np.ndarray, p, blocks: int = 100) -> McEstimate
     p = as_order(p)
     values = np.abs(np.asarray(samples, dtype=float)) ** p
     n = values.size
+    blocks = _JACKKNIFE_BLOCKS
     if n < blocks:
         raise DomainError(f"need at least {blocks} samples for the jackknife")
     estimate = float(values.mean())

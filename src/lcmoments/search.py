@@ -14,12 +14,11 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _MAX_HALVINGS = 200
 
 
-def bisect_root(f: Callable[[float], float], lo: float, hi: float, xtol: float = 0.0) -> float:
+def bisect_root(f: Callable[[float], float], lo: float, hi: float) -> float:
     """Bisection on a sign-changing bracket; robust over fast.
 
-    Halves the bracket until it is at most ``xtol`` wide, or, with the
-    default 0, until the midpoint is no longer distinct from an end, so the
-    returned midpoint is exact to rounding.
+    Halves the bracket until the midpoint is no longer distinct from an end,
+    so the returned midpoint is exact to rounding.
     """
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:
@@ -30,7 +29,7 @@ def bisect_root(f: Callable[[float], float], lo: float, hi: float, xtol: float =
         raise BracketError(f"no sign change on [{lo}, {hi}]: f(lo)={flo:g}, f(hi)={fhi:g}")
     for _ in range(_MAX_HALVINGS):
         mid = 0.5 * (lo + hi)
-        if hi - lo <= xtol or mid == lo or mid == hi:
+        if mid == lo or mid == hi:
             break
         fm = f(mid)
         if fm == 0.0:

@@ -91,6 +91,54 @@ def test_crossings_command(capsys):
     assert len(payload["outputs"]["report_lower"]["crossings"]) == 3
 
 
+@pytest.mark.parametrize("t", ["1e-6", "0.999999"])
+def test_crossings_command_near_the_ends(capsys, t):
+    code, payload = _run(capsys, ["crossings", "--t", t])
+    assert code == 0
+    for report in (payload["outputs"]["report_upper"], payload["outputs"]["report_lower"]):
+        assert report["pattern"] == "+-+-" and report["certified"]
+
+
+def test_crossings_uncertified_exits_2(capsys):
+    assert main(["crossings", "--t", "1e-8"]) == 2
+    assert json.loads(capsys.readouterr().err)["status"] == "error"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["moment", "--p", "200", "--t", "0.5"],
+        ["constant", "--which", "lp-l1-upper", "--p", "200"],
+    ],
+)
+def test_gamma_overflow_exits_2(capsys, argv):
+    assert main(argv) == 2
+    assert "overflows" in json.loads(capsys.readouterr().err)["message"]
+
+
+def _config(tmp_path, text):
+    path = tmp_path / "quad.cfg"
+    path.write_text(text)
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        lambda tmp: ["slice", "--weights", "1,x,-1"],
+        lambda tmp: ["slice", "--weights", "[[1,2],[3]]"],
+        lambda tmp: ["slice", "--weights", '[1,"a"]'],
+        lambda tmp: ["--config", _config(tmp, "abs_tol = abc\n"), "verify", "--suite", "fradelizi"],
+        lambda tmp: ["--config", _config(tmp, "max_refinements = 1.5\n"), "verify", "--suite", "fradelizi"],
+        lambda tmp: ["--config", str(tmp), "verify", "--suite", "fradelizi"],
+    ],
+    ids=["weights-token", "weights-nested", "weights-string", "config-float", "config-int", "config-directory"],
+)
+def test_malformed_input_exits_2(tmp_path, capsys, argv):
+    assert main(argv(tmp_path)) == 2
+    assert json.loads(capsys.readouterr().err)["status"] == "error"
+
+
 def test_max_section_command(capsys):
     code, payload = _run(capsys, ["max-section", "--n", "2", "--restarts", "20", "--seed", "4"])
     assert code == 0

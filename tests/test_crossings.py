@@ -1,72 +1,96 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from lcmoments.crossings import (
     SignChangeReport,
-    detect_sign_changes,
+    _exp_sum_zeros,
+    _gap_crossings,
+    _gap_pieces,
     matching_order,
     nonneg_decomposition_check,
     vandermonde_coeffs,
     verify_3crossings,
 )
-from lcmoments.errors import BracketError, DomainError
-from lcmoments.expfamily import density_abs_ebar, family_scale, moment_et
+from lcmoments.errors import BracketError, DomainError, NumericalError
+from lcmoments.expfamily import _term_rate, density_abs_ebar, family_scale, moment_et
 
 
-class TestDetectSignChanges:
-    def test_single_linear_crossing(self):
-        report = detect_sign_changes(lambda x: x - 1.0, (0.0, 5.0))
-        assert len(report.crossings) == 1
-        assert report.crossings[0] == pytest.approx(1.0, abs=1e-9)
-        assert report.pattern == "-+"
-        assert report.certified
+def _term(c, rate):
+    """A (c, sign, rho) term of c * exp(rate * (x - lo))."""
+    return (c, math.copysign(1.0, rate), math.log(abs(rate) / _term_rate(1.0, 0.0)))
 
-    def test_sine_crossings(self):
-        report = detect_sign_changes(np.sin, (0.0, 10.0))
-        assert len(report.crossings) == 3
-        for got, want in zip(report.crossings, (math.pi, 2.0 * math.pi, 3.0 * math.pi)):
-            assert got == pytest.approx(want, abs=1e-9)
-        assert report.pattern == "+-+-"
+
+def _laguerre_bound(terms):
+    """Sign changes of the coefficients ordered by rate, equal rates merged."""
+    merged = {}
+    for c, sign, rho in terms:
+        rate = _term_rate(sign, rho)
+        merged[rate] = merged.get(rate, 0.0) + c
+    signs = [c > 0.0 for _, c in sorted(merged.items()) if c != 0.0]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+class TestExpSumZeros:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        roots=st.lists(st.floats(0.05, 8.0), min_size=1, max_size=3).filter(
+            lambda r: np.all(np.diff(sorted(r)) > 1e-3)
+        ),
+        lead=st.floats(0.2, 3.0),
+    )
+    def test_roots_of_a_product(self, roots, lead):
+        # with y = e^(lead x), y^-(m+1) * prod_j (y - e^(lead r_j)) has rates
+        # -lead, ..., -(m+1) lead and vanishes exactly at the r_j
+        coeffs = np.poly(np.exp(lead * np.array(roots)))  # highest power of y first
+        m = len(roots)
+        terms = [_term(c, -lead * (m + 1 - k)) for k, c in zip(range(m, -1, -1), coeffs)]
+        zeros, first, certified = _exp_sum_zeros(terms, 0.0, math.inf)
+        assert certified
+        assert zeros == pytest.approx(sorted(roots), rel=1e-9)
+        assert first == ("+" if m % 2 == 0 else "-")
+
+    def test_single_term_never_vanishes(self):
+        assert _exp_sum_zeros([_term(-2.0, 0.5)], 0.0, math.inf) == ((), "-", True)
+
+    def test_cancelling_terms_are_not_certified(self):
+        terms = [_term(1.0, -1.0), _term(-1.0, -1.0)]
+        assert not _exp_sum_zeros(terms, 0.0, 1.0)[2]
+
+
+class TestGapPieces:
+    @pytest.mark.parametrize("s, t", [(1.0, 0.5), (0.5, 0.0), (0.9, 0.2)])
+    def test_pieces_are_the_density_gap(self, s, t):
+        for lo, hi, terms in _gap_pieces(s, t):
+            top = min(hi, lo + 10.0)
+            for x in np.linspace(lo, top, 7)[1:-1]:
+                value = sum(c * math.exp(_term_rate(sign, rho) * (x - lo)) for c, sign, rho in terms)
+                assert value == pytest.approx(density_abs_ebar(s, x) - density_abs_ebar(t, x), abs=1e-14)
 
     def test_family_density_gap(self):
-        t = 0.5
-        report = detect_sign_changes(
-            lambda x: density_abs_ebar(1.0, x) - density_abs_ebar(t, x),
-            (0.0, 48.0),
-            grid_size=4000,
-            breakpoints=[(1.0 - t) / family_scale(t)],
-        )
-        assert len(report.crossings) == 3
-        assert report.pattern == "+-+-"
-
-    def test_grid_size_validated(self):
-        with pytest.raises(DomainError):
-            detect_sign_changes(lambda x: x, (0.0, 1.0), grid_size=100)
-
-    def test_wide_zero_band_reported_unresolved(self):
-        def plateau(x):
-            if x < 1.0:
-                return -1.0
-            if x > 3.0:
-                return 1.0
-            return 0.0
-
-        report = detect_sign_changes(plateau, (0.0, 4.0))
-        assert not report.certified
-        assert len(report.unresolved) == 1
+        crossings, pattern, certified = _gap_crossings(1.0, 0.5)
+        assert certified
+        assert len(crossings) == 3
+        assert pattern == "+-+-"
 
 
 class TestSignChangeReport:
     def test_pattern_must_alternate(self):
         with pytest.raises(DomainError):
-            SignChangeReport((1.0, 2.0), "++-", 0.01, True)
+            SignChangeReport((1.0, 2.0), "++-", True)
 
     def test_lengths_must_match(self):
         with pytest.raises(DomainError):
-            SignChangeReport((1.0,), "+-+", 0.01, True)
+            SignChangeReport((1.0,), "+-+", True)
+
+    def test_crossings_must_increase_strictly(self):
+        with pytest.raises(DomainError):
+            SignChangeReport((1.0, 1.0), "+-+", True)
 
 
 class TestVandermondeCoeffs:
@@ -150,6 +174,75 @@ class TestVerify3Crossings:
             verify_3crossings(1.0)
 
 
+def _mp_density(t, x):
+    """The |Ebar_t| density at 40 digits, from the two-branch formula."""
+    t, x = mpmath.mpf(t), mpmath.mpf(x)
+    mu = 2 * mpmath.exp(t - 1) / (1 + t)
+    y = mu * x
+    if y <= 1 - t:
+        return mu * mu * mpmath.cosh(y)
+    tail = mpmath.exp(-y) + (mpmath.exp((1 - y) / t - t) if t > 0 else 0)
+    return mu * mu / 2 * tail
+
+
+def _mp_sign(s, t, x):
+    with mpmath.workdps(40):
+        gap = _mp_density(s, x) - _mp_density(t, x)
+    assert gap != 0
+    return "+" if gap > 0 else "-"
+
+
+# the certified band, its ends, and t within 1e-5 of each end
+_band_t = st.one_of(
+    st.sampled_from([1e-6, 1.0 - 1e-6]),
+    st.floats(1e-6, 1.0 - 1e-6),
+    st.floats(-6.0, -0.3).map(lambda e: 10.0**e),
+    st.floats(-6.0, -0.3).map(lambda e: 1.0 - 10.0**e),
+    st.floats(1e-6, 1.1e-5),
+    st.floats(1.0 - 1.1e-5, 1.0 - 1e-6),
+).filter(lambda t: 1e-6 <= t <= 1.0 - 1e-6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(t=_band_t)
+def test_certificates_match_mpmath_and_laguerre(t):
+    result = verify_3crossings(t)
+    rel = max(1e-10, 1e-14 / min(t, 1.0 - t) ** 2)
+    for (s, u), report in (((1.0, t), result.report_upper), ((t, 0.0), result.report_lower)):
+        assert report.certified
+        assert len(report.crossings) == 3
+        assert report.pattern == "+-+-"
+        # each crossing sits within rel of a sign change of the 40-digit gap;
+        # the bracket stops halfway to the neighbouring crossings
+        xs = report.crossings
+        for i, x in enumerate(xs):
+            r = min(rel * x, *(0.5 * abs(y - x) for j, y in enumerate(xs) if j != i))
+            assert _mp_sign(s, u, x - r) == report.pattern[i]
+            assert _mp_sign(s, u, x + r) == report.pattern[i + 1]
+        for lo, hi, terms in _gap_pieces(s, u):
+            assert len(_exp_sum_zeros(terms, lo, hi)[0]) <= _laguerre_bound(terms)
+
+
+_outside_t = st.one_of(
+    st.floats(0.0, 1e-6, exclude_min=True, exclude_max=True),
+    st.floats(-323.0, -6.0).map(lambda e: 10.0**e),
+    st.floats(1.0 - 1e-6, 1.0, exclude_min=True, exclude_max=True),
+).filter(lambda t: 0.0 < t < 1.0 and not 1e-6 <= t <= 1.0 - 1e-6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(t=_outside_t)
+def test_outside_the_band_certified_or_numerical_error(t):
+    try:
+        result = verify_3crossings(t)
+    except NumericalError:
+        return
+    for report in (result.report_upper, result.report_lower):
+        assert report.certified
+        assert len(report.crossings) == 3
+        assert report.pattern == "+-+-"
+
+
 class TestMatchingOrder:
     def test_default_bracket(self):
         q = matching_order(0.5)
@@ -198,9 +291,10 @@ class TestSingleCrossingFirstMoment:
             first, _ = integrate.quad(lambda x: x * h(x), 0.0, 200.0, limit=300, epsabs=1e-13)
             assert abs(mass) < 1e-9
             assert first > 1e-6
-            report = detect_sign_changes(h, (0.0, 30.0))
-            assert len(report.crossings) == 1
-            assert report.pattern == "-+"
+            zeros, first, certified = _exp_sum_zeros([_term(lam, -lam), _term(-nu, -nu)], 0.0, math.inf)
+            assert certified
+            assert len(zeros) == 1
+            assert first == "-"
 
 
 class TestNonnegDecomposition:

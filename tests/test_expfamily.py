@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from lcmoments.errors import DomainError
+from lcmoments.errors import DomainError, NumericalError
 from lcmoments.expfamily import (
     TwoSidedExpParams,
     abs_moment,
@@ -224,6 +224,11 @@ def test_limit_identity_towards_density_at_zero(t):
     v2 = (1.0 - 0.9999) / 2.0 * moment_et(-0.9999, t) / mu**-0.9999
     extrapolated = (10.0 * v2 - v1) / 9.0
     assert abs(extrapolated - target) < 1e-3
+
+
+def test_moment_et_overflow_is_a_numerical_error():
+    with pytest.raises(NumericalError):
+        moment_et(200.0, 0.5)
 
 
 def _mp_moment_et(p: float, t: float) -> float:
