@@ -13,6 +13,7 @@ from lcmoments import (
     density_at_zero,
     estimate_abs_moment,
     estimate_density_at_zero,
+    estimate_xab_moments,
     family_scale,
     moment_et,
     sample_xab,
@@ -27,9 +28,10 @@ cases = [
     ("one-sided, E|X|^4", TwoSidedExpParams(1.0, 0.0), 4.0, 9.0),
     ("a=1 b=0.5, E|X|^-0.5", TwoSidedExpParams(1.0, 0.5), -0.5, moment_et(-0.5, 0.5)),
 ]
-for label, params, p, target in cases:
-    stream = sample_xab(params, McConfig(seed=101, samples=SAMPLES))
-    est = estimate_abs_moment(stream, p)
+# one pass over the shared seed-101 draws serves all five cases
+estimates = estimate_xab_moments([(params, p) for _, params, p, _ in cases],
+                                 McConfig(seed=101, samples=SAMPLES))
+for (label, params, p, target), est in zip(cases, estimates):
     sigmas = abs(est.estimate - target) / est.standard_error
     print(f"{label:24s} estimate {est.estimate:10.6f} +- {est.standard_error:.2e}"
           f"   target {target:10.6f}   ({sigmas:.2f} se away)")

@@ -50,7 +50,14 @@ from .expfamily import (
     truncated_exponential,
     two_sided_exponential_density,
 )
-from .mc import McConfig, McEstimate, estimate_abs_moment, estimate_density_at_zero, sample_xab
+from .mc import (
+    McConfig,
+    McEstimate,
+    estimate_abs_moment,
+    estimate_density_at_zero,
+    estimate_xab_moments,
+    sample_xab,
+)
 from .simplex import (
     MaxSectionResult,
     WeightVector,

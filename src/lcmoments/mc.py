@@ -5,6 +5,14 @@ so reproducibility is strict: sampling is split into fixed-size chunks, the
 counter-based Philox generator for chunk c is keyed by (seed, c), and
 reductions run in chunk order, so identical configurations give
 bit-identical estimates.
+
+The draws (E, E') depend on the seed and the sample count alone, so every
+member a(E-1) - b(E'-1) of the two-sided family shares them under one
+configuration.  `estimate_xab_moments` makes one pass over the chunks that
+serves many (params, p) cases: each chunk is drawn once, and each case only
+adds its |x|^p to per-block sums, so memory stays at a few chunks whatever
+the sample count.  `sample_xab` followed by `estimate_abs_moment` is the
+array route over the same samples, for raw samples and as a test oracle.
 """
 
 from __future__ import annotations
@@ -14,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, NumericalError
 from .expfamily import TwoSidedExpParams
 from .specfun import as_order
 
@@ -23,6 +31,7 @@ __all__ = [
     "McEstimate",
     "sample_xab",
     "estimate_abs_moment",
+    "estimate_xab_moments",
     "estimate_density_at_zero",
 ]
 
@@ -31,6 +40,17 @@ _CHUNK = 1 << 17
 
 # blocks of the delete-one-block jackknife
 _JACKKNIFE_BLOCKS = 100
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _as_seed(seed) -> int:
+    """Validate a generator seed: a nonnegative integer, not a bool."""
+    if not _is_integer(seed) or seed < 0:
+        raise DomainError(f"seed must be a nonnegative integer, got {seed!r}")
+    return int(seed)
 
 
 @dataclass(frozen=True)
@@ -42,6 +62,9 @@ class McConfig:
     density_window: float = 0.01
 
     def __post_init__(self):
+        _as_seed(self.seed)
+        if not _is_integer(self.samples):
+            raise DomainError(f"samples must be an integer, got {self.samples!r}")
         if self.samples < 100_000:
             raise DomainError(f"need at least 1e5 samples, got {self.samples}")
         if not self.density_window > 0.0:
@@ -57,21 +80,69 @@ def _chunk_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, index))))
 
 
-def sample_xab(params: TwoSidedExpParams, cfg: McConfig) -> np.ndarray:
-    """i.i.d. samples of a(E-1) - b(E'-1), two exponential draws per sample."""
-    parts = []
+def _centred_draws(cfg: McConfig):
+    """Yield (start, E-1, E'-1) chunk by chunk, in two reused buffers."""
+    e1 = np.empty(min(cfg.samples, _CHUNK))
+    e2 = np.empty_like(e1)
+    start = 0
     for c, size in enumerate(_chunk_sizes(cfg.samples)):
         rng = _chunk_rng(cfg.seed, c)
-        e1 = rng.standard_exponential(size)
-        e2 = rng.standard_exponential(size)
-        parts.append(params.a * (e1 - 1.0) - params.b * (e2 - 1.0))
-    return np.concatenate(parts)
+        d1, d2 = e1[:size], e2[:size]
+        rng.standard_exponential(out=d1)
+        rng.standard_exponential(out=d2)
+        d1 -= 1.0
+        d2 -= 1.0
+        yield start, d1, d2
+        start += size
+
+
+def _xab_into(params: TwoSidedExpParams, d1, d2, out, scratch) -> None:
+    """out = a (E-1) - b (E'-1), rounded as the plain array expression."""
+    np.multiply(d1, params.a, out=out)
+    np.multiply(d2, params.b, out=scratch)
+    np.subtract(out, scratch, out=out)
+
+
+def sample_xab(params: TwoSidedExpParams, cfg: McConfig) -> np.ndarray:
+    """i.i.d. samples of a(E-1) - b(E'-1), two exponential draws per sample."""
+    out = np.empty(cfg.samples)
+    scratch = np.empty(min(cfg.samples, _CHUNK))
+    for start, d1, d2 in _centred_draws(cfg):
+        _xab_into(params, d1, d2, out[start : start + d1.size], scratch[: d1.size])
+    return out
 
 
 @dataclass(frozen=True)
 class McEstimate:
     estimate: float
     standard_error: float
+
+
+def _abs_power_inplace(x: np.ndarray, p: float) -> None:
+    # the pole of |x|^p at 0 for p < 0 surfaces as a non-finite estimate
+    np.abs(x, out=x)
+    with np.errstate(divide="ignore", over="ignore"):
+        np.power(x, p, out=x)
+
+
+def _block_edges(n: int) -> np.ndarray:
+    if n < _JACKKNIFE_BLOCKS:
+        raise DomainError(f"need at least {_JACKKNIFE_BLOCKS} samples for the jackknife")
+    return np.linspace(0, n, _JACKKNIFE_BLOCKS + 1).astype(int)
+
+
+def _jackknife(block_sums: np.ndarray, block_sizes: np.ndarray, n: int) -> McEstimate:
+    """Mean and delete-one-block jackknife standard error from block sums."""
+    blocks = block_sums.size
+    with np.errstate(all="ignore"):
+        estimate = float(block_sums.sum()) / n
+        # each leave-one-block-out mean minus the estimate, in a form that
+        # does not subtract the nearly equal totals
+        shifts = (estimate * block_sizes - block_sums) / (n - block_sizes)
+        se = math.sqrt((blocks - 1) / blocks * float(np.sum((shifts - shifts.mean()) ** 2)))
+    if not (math.isfinite(estimate) and math.isfinite(se)):
+        raise NumericalError(f"Monte-Carlo estimate {estimate} +- {se} is not finite")
+    return McEstimate(estimate, se)
 
 
 def estimate_abs_moment(samples: np.ndarray, p) -> McEstimate:
@@ -81,20 +152,38 @@ def estimate_abs_moment(samples: np.ndarray, p) -> McEstimate:
     of the summand simply shows up as a larger reported standard error.
     """
     p = as_order(p)
-    values = np.abs(np.asarray(samples, dtype=float)) ** p
-    n = values.size
-    blocks = _JACKKNIFE_BLOCKS
-    if n < blocks:
-        raise DomainError(f"need at least {blocks} samples for the jackknife")
-    estimate = float(values.mean())
+    values = np.array(samples, dtype=float)
+    edges = _block_edges(values.size)
+    _abs_power_inplace(values, p)
+    return _jackknife(np.add.reduceat(values, edges[:-1]), np.diff(edges), values.size)
 
-    edges = np.linspace(0, n, blocks + 1).astype(int)
-    total = values.sum()
-    leave_out = np.array(
-        [(total - values[a:b].sum()) / (n - (b - a)) for a, b in zip(edges[:-1], edges[1:])]
-    )
-    se = math.sqrt((blocks - 1) / blocks * float(np.sum((leave_out - leave_out.mean()) ** 2)))
-    return McEstimate(estimate, se)
+
+def estimate_xab_moments(cases, cfg: McConfig) -> list[McEstimate]:
+    """E|a(E-1) - b(E'-1)|^p for each (TwoSidedExpParams, p) in cases, in one
+    pass over shared draws.
+
+    Each case sees the samples of `sample_xab(params, cfg)` bit for bit, and
+    its estimate and standard error are those of `estimate_abs_moment` on
+    them up to the order of summation.
+    """
+    cases = [(params, as_order(p)) for params, p in cases]
+    n = cfg.samples
+    edges = _block_edges(n)
+    block_sums = np.zeros((len(cases), _JACKKNIFE_BLOCKS))
+    x = np.empty(min(n, _CHUNK))
+    scratch = np.empty_like(x)
+    for start, d1, d2 in _centred_draws(cfg):
+        xs, tmp = x[: d1.size], scratch[: d1.size]
+        # the block holding the chunk's first sample, then each block that
+        # starts inside the chunk
+        first = int(np.searchsorted(edges, start, side="right")) - 1
+        cuts = np.concatenate(([start], edges[(edges > start) & (edges < start + d1.size)])) - start
+        for sums, (params, p) in zip(block_sums, cases):
+            _xab_into(params, d1, d2, xs, tmp)
+            _abs_power_inplace(xs, p)
+            sums[first : first + cuts.size] += np.add.reduceat(xs, cuts)
+    sizes = np.diff(edges)
+    return [_jackknife(sums, sizes, n) for sums in block_sums]
 
 
 def estimate_density_at_zero(weights, cfg: McConfig) -> McEstimate:

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSectionError, DomainError, NumericalError
+from .mc import _as_seed
 
 __all__ = [
     "WeightVector",
@@ -280,6 +281,7 @@ def maximize_section(n: int, restarts: int = 20, seed: int = 0) -> MaxSectionRes
         raise DomainError(f"need dimension n >= 2, got {n}")
     if restarts < 20:
         raise DomainError(f"need at least 20 restarts, got {restarts}")
+    seed = _as_seed(seed)
 
     dim = n + 1
     tracked = {"max": -math.inf, "count": 0}

@@ -116,6 +116,29 @@ def test_gamma_overflow_exits_2(capsys, argv):
     assert "overflows" in json.loads(capsys.readouterr().err)["message"]
 
 
+def test_normalized_moment_overflow_exits_2(capsys):
+    assert main(["moment", "--p", "170", "--t", "0", "--normalized"]) == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--suite", "mc", "--seed", "-3"],
+        ["max-section", "--n", "3", "--seed", "-3"],
+    ],
+)
+def test_negative_seed_exits_2(capsys, argv):
+    assert main(argv) == 2
+    assert "seed" in json.loads(capsys.readouterr().err)["message"]
+
+
+def test_non_integer_seed_variable_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("LCMOMENTS_SEED", "abc")
+    assert main(["verify", "--suite", "mc", "--samples", "100000"]) == 2
+    assert json.loads(capsys.readouterr().err)["status"] == "error"
+
+
 def _config(tmp_path, text):
     path = tmp_path / "quad.cfg"
     path.write_text(text)

@@ -254,6 +254,11 @@ class TestMaximizeSection:
         with pytest.raises(DomainError):
             maximize_section(2, restarts=5, seed=0)
 
+    @pytest.mark.parametrize("seed", [-3, True, 1.5, "9"])
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        with pytest.raises(DomainError):
+            maximize_section(2, restarts=20, seed=seed)
+
     def test_deterministic_given_seed(self):
         first = maximize_section(2, restarts=20, seed=9)
         second = maximize_section(2, restarts=20, seed=9)
