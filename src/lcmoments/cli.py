@@ -275,7 +275,6 @@ def _suite_crossings(cfg, seed, samples):
                 "verify/decomposition",
                 {"t": 0.5, "p": p},
                 {"nonnegative": bool(ok)},
-                tolerances={"slack": crossings.DECOMPOSITION_SLACK},
                 status="ok" if ok else "violated",
             )
         )

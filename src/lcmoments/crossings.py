@@ -7,13 +7,18 @@ most four exponentials (``expfamily._abs_ebar_terms``), whose zeros Rolle
 recursion isolates exactly, the constructive proof of Laguerre's rule of
 signs (Polya-Szego, Problems and Theorems in Analysis II, Part V).  A sign
 change across a breakpoint (the t = 0 jump at e/2) is a crossing there.
+
+By Descartes' rule of signs for real exponents (same source; G. J. O.
+Jameson, Math. Gazette 90, 2006) the power gap x^p - alpha - beta*x -
+gamma*x^q has no more positive zeros than its four coefficients, ordered by
+exponent, have sign changes.  With three, the crossings are its only zeros
+and simple, so the product has the sign of both factors past the last one.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-import warnings
 from dataclasses import dataclass
 from itertools import pairwise
 
@@ -24,8 +29,6 @@ from .errors import BracketError, CrossingPatternError, DomainError, NumericalEr
 from .expfamily import (
     _abs_ebar_terms,
     _term_rate,
-    abs_ebar_breakpoint,
-    density_abs_ebar,
     family_scale,
     moment_et,
 )
@@ -43,13 +46,6 @@ __all__ = [
 
 # a sign is trusted when the sum exceeds this multiple of the rounding of its terms
 _SIGN_MARGIN = 64.0 * sys.float_info.epsilon
-
-# the decomposition product is sampled at this many points of (0, _X_MAX),
-# past which |E_t|-density differences are negligible for all t; the slack
-# absorbs rounding at the nodes, where the product vanishes to first order
-_DECOMPOSITION_GRID = 10_000
-_X_MAX = 48.0
-DECOMPOSITION_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -183,8 +179,8 @@ def vandermonde_coeffs(p: float, q: float, x1: float, x2: float, x3: float) -> t
     """
     if not (0.0 < x1 < x2 < x3):
         raise DomainError(f"nodes must satisfy 0 < x1 < x2 < x3, got {(x1, x2, x3)}")
-    if not q > 2.0:
-        raise DomainError(f"interpolation exponent must exceed 2, got {q}")
+    if not (math.isfinite(p) and 2.0 < q < math.inf):
+        raise DomainError(f"need a finite p and a finite interpolation exponent q > 2, got p={p}, q={q}")
     exps = (0.0, 1.0, p, q)
     for i in range(4):
         for j in range(i + 1, 4):
@@ -192,14 +188,17 @@ def vandermonde_coeffs(p: float, q: float, x1: float, x2: float, x3: float) -> t
                 raise DomainError(f"exponents 0, 1, p={p}, q={q} must be pairwise distinct")
 
     nodes = np.array([x1, x2, x3], dtype=float)
-    system = np.column_stack([np.ones(3), nodes, nodes**q])
-    rhs = nodes**p
-    try:
-        sol = np.linalg.solve(system, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"interpolation system is numerically singular: {exc}") from exc
-    residual = np.max(np.abs(system @ sol - rhs))
-    if residual > 1e-10 * max(1.0, float(np.max(np.abs(rhs)))):
+    with np.errstate(over="ignore", invalid="ignore"):
+        system = np.column_stack([np.ones(3), nodes, nodes**q])
+        rhs = nodes**p
+        try:
+            sol = np.linalg.solve(system, rhs)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"interpolation system is numerically singular: {exc}") from exc
+        residual = np.max(np.abs(system @ sol - rhs))
+    if not (np.all(np.isfinite(rhs)) and np.all(np.isfinite(sol))):
+        raise NumericalError(f"x^p at the nodes or the coefficients overflow: p={p}, q={q}, coefficients {sol}")
+    if not residual <= 1e-10 * max(1.0, float(np.max(np.abs(rhs)))):
         raise NumericalError(f"interpolation residual too large: {residual:g}")
     return float(sol[0]), float(sol[1]), float(sol[2])
 
@@ -271,9 +270,11 @@ def matching_order(
 
 def _decomposition_regime(p: float, p0: float):
     """Baseline parameter, matching bracket, and product sign per regime."""
+    if p == 1.0:
+        raise DomainError("p = 1 is the L1 normalisation, where the power gap vanishes identically")
     if -1.0 < p < 1.0 and p != 0.0:
         return 1.0, (2.0, 4.0), (p > 0.0)
-    if 1.0 <= p <= p0:
+    if 1.0 < p <= p0:
         return 1.0, (p0, 4.0), False
     if p >= p0:
         return 0.0, (2.0, p0), False
@@ -281,12 +282,14 @@ def _decomposition_regime(p: float, p0: float):
 
 
 def nonneg_decomposition_check(t: float, p) -> bool:
-    """Confirm (density gap) * (power gap) is pointwise nonnegative.
+    """Certify by Descartes' rule (module docstring) that (density gap) *
+    (power gap) is nonnegative on (0, inf), nonpositive for p in (0, 1).
 
-    Picks the regime's baseline density and matching bracket, pins the
-    interpolant at the certified crossing nodes, and samples the product on
-    a dense grid.  For p in (0, 1) the pattern of the power gap flips, so
-    the product is checked with the opposite sign, against DECOMPOSITION_SLACK.
+    Returns False if the product's one sign is the wrong one.  Raises
+    NumericalError if a solved coefficient is within rounding of zero, by
+    the interpolation system's condition number, or the coefficients do not
+    change sign three times.  t must lie where ``matching_order`` and
+    ``verify_3crossings`` resolve, about [1e-5, 1 - 1e-5].
     """
     p = as_order(p)
     if not 0.0 < t < 1.0:
@@ -294,26 +297,21 @@ def nonneg_decomposition_check(t: float, p) -> bool:
     baseline, bracket, flip = _decomposition_regime(p, find_p0())
     q = matching_order(t, bracket, baseline_t=baseline)
     certificates = verify_3crossings(t)
-    # crossing locations do not depend on the gap's orientation
+    # the gap is density(baseline) - density(t): report_upper's orientation,
+    # report_lower's negated
     report = certificates.report_upper if baseline == 1.0 else certificates.report_lower
-    alpha, beta, gamma_q = vandermonde_coeffs(p, q, *report.crossings)
+    gap_ends_positive = (report.pattern[-1] == "+") == (baseline == 1.0)
+    coeffs = vandermonde_coeffs(p, q, *report.crossings)
 
-    xs = np.linspace(0.0, _X_MAX, _DECOMPOSITION_GRID + 2)[1:-1]
-    extra = [abs_ebar_breakpoint(t), abs_ebar_breakpoint(baseline), *report.crossings]
-    extra = [x for x in extra if 0.0 < x < _X_MAX]
-    xs = np.unique(np.concatenate([xs, np.asarray(extra, dtype=float)]))
-    density_gap = density_abs_ebar(baseline, xs) - density_abs_ebar(t, xs)
-    power_gap = xs**p - (alpha + beta * xs + gamma_q * xs**q)
-    product = density_gap * power_gap
-    if flip:
-        product = -product
-
-    worst = int(np.argmin(product))
-    if product[worst] >= -DECOMPOSITION_SLACK:
-        return True
-    warnings.warn(
-        f"decomposition product negative at x={xs[worst]:.6g}: {product[worst]:.3e} "
-        f"(t={t}, p={p})",
-        stacklevel=2,
-    )
-    return False
+    nodes = np.asarray(report.crossings)
+    cond = np.linalg.cond(np.column_stack([np.ones(3), nodes, nodes**q]))
+    if min(map(abs, coeffs)) <= _SIGN_MARGIN * cond * max(map(abs, coeffs)):
+        raise NumericalError(f"interpolation coefficients {coeffs} have a sign within rounding (t={t}, p={p})")
+    # ordered by exponent; the coefficient of x^p is exactly 1
+    alpha, beta, gamma_q = coeffs
+    signs = [c > 0.0 for _, c in sorted([(p, 1.0), (0.0, -alpha), (1.0, -beta), (q, -gamma_q)])]
+    changes = sum(a != b for a, b in pairwise(signs))
+    if changes != 3:
+        raise NumericalError(f"power gap coefficients change sign {changes} times, not 3 (t={t}, p={p})")
+    # the product's one sign is that of both factors past the last crossing
+    return (gap_ends_positive == signs[-1]) != flip

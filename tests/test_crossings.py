@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from lcmoments.constants import find_p0
 from lcmoments.crossings import (
     SignChangeReport,
+    _decomposition_regime,
     _exp_sum_zeros,
     _gap_crossings,
     _gap_pieces,
@@ -17,8 +19,8 @@ from lcmoments.crossings import (
     vandermonde_coeffs,
     verify_3crossings,
 )
-from lcmoments.errors import BracketError, DomainError, NumericalError
-from lcmoments.expfamily import _term_rate, density_abs_ebar, family_scale, moment_et
+from lcmoments.errors import BracketError, CrossingPatternError, DomainError, NumericalError
+from lcmoments.expfamily import _term_rate, abs_ebar_breakpoint, density_abs_ebar, family_scale, moment_et
 
 
 def _term(c, rate):
@@ -150,6 +152,16 @@ class TestVandermondeCoeffs:
             vandermonde_coeffs(0.5, 2.0, 1.0, 2.0, 3.0)
         with pytest.raises(DomainError):
             vandermonde_coeffs(0.5, 3.0, 2.0, 1.0, 3.0)
+
+    @pytest.mark.parametrize("p, q", [(math.inf, 3.0), (math.nan, 3.0), (0.5, math.inf), (-math.inf, 3.0)])
+    def test_non_finite_exponents_rejected(self, p, q):
+        with pytest.raises(DomainError, match="finite"):
+            vandermonde_coeffs(p, q, 1.0, 2.0, 3.0)
+
+    @pytest.mark.parametrize("p, q", [(1000.0, 3.0), (0.5, 1000.0)])
+    def test_overflow_at_the_nodes(self, p, q):
+        with pytest.raises(NumericalError, match="overflow"):
+            vandermonde_coeffs(p, q, 1.0, 2.0, 3.0)
 
 
 class TestVerify3Crossings:
@@ -313,3 +325,111 @@ class TestNonnegDecomposition:
     def test_domain(self):
         with pytest.raises(DomainError):
             nonneg_decomposition_check(0.0, 2.0)
+
+    @pytest.mark.parametrize("t, p", [(0.5, 20.0), (0.2, 20.0), (0.8, 30.0), (0.5, 60.0)])
+    def test_large_orders(self, t, p):
+        # the interpolation coefficients grow like x^p, so rounding at the
+        # nodes exceeded any absolute slack a sampled product could carry
+        assert nonneg_decomposition_check(t, p) is True
+
+    def test_l1_normalisation_rejected_up_front(self):
+        with pytest.raises(DomainError, match="p = 1 is the L1 normalisation"):
+            nonneg_decomposition_check(0.5, 1.0)
+
+    def test_infinite_order_rejected(self):
+        with pytest.raises(DomainError, match="finite"):
+            nonneg_decomposition_check(0.5, math.inf)
+
+    def test_overflowing_order_is_a_numerical_error(self):
+        with pytest.raises(NumericalError, match="overflow"):
+            nonneg_decomposition_check(0.5, 1000.0)
+
+    @pytest.mark.parametrize("p", [1e-11, -1e-11, 1.0 - 1e-11, 1.0 + 1e-11])
+    def test_coalescing_exponents_fail_loudly(self, p):
+        # x^p nearly coincides with x^0 or x^1, so a solved coefficient lies
+        # within rounding of zero and its sign is not trusted
+        with pytest.raises(NumericalError):
+            nonneg_decomposition_check(0.5, p)
+
+
+_P0 = find_p0()
+
+# every regime, kept 1e-6 away from p = 0 and p = 1, where two exponents of
+# the power gap coalesce (test_coalescing_exponents_fail_loudly)
+_regime_p = st.one_of(
+    st.floats(-1.0, -1e-6, exclude_min=True),
+    st.floats(1e-6, 1.0 - 1e-6),
+    st.floats(1.0 + 1e-6, _P0),
+    st.floats(_P0, 12.0),
+)
+
+# the check's typed failures outside the t range it resolves
+_TYPED_ERRORS = (BracketError, CrossingPatternError, DomainError, NumericalError)
+
+
+@settings(max_examples=120, deadline=None)
+@given(t=st.floats(1e-4, 1.0 - 1e-4), p=_regime_p)
+def test_decomposition_certified_in_every_regime(t, p):
+    assert nonneg_decomposition_check(t, p) is True
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    t=st.one_of(
+        st.floats(0.0, 1e-5, exclude_min=True, exclude_max=True),
+        st.floats(1.0 - 1e-5, 1.0, exclude_min=True, exclude_max=True),
+    ),
+    p=_regime_p,
+)
+def test_decomposition_near_the_ends_true_or_typed_error(t, p):
+    try:
+        result = nonneg_decomposition_check(t, p)
+    except _TYPED_ERRORS:
+        return
+    assert result is True
+
+
+def _interpolation(t, p):
+    """The regime's baseline, matching order and crossing nodes, as the check picks them."""
+    baseline, bracket, flip = _decomposition_regime(p, _P0)
+    q = matching_order(t, bracket, baseline_t=baseline)
+    certificates = verify_3crossings(t)
+    report = certificates.report_upper if baseline == 1.0 else certificates.report_lower
+    return baseline, flip, q, report.crossings
+
+
+@settings(max_examples=40, deadline=None)
+@given(t=st.floats(1e-4, 1.0 - 1e-4), p=_regime_p)
+def test_coefficient_signs_match_mpmath(t, p):
+    _, _, q, nodes = _interpolation(t, p)
+    coeffs = vandermonde_coeffs(p, q, *nodes)
+    with mpmath.workdps(40):
+        xs = [mpmath.mpf(x) for x in nodes]
+        exact = mpmath.lu_solve(
+            mpmath.matrix([[1, x, x ** mpmath.mpf(q)] for x in xs]),
+            mpmath.matrix([x ** mpmath.mpf(p) for x in xs]),
+        )
+        assert [c > 0.0 for c in coeffs] == [exact[i] > 0 for i in range(3)]
+
+
+def _sampled_product(t, p):
+    """(density gap) * (power gap), negated for p in (0, 1), on 10 000 points
+    of (0, 48) plus the breakpoints and nodes: the check's former route."""
+    baseline, flip, q, nodes = _interpolation(t, p)
+    alpha, beta, gamma_q = vandermonde_coeffs(p, q, *nodes)
+    extra = [abs_ebar_breakpoint(t), abs_ebar_breakpoint(baseline), *nodes]
+    xs = np.unique(np.concatenate([np.linspace(0.0, 48.0, 10_002)[1:-1], [x for x in extra if 0.0 < x < 48.0]]))
+    density_gap = density_abs_ebar(baseline, xs) - density_abs_ebar(t, xs)
+    product = density_gap * (xs**p - (alpha + beta * xs + gamma_q * xs**q))
+    return -product if flip else product
+
+
+@pytest.mark.parametrize("t", [0.05, 0.3, 0.5, 0.7, 0.95])
+@pytest.mark.parametrize("p", [-0.9, -0.3, 0.2, 0.8, 1.2, 2.0, 2.8, 3.0, 4.5, 6.0])
+def test_decomposition_agrees_with_the_sampled_product(t, p):
+    # the slack absorbs rounding at the nodes, where the product vanishes;
+    # rounding outgrows it at large p, where the coefficients grow like x^p
+    product = _sampled_product(t, p)
+    assert nonneg_decomposition_check(t, p) is bool(product.min() >= -1e-9)
+    # the opposite sign would fail the oracle
+    assert product.max() > 1e-6
