@@ -249,22 +249,34 @@ def matching_order(
     """The order q where E|Ebar_baseline|^q = E|Ebar_t|^q inside the bracket.
 
     The default baseline is the symmetric member t = 1; the one-sided member
-    t = 0 serves the high-order regime of the decomposition check.
+    t = 0 serves the high-order regime of the decomposition check.  Raises
+    NumericalError when the root falls on a bracket end, and BracketError
+    when the bracket holds no sign change or the root's residual exceeds
+    1e-10 of the moments' size.
     """
     if not 0.0 < t < 1.0:
         raise DomainError(f"t must lie strictly inside (0, 1), got {t}")
 
-    def gap(q):
+    def moments(q):
         return (
-            moment_et(q, baseline_t) / family_scale(baseline_t) ** q
-            - moment_et(q, t) / family_scale(t) ** q
+            moment_et(q, baseline_t) / family_scale(baseline_t) ** q,
+            moment_et(q, t) / family_scale(t) ** q,
         )
+
+    def gap(q):
+        baseline_moment, moment = moments(q)
+        return baseline_moment - moment
 
     q_lo, q_hi = bracket
     root = bisect_root(gap, q_lo, q_hi)
-    residual = gap(root)
-    if abs(residual) > 1e-10:
-        raise BracketError(f"matching order residual too large: {residual:g}")
+    if root in (q_lo, q_hi):
+        # the gap rounds to zero at the bracket end: at q = 2 every member
+        # matches the baseline, so the root is not told apart from that one
+        raise NumericalError(f"matching order at t={t} lies within rounding of the bracket end q={root}")
+    baseline_moment, moment = moments(root)
+    residual = baseline_moment - moment
+    if abs(residual) > 1e-10 * max(abs(baseline_moment), abs(moment)):
+        raise BracketError(f"matching order relative residual too large: {residual:g}")
     return root
 
 

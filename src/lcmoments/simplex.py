@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSectionError, DomainError, NumericalError
-from .mc import _as_seed
+from .mc import _as_seed, _is_integer
 
 __all__ = [
     "WeightVector",
@@ -83,14 +83,22 @@ class WeightVector:
         return int(self.a.size)
 
 
-def _support(a: np.ndarray) -> np.ndarray | None:
-    """Indices of the nonzero weights in ascending order of weight, or None
-    when they carry no density at zero (fewer than two, or of one sign)."""
-    idx = np.flatnonzero(np.abs(a) > ZERO_WEIGHT_TOL)
-    idx = idx[np.argsort(a[idx])]
-    if idx.size < 2 or not a[idx[0]] < 0.0 < a[idx[-1]]:
-        return None
-    return idx
+def _sorted_supports(A: np.ndarray):
+    """Rows of ``A`` grouped by their number m >= 2 of nonzero weights:
+    yields (rows, idx, w) per group, where idx[i] holds the indices of row
+    rows[i]'s nonzero weights in ascending order of weight and w[i] the
+    weights themselves.  Rows with fewer than two nonzero weights carry no
+    density at zero and are left out; one-signed rows are kept, and their
+    B-spline, which vanishes at zero, gives them a zero density and gradient."""
+    # array methods rather than np.argsort and np.flatnonzero, whose Python
+    # dispatch costs more than the work on the one short row of a `slice`
+    nonzero = np.abs(A) > ZERO_WEIGHT_TOL
+    counts = nonzero.sum(axis=1)
+    order = np.where(nonzero, A, np.inf).argsort(axis=1)
+    for m in set(counts.tolist()) - {0, 1}:
+        rows = (counts == m).nonzero()[0]
+        idx = order[rows, :m]
+        yield rows, idx, A[rows[:, None], idx]
 
 
 def _bspline_at_zero(knots: np.ndarray) -> np.ndarray:
@@ -106,22 +114,26 @@ def _bspline_at_zero(knots: np.ndarray) -> np.ndarray:
     carries a zero spline; flooring it at the smallest normal float makes
     its q zero without a division by zero.
     """
-    t = knots
+    t, neg = knots, -knots
     b = ((t[:, :-1] < 0.0) & (t[:, 1:] > 0.0)).astype(float)
     for p in range(1, t.shape[1] - 1):
         q = b / np.maximum(t[:, p:] - t[:, :-p], _TINY)
-        b = -t[:, : -p - 1] * q[:, :-1] + t[:, p + 1 :] * q[:, 1:]
+        b = neg[:, : -p - 1] * q[:, :-1] + t[:, p + 1 :] * q[:, 1:]
     return b[:, 0]
 
 
+def _densities(A: np.ndarray) -> np.ndarray:
+    """Density at zero for each row of raw weights, N(0; w) / (w_max - w_min)
+    over the row's nonzero weights; zero where they carry no density at zero
+    (a one-signed row's span may be zero: it is floored like a knot span)."""
+    out = np.zeros(A.shape[0])
+    for rows, _, w in _sorted_supports(A):
+        out[rows] = _bspline_at_zero(w) / np.maximum(w[:, -1] - w[:, 0], _TINY)
+    return out
+
+
 def _density(a: np.ndarray) -> float:
-    """Density at zero for raw weights, N(0; w) / (w_max - w_min) over the
-    nonzero ones; zero when they carry no density at zero."""
-    idx = _support(a)
-    if idx is None:
-        return 0.0
-    w = a[idx]
-    return float(_bspline_at_zero(w[None, :])[0]) / (w[-1] - w[0])
+    return float(_densities(a[None, :])[0])
 
 
 def density_at_zero(weights: WeightVector) -> float:
@@ -234,38 +246,103 @@ class MaxSectionResult:
     evaluations: int
 
 
-def _density_gradient(a: np.ndarray) -> np.ndarray:
-    """Gradient of the density at zero in the raw weights.
+def _density_gradients(A: np.ndarray) -> np.ndarray:
+    """Gradient of the density at zero in the raw weights, row by row.
 
     d f(0)/d w_j = -N_j'(0) / ((m-1)(w_max - w_min)), where N_j is the
     B-spline on the knots with w_j doubled; N_j' is (m-1) times the
     difference of the degree m-2 B-splines on its first and on its last m
     knots, each divided by its span (a zero span carries a zero spline).
-    All 2m rows share one recurrence.  Weights treated as zero get a zero
-    derivative.
+    The 2m rows of every row of a group share one recurrence.  Weights
+    treated as zero, and rows without density at zero, get a zero derivative.
     """
-    grad = np.zeros_like(a)
-    idx = _support(a)
-    if idx is None:
-        return grad
-    w = a[idx]
-    m = w.size
-    pos = np.arange(m + 1)
-    doubled = w[pos - (pos[None, :] > np.arange(m)[:, None])]  # row j repeats w_j
-    rows = np.vstack([doubled[:, :-1], doubled[:, 1:]])
-    q = _bspline_at_zero(rows) / np.maximum(rows[:, -1] - rows[:, 0], _TINY)
-    grad[idx] = (q[m:] - q[:m]) / (w[-1] - w[0])
+    grad = np.zeros_like(A)
+    for rows, idx, w in _sorted_supports(A):
+        k, m = w.shape
+        pos = np.arange(m + 1)
+        doubled = w[:, pos - (pos[None, :] > np.arange(m)[:, None])]  # [i, j] repeats w[i, j]
+        knots = np.concatenate([doubled[:, :, :-1], doubled[:, :, 1:]], axis=1).reshape(2 * k * m, m)
+        q = _bspline_at_zero(knots) / np.maximum(knots[:, -1] - knots[:, 0], _TINY)
+        q = q.reshape(k, 2 * m)
+        span = np.maximum(w[:, -1] - w[:, 0], _TINY)
+        grad[rows[:, None], idx] = (q[:, m:] - q[:, :m]) / span[:, None]
     return grad
 
 
-def _project_tangent(g: np.ndarray, a: np.ndarray) -> np.ndarray:
-    g = g - g.mean()
-    return g - np.dot(g, a) * a
+def _density_gradient(a: np.ndarray) -> np.ndarray:
+    return _density_gradients(a[None, :])[0]
 
 
-def _renormalise(v: np.ndarray) -> np.ndarray:
-    v = v - v.mean()
-    return v / np.linalg.norm(v)
+# Row-wise forms of a 1-D ascent's reductions that round exactly as they do:
+# a stacked matmul of vectors takes the same dot product as np.dot (and so
+# np.linalg.norm), and a reduction along rows sums as the mean of one row.
+
+
+def _row_mean(x: np.ndarray) -> np.ndarray:
+    return np.add.reduce(x, axis=1, keepdims=True) / x.shape[1]
+
+
+def _row_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return (x[:, None, :] @ y[:, :, None])[:, :, 0]
+
+
+def _project_tangent(G: np.ndarray, A: np.ndarray) -> np.ndarray:
+    G = G - _row_mean(G)
+    return G - _row_dot(G, A) * A
+
+
+def _renormalise(V: np.ndarray) -> np.ndarray:
+    V = V - _row_mean(V)
+    return V / np.sqrt(_row_dot(V, V))
+
+
+def _restart_start(dim: int, seed: int, r: int) -> np.ndarray:
+    rng = np.random.default_rng((seed, r))
+    start = rng.standard_normal(dim)
+    start -= start.mean()
+    norm = float(np.linalg.norm(start))
+    if norm <= 1e-12:
+        start = np.zeros(dim)
+        start[0], start[1] = 1.0, -1.0
+        norm = math.sqrt(2.0)
+    return start / norm
+
+
+def _ascend(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, float]:
+    """Projected gradient ascent from each row of ``A`` (unit zero-sum
+    normals), all rows in lockstep, each with its own step size, line search
+    and stopping state.  Returns the final rows, their densities, the number
+    of candidates evaluated and the largest density among them."""
+    A = A.copy()
+    vals = _densities(A)
+    evaluations, max_evaluated = A.shape[0], float(vals.max())
+    eta = np.full(A.shape[0], 0.5)
+    active = np.arange(A.shape[0])
+    for _ in range(400):
+        G = _project_tangent(_density_gradients(A[active]), A[active])
+        moving = np.sqrt(_row_dot(G, G)[:, 0]) >= 1e-10
+        active, G = active[moving], G[moving]
+        if active.size == 0:
+            break
+        # the steps shrink as the ascent closes in on the kinked optimum,
+        # so each search starts just above the last accepted step
+        eta[active] = np.minimum(0.5, 4.0 * eta[active])
+        searching = active
+        for _ in range(20):
+            trial = _renormalise(A[searching] + eta[searching, None] * G)
+            trial_vals = _densities(trial)
+            evaluations += searching.size
+            max_evaluated = max(max_evaluated, float(trial_vals.max()))
+            accepted = trial_vals > vals[searching] + 1e-13
+            A[searching[accepted]] = trial[accepted]
+            vals[searching[accepted]] = trial_vals[accepted]
+            searching, G = searching[~accepted], G[~accepted]
+            if searching.size == 0:
+                break
+            eta[searching] *= 0.5
+        # a row whose 20 halvings all failed stops where it is
+        active = np.setdiff1d(active, searching, assume_unique=True)
+    return A, vals, evaluations, max_evaluated
 
 
 def maximize_section(n: int, restarts: int = 20, seed: int = 0) -> MaxSectionResult:
@@ -273,64 +350,23 @@ def maximize_section(n: int, restarts: int = 20, seed: int = 0) -> MaxSectionRes
 
     Projected gradient ascent with the analytic gradient, backtracking steps
     and random restarts; restart streams are derived from (seed, restart
-    index) so the result does not depend on execution order.  The expected
+    index) so the result does not depend on execution order.  The restarts
+    ascend in lockstep as the rows of one array (``_ascend``).  The expected
     optimum is 2^(-1/2), attained on normals supported on exactly two
     coordinates.
     """
-    if n < 2:
-        raise DomainError(f"need dimension n >= 2, got {n}")
-    if restarts < 20:
-        raise DomainError(f"need at least 20 restarts, got {restarts}")
+    if not _is_integer(n) or n < 2:
+        raise DomainError(f"need an integer dimension n >= 2, got {n!r}")
+    if not _is_integer(restarts) or restarts < 20:
+        raise DomainError(f"need an integer number of restarts >= 20, got {restarts!r}")
     seed = _as_seed(seed)
 
-    dim = n + 1
-    tracked = {"max": -math.inf, "count": 0}
-
-    def candidate_value(a: np.ndarray) -> float:
-        val = _density(a)
-        tracked["count"] += 1
-        if val > tracked["max"]:
-            tracked["max"] = val
-        return val
-
-    def ascend(a: np.ndarray) -> tuple[np.ndarray, float]:
-        val = candidate_value(a)
-        eta = 0.5
-        for _ in range(400):
-            grad = _project_tangent(_density_gradient(a), a)
-            if float(np.linalg.norm(grad)) < 1e-10:
-                break
-            # the steps shrink as the ascent closes in on the kinked optimum,
-            # so each search starts just above the last accepted step
-            eta = min(0.5, 4.0 * eta)
-            for _ in range(20):
-                trial = _renormalise(a + eta * grad)
-                trial_val = candidate_value(trial)
-                if trial_val > val + 1e-13:
-                    a, val = trial, trial_val
-                    break
-                eta *= 0.5
-            else:
-                break
-        return a, val
-
-    best_a, best_val = None, -math.inf
-    for r in range(restarts):
-        rng = np.random.default_rng((seed, r))
-        start = rng.standard_normal(dim)
-        start -= start.mean()
-        norm = float(np.linalg.norm(start))
-        if norm <= 1e-12:
-            start = np.zeros(dim)
-            start[0], start[1] = 1.0, -1.0
-            norm = math.sqrt(2.0)
-        a, val = ascend(start / norm)
-        if val > best_val:
-            best_a, best_val = a, val
-
+    starts = np.array([_restart_start(n + 1, seed, r) for r in range(restarts)])
+    A, vals, evaluations, max_evaluated = _ascend(starts)
+    best = int(np.argmax(vals))  # the first restart among equal maxima
     return MaxSectionResult(
-        a_star=WeightVector.from_raw(best_a, project=True),
-        value=best_val,
-        max_evaluated=tracked["max"],
-        evaluations=tracked["count"],
+        a_star=WeightVector.from_raw(A[best], project=True),
+        value=float(vals[best]),
+        max_evaluated=max_evaluated,
+        evaluations=evaluations,
     )

@@ -285,6 +285,11 @@ class TestMatchingOrder:
         with pytest.raises(BracketError):
             matching_order(0.5, bracket=(2.0, 2.1))
 
+    def test_root_on_the_trivial_bracket_end_is_a_numerical_error(self):
+        # the gap rounds to exactly 0.0 at q = 2, which bisection returned
+        with pytest.raises(NumericalError, match="bracket end"):
+            matching_order(1.0313897683787221e-06, (2.0, _P0), baseline_t=0.0)
+
 
 class TestSingleCrossingFirstMoment:
     def test_scaled_exponential_differences(self):
@@ -343,6 +348,16 @@ class TestNonnegDecomposition:
     def test_overflowing_order_is_a_numerical_error(self):
         with pytest.raises(NumericalError, match="overflow"):
             nonneg_decomposition_check(0.5, 1000.0)
+
+    def test_small_t_never_a_domain_error(self):
+        # the matching order used to come back as the bracket end q = 2, and
+        # the interpolation then rejected it as out of its domain
+        for t in np.geomspace(1e-8, 1e-5, 150):
+            try:
+                result = nonneg_decomposition_check(float(t), 5.0)
+            except (NumericalError, BracketError):
+                continue
+            assert isinstance(result, bool)
 
     @pytest.mark.parametrize("p", [1e-11, -1e-11, 1.0 - 1e-11, 1.0 + 1e-11])
     def test_coalescing_exponents_fail_loudly(self, p):

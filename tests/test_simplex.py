@@ -68,6 +68,79 @@ def _pair_normal(n, j, k, sign=1.0):
     return WeightVector(a / math.sqrt(2.0))
 
 
+def _sequential_maximize_section(n, restarts, seed):
+    """The restarts ascended one after another, each as a Python loop over
+    one-row kernel calls: the lockstep ascent's oracle.  Returns the
+    optimiser's result fields and every restart's final normal and value."""
+    tracked = {"max": -math.inf, "count": 0}
+
+    def candidate_value(a):
+        val = simplex._density(a)
+        tracked["count"] += 1
+        tracked["max"] = max(tracked["max"], val)
+        return val
+
+    def project_tangent(g, a):
+        g = g - g.mean()
+        return g - np.dot(g, a) * a
+
+    def renormalise(v):
+        v = v - v.mean()
+        return v / np.linalg.norm(v)
+
+    def ascend(a):
+        val = candidate_value(a)
+        eta = 0.5
+        for _ in range(400):
+            grad = project_tangent(simplex._density_gradient(a), a)
+            if float(np.linalg.norm(grad)) < 1e-10:
+                break
+            eta = min(0.5, 4.0 * eta)
+            for _ in range(20):
+                trial = renormalise(a + eta * grad)
+                trial_val = candidate_value(trial)
+                if trial_val > val + 1e-13:
+                    a, val = trial, trial_val
+                    break
+                eta *= 0.5
+            else:
+                break
+        return a, val
+
+    finals = []
+    for r in range(restarts):
+        rng = np.random.default_rng((seed, r))
+        start = rng.standard_normal(n + 1)
+        start -= start.mean()
+        norm = float(np.linalg.norm(start))
+        if norm <= 1e-12:
+            start = np.zeros(n + 1)
+            start[0], start[1] = 1.0, -1.0
+            norm = math.sqrt(2.0)
+        finals.append(ascend(start / norm))
+    best_a, best_val = max(finals, key=lambda final: final[1])  # the first of equal maxima
+    return best_a, best_val, tracked["max"], tracked["count"], finals
+
+
+# rows of raw weights for the batched kernel: general, with zero weights,
+# on two weights, one-signed, with fewer than two nonzero weights, repeated
+_MIXED_SUPPORT_ROWS = np.array(
+    [
+        [0.61, -0.22, 0.35, -0.48, 0.09, -0.35],
+        [0.5, -0.3, 0.0, 0.4, 0.0, -0.6],
+        [0.0, 0.0, 0.8, 0.0, -0.6, 0.0],
+        [1.0, 0.0, 0.0, -1.0, 0.0, 0.0],
+        [0.5, 0.3, 0.0, 0.2, 0.1, 0.4],
+        [-0.2, -0.3, 0.0, 0.0, -0.5, -0.1],
+        [0.0, 0.0, 1.0, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [0.5, 0.5, -0.5, -0.5, 0.0, 0.0],
+        [0.3, 0.3, 0.3, -0.45, -0.45, 0.0],
+        [0.4, -0.1, 0.3, -0.2, 1e-13, -0.4],
+    ]
+)
+
+
 class TestWeightVector:
     def test_strict_validation(self):
         with pytest.raises(DomainError):
@@ -227,11 +300,56 @@ class TestMaximizeSection:
     def test_gradient_matches_central_differences(self):
         rng = np.random.default_rng(8)
         h = 1e-6
-        for m in range(2, 21):
-            a = WeightVector.from_raw(rng.standard_normal(m), project=True).a
+        normals = [WeightVector.from_raw(rng.standard_normal(m), project=True).a for m in range(2, 21)]
+        for a in [*normals, *_MIXED_SUPPORT_ROWS]:
             f = simplex._density
-            central = [(f(a + e) - f(a - e)) / (2.0 * h) for e in h * np.eye(m)]
-            assert np.allclose(simplex._density_gradient(a), central, rtol=0.0, atol=1e-8)
+            central = np.array([(f(a + e) - f(a - e)) / (2.0 * h) for e in h * np.eye(a.size)])
+            # a zero weight gets a zero derivative; a difference step moves it
+            # into the support, where the density jumps or kinks
+            support = np.abs(a) > simplex.ZERO_WEIGHT_TOL
+            assert np.allclose(simplex._density_gradient(a)[support], central[support], rtol=0.0, atol=1e-8)
+            assert not simplex._density_gradient(a)[~support].any()
+
+    def test_mixed_support_batch_matches_one_row_calls(self):
+        rows = _MIXED_SUPPORT_ROWS
+        densities = simplex._densities(rows)
+        gradients = simplex._density_gradients(rows)
+        for i, a in enumerate(rows):
+            assert densities[i] == simplex._density(a)
+            assert np.array_equal(gradients[i], simplex._density_gradient(a))
+        # one-signed rows and rows with fewer than two nonzero weights
+        assert not densities[4:8].any()
+        assert not gradients[4:8].any()
+        assert densities[[0, 1, 2, 3, 8, 9, 10]].all()
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_lockstep_matches_sequential_oracle(self, n):
+        for seed in range(6):
+            result = maximize_section(n, 20, seed=seed)
+            best_a, best_val, max_evaluated, evaluations, _ = _sequential_maximize_section(n, 20, seed)
+            assert result.evaluations == evaluations
+            assert abs(result.value - best_val) <= 1e-15
+            assert abs(result.max_evaluated - max_evaluated) <= 1e-15
+            # equal-valued restarts may tie, so a_star is any transposition
+            # normal of the oracle's density
+            ordered = np.sort(np.abs(result.a_star.a))[::-1]
+            assert np.allclose(ordered[:2], INV_SQRT2, rtol=0.0, atol=1e-4)
+            assert ordered[2:].max(initial=0.0) < 1e-4
+            assert abs(density_at_zero(result.a_star) - simplex._density(best_a)) <= 1e-12
+
+    def test_each_row_ascends_as_if_alone(self):
+        starts = np.array([simplex._restart_start(6, 4, r) for r in range(20)])
+        finals, vals, evaluations, max_evaluated = simplex._ascend(starts)
+        alone = [simplex._ascend(start[None, :]) for start in starts]
+        for i, (a, val, _, _) in enumerate(alone):
+            assert np.array_equal(finals[i], a[0])
+            assert vals[i] == val[0]
+        assert evaluations == sum(run[2] for run in alone)
+        assert max_evaluated == max(run[3] for run in alone)
+        _, _, _, _, oracle_finals = _sequential_maximize_section(5, 20, 4)
+        for i, (a, val) in enumerate(oracle_finals):
+            assert np.array_equal(finals[i], a)
+            assert vals[i] == val
 
     def test_value_reproduced_at_optimum(self):
         # the inversion route returned half the value at this optimum
@@ -258,6 +376,21 @@ class TestMaximizeSection:
     def test_seed_must_be_a_nonnegative_integer(self, seed):
         with pytest.raises(DomainError):
             maximize_section(2, restarts=20, seed=seed)
+
+    @pytest.mark.parametrize("n", [1, True, 4.5, 4.0, "4", None])
+    def test_dimension_must_be_an_integer_of_at_least_two(self, n):
+        with pytest.raises(DomainError):
+            maximize_section(n, restarts=20, seed=0)
+
+    @pytest.mark.parametrize("restarts", [19, True, 20.5, 20.0, "20", None])
+    def test_restarts_must_be_an_integer_of_at_least_twenty(self, restarts, monkeypatch):
+        # checked before any row of the (restarts, n + 1) array is seeded
+        def fail(*args):
+            raise AssertionError("a restart was seeded")
+
+        monkeypatch.setattr(simplex, "_restart_start", fail)
+        with pytest.raises(DomainError):
+            maximize_section(2, restarts=restarts, seed=0)
 
     def test_deterministic_given_seed(self):
         first = maximize_section(2, restarts=20, seed=9)
