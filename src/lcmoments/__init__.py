@@ -41,7 +41,6 @@ from .expfamily import (
     density_xab,
     family_scale,
     fradelizi_check,
-    lp_norm,
     match_two_sided,
     moment_et,
     norm_ebar,
@@ -67,8 +66,6 @@ from .simplex import (
     section_volume,
 )
 from .specfun import (
-    DEFAULT_QUADRATURE,
-    QuadratureConfig,
     exp_power_integral,
     gamma,
     integrate_adaptive,

@@ -28,7 +28,6 @@ from .errors import (
     NumericalError,
     QuadratureError,
 )
-from .specfun import DEFAULT_QUADRATURE, QuadratureConfig
 
 SEED_ENV_VAR = "LCMOMENTS_SEED"
 _DEFAULT_SEED = 20250808
@@ -57,29 +56,6 @@ def _default_seed() -> int:
         raise DomainError(f"{SEED_ENV_VAR} must be an integer") from None
 
 
-def _quad_config(args) -> QuadratureConfig:
-    overrides = {}
-    if getattr(args, "config", None):
-        fields = {f.name for f in dataclasses.fields(QuadratureConfig)}
-        with open(args.config) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                key, _, value = line.partition("=")
-                key = key.strip()
-                if key not in fields:
-                    raise DomainError(f"unknown quadrature option {key!r}")
-                try:
-                    overrides[key] = int(value) if key == "max_refinements" else float(value)
-                except ValueError:
-                    raise DomainError(f"cannot read {value.strip()!r} as quadrature option {key}") from None
-    if getattr(args, "tol", None) is not None:
-        overrides.setdefault("abs_tol", args.tol)
-        overrides.setdefault("rel_tol", args.tol)
-    return QuadratureConfig(**overrides) if overrides else DEFAULT_QUADRATURE
-
-
 def _write_profile_csv(path: str, profile: np.ndarray, columns=("t", "value")) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -104,7 +80,7 @@ def _parse_weights(text: str) -> list[float]:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_constant(args, cfg):
+def _cmd_constant(args):
     which = args.which
     if which == "lp-lq":
         if args.q is None:
@@ -122,7 +98,7 @@ def _cmd_constant(args, cfg):
     return [OutputRecord("constant", inputs, {"value": value})], 0
 
 
-def _cmd_p0(args, cfg):
+def _cmd_p0(args):
     p0 = constants.find_p0()
     residual = constants.branch_gap(p0)
     record = OutputRecord(
@@ -135,7 +111,7 @@ def _cmd_p0(args, cfg):
     return [record], 0 if record.status == "ok" else 1
 
 
-def _cmd_scan(args, cfg):
+def _cmd_scan(args):
     result = constants.scan_family_extrema(args.p, args.grid)
     if args.csv:
         _write_profile_csv(args.csv, result.profile)
@@ -145,7 +121,7 @@ def _cmd_scan(args, cfg):
     return [OutputRecord("scan", {"p": args.p, "grid": args.grid}, outputs)], 0
 
 
-def _cmd_scan_l2(args, cfg):
+def _cmd_scan_l2(args):
     result = constants.scan_l2_ratio(args.p, args.grid)
     if args.csv:
         _write_profile_csv(args.csv, result.profile, columns=("s", "value"))
@@ -155,7 +131,7 @@ def _cmd_scan_l2(args, cfg):
     return [OutputRecord("scan-l2", {"p": args.p, "grid": args.grid}, outputs)], 0
 
 
-def _cmd_moment(args, cfg):
+def _cmd_moment(args):
     raw = expfamily.moment_et(args.p, args.t)
     outputs = {"moment": raw}
     if args.normalized:
@@ -169,7 +145,7 @@ def _cmd_moment(args, cfg):
     return [OutputRecord("moment", inputs, outputs)], 0
 
 
-def _cmd_slice(args, cfg):
+def _cmd_slice(args):
     values = _parse_weights(args.weights)
     n = len(values) - 1
     if args.volume and n < 2:
@@ -182,7 +158,7 @@ def _cmd_slice(args, cfg):
     return [OutputRecord("slice", inputs, outputs)], 0
 
 
-def _cmd_max_section(args, cfg):
+def _cmd_max_section(args):
     seed = args.seed if args.seed is not None else _default_seed()
     result = simplex.maximize_section(args.n, args.restarts, seed)
     outputs = {
@@ -195,7 +171,7 @@ def _cmd_max_section(args, cfg):
     return [OutputRecord("max-section", inputs, outputs)], 0
 
 
-def _cmd_crossings(args, cfg):
+def _cmd_crossings(args):
     try:
         result = crossings.verify_3crossings(args.t)
     except CrossingPatternError as exc:
@@ -213,11 +189,11 @@ def _cmd_crossings(args, cfg):
 # ---------------------------------------------------------------------------
 
 
-def _suite_reduction(cfg, seed, samples):
+def _suite_reduction(seed, samples):
     records = []
     for density in expfamily.catalogue():
         for p in (-0.5, 0.5, 1.5, 3.0):
-            check = expfamily.reduction_check(density, p, cfg)
+            check = expfamily.reduction_check(density, p)
             records.append(
                 OutputRecord(
                     "verify/reduction",
@@ -230,12 +206,12 @@ def _suite_reduction(cfg, seed, samples):
     return records
 
 
-def _suite_fradelizi(cfg, seed, samples):
+def _suite_fradelizi(seed, samples):
     records = []
     for density in expfamily.catalogue():
         for exponent in (2.0, 3.0, 2.5):
             phi = expfamily.convex_power(exponent)
-            check = expfamily.fradelizi_check(density, phi, cfg)
+            check = expfamily.fradelizi_check(density, phi)
             records.append(
                 OutputRecord(
                     "verify/fradelizi",
@@ -248,7 +224,7 @@ def _suite_fradelizi(cfg, seed, samples):
     return records
 
 
-def _suite_crossings(cfg, seed, samples):
+def _suite_crossings(seed, samples):
     records = []
     for t in (0.1, 0.3, 0.5, 0.7, 0.9):
         try:
@@ -281,7 +257,7 @@ def _suite_crossings(cfg, seed, samples):
     return records
 
 
-def _suite_constants(cfg, seed, samples):
+def _suite_constants(seed, samples):
     records = []
     p0 = constants.find_p0()
     checks = [
@@ -304,7 +280,7 @@ def _suite_constants(cfg, seed, samples):
     return records
 
 
-def _suite_mc(cfg, seed, samples):
+def _suite_mc(seed, samples):
     config = mc.McConfig(seed=seed, samples=samples)
     cases = [
         ((1.0, 1.0), 2.0, expfamily.moment_et(2.0, 1.0)),
@@ -338,9 +314,9 @@ _SUITES = {
 }
 
 
-def _cmd_verify(args, cfg):
+def _cmd_verify(args):
     seed = args.seed if args.seed is not None else _default_seed()
-    records = _SUITES[args.suite](cfg, seed, args.samples)
+    records = _SUITES[args.suite](seed, args.samples)
     code = 0 if all(r.status == "ok" for r in records) else 1
     return records, code
 
@@ -356,8 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="lcmoments",
         description="Sharp moment-comparison constants and simplex slicing, batch interface.",
     )
-    parser.add_argument("--tol", type=float, default=None, help="override quadrature tolerances")
-    parser.add_argument("--config", default=None, help="key=value file with quadrature overrides")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("constant", help="evaluate a sharp comparison constant")
@@ -419,8 +393,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        cfg = _quad_config(args)
-        records, code = args.handler(args, cfg)
+        records, code = args.handler(args)
     except (
         DomainError,
         OSError,

@@ -58,8 +58,8 @@ def branch_gap(p) -> float:
     Positive below the crossover order, negative above; zero at p = 1 and at
     the crossover.
     """
-    p = float(p)
-    if not p >= 1.0:
+    p = as_order(p)
+    if p < 1.0:
         raise DomainError(f"branch gap is defined for p >= 1, got {p}")
     return gamma(p + 1.0) - (0.5 * math.e) ** p * moment_et(p, 0.0)
 

@@ -32,15 +32,7 @@ import numpy as np
 
 from .errors import DomainError
 from .search import bisect_root
-from .specfun import (
-    DEFAULT_QUADRATURE,
-    QuadratureConfig,
-    as_order,
-    exp_power_integral,
-    gamma,
-    integrate_adaptive,
-    shifted_exp_moment,
-)
+from .specfun import as_order, exp_power_integral, gamma, integrate_adaptive, shifted_exp_moment
 
 __all__ = [
     "TwoSidedExpParams",
@@ -54,7 +46,6 @@ __all__ = [
     "norm_ebar",
     "density_abs_ebar",
     "abs_moment",
-    "lp_norm",
     "reduction_check",
     "fradelizi_check",
     "two_sided_exponential_density",
@@ -304,33 +295,30 @@ def catalogue() -> list[LogConcaveTestDensity]:
     ]
 
 
-def _one_sided_abs_moment(pdf, upper, p, cfg, breakpoints):
-    """int_0^upper x^p pdf(sign*x) dx with the singularity-absorbing substitution."""
-    if p < 0.0:
-        s = 1.0 / (1.0 + p)
-        u_hi = math.inf if math.isinf(upper) else upper ** (1.0 + p)
-        pts = [b ** (1.0 + p) for b in breakpoints]
-        return s * integrate_adaptive(lambda u: float(pdf(u**s)), 0.0, u_hi, cfg, points=pts)
-    return integrate_adaptive(lambda x: x**p * float(pdf(x)), 0.0, upper, cfg, points=breakpoints)
+def _one_sided_abs_moment(pdf, upper, p, breakpoints):
+    """int_0^upper x^p pdf(x) dx.  For p < 0 the singular x^p is integrated
+    exactly against pdf(0) on [0, min(upper, 1)], and the quadrature there
+    sees only x^p (pdf(x) - pdf(0)), bounded since a log-concave density is
+    Lipschitz at the interior point 0."""
+    if p >= 0.0:
+        return integrate_adaptive(lambda x: x**p * float(pdf(x)), 0.0, upper, points=breakpoints)
+    head, f0 = min(upper, 1.0), float(pdf(0.0))
+    near = f0 * head ** (1.0 + p) / (1.0 + p)
+    near += integrate_adaptive(lambda x: x**p * (float(pdf(x)) - f0), 0.0, head, points=breakpoints)
+    if upper <= 1.0:
+        return near
+    return near + integrate_adaptive(lambda x: x**p * float(pdf(x)), 1.0, upper, points=breakpoints)
 
 
-def abs_moment(density: LogConcaveTestDensity, p, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
+def abs_moment(density: LogConcaveTestDensity, p) -> float:
     """E|X|^p for a catalogue density, by quadrature split at 0 and all kinks."""
     p = as_order(p)
     lo, hi = density.support
     pos_bps = [b for b in density.breakpoints if b > 0.0]
     neg_bps = [-b for b in density.breakpoints if b < 0.0]
-    right = _one_sided_abs_moment(density.pdf, hi, p, cfg, pos_bps)
-    left = _one_sided_abs_moment(lambda x: density.pdf(-x), -lo, p, cfg, neg_bps)
+    right = _one_sided_abs_moment(density.pdf, hi, p, pos_bps)
+    left = _one_sided_abs_moment(lambda x: density.pdf(-x), -lo, p, neg_bps)
     return left + right
-
-
-def lp_norm(density: LogConcaveTestDensity, p, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
-    """(E|X|^p)^(1/p); p > -1, p != 0."""
-    p = as_order(p)
-    if p == 0.0:
-        raise DomainError("p = 0 (geometric mean) is not supported")
-    return abs_moment(density, p, cfg) ** (1.0 / p)
 
 
 # ---------------------------------------------------------------------------
@@ -355,9 +343,7 @@ def _reflected(density: LogConcaveTestDensity) -> LogConcaveTestDensity:
     )
 
 
-def reduction_check(
-    density: LogConcaveTestDensity, p, cfg: QuadratureConfig = DEFAULT_QUADRATURE
-) -> ComparisonCheck:
+def reduction_check(density: LogConcaveTestDensity, p) -> ComparisonCheck:
     """Compare E|X/E|X||^p against the matched two-sided exponential.
 
     Matching fixes P(X > 0) and E|X|.  The power x^p restricted to a
@@ -367,14 +353,14 @@ def reduction_check(
     p = as_order(p)
     lo, hi = density.support
     alpha = integrate_adaptive(
-        lambda x: float(density.pdf(x)), 0.0, hi, cfg, points=[b for b in density.breakpoints if b > 0]
+        lambda x: float(density.pdf(x)), 0.0, hi, points=[b for b in density.breakpoints if b > 0]
     )
     if alpha > 0.5 + 1e-13:
-        return reduction_check(_reflected(density), p, cfg)
+        return reduction_check(_reflected(density), p)
 
-    l1 = abs_moment(density, 1.0, cfg)
+    l1 = abs_moment(density, 1.0)
     params = match_two_sided(alpha, l1)
-    lhs = abs_moment(density, p, cfg) / l1**p
+    lhs = abs_moment(density, p) / l1**p
     # E|X(a,b)|^p = a^p E|E_u|^p with u = b/a, and E|X(a,b)| = l1 by matching
     rhs = params.a**p * moment_et(p, params.b / params.a) / l1**p
 
@@ -400,9 +386,7 @@ def convex_power(exponent: float) -> Callable:
     return phi
 
 
-def fradelizi_check(
-    density: LogConcaveTestDensity, phi: Callable, cfg: QuadratureConfig = DEFAULT_QUADRATURE
-) -> ComparisonCheck:
+def fradelizi_check(density: LogConcaveTestDensity, phi: Callable) -> ComparisonCheck:
     """int phi f <= int phi(x) f(0) e^{-2 f(0) |x|} dx for convex phi, mean-zero f."""
     f0 = float(density.pdf(0.0))
     if not f0 > 0.0:
@@ -412,7 +396,6 @@ def fradelizi_check(
         lambda x: float(phi(x)) * float(density.pdf(x)),
         lo,
         hi,
-        cfg,
         points=[0.0, *density.breakpoints],
     )
     rate = 2.0 * f0
@@ -420,7 +403,6 @@ def fradelizi_check(
         lambda x: float(phi(x)) * f0 * math.exp(-rate * abs(x)),
         -math.inf,
         math.inf,
-        cfg,
         points=[0.0],
     )
     holds = lhs <= rhs + COMPARISON_SLACK * max(1.0, abs(rhs))

@@ -9,13 +9,12 @@ exponential-weighted integrals, both evaluated in closed form:
 The first is Kummer's function 1F1 (DLMF 13.2), the second the upper
 incomplete gamma function (DLMF 8.2) or, once e^u would overflow, Tricomi's
 U (DLMF 13.6).  ``integrate_adaptive`` serves only the generic-density
-moments and checks in ``expfamily``, and ``QuadratureConfig`` tunes only it.
+moments and checks in ``expfamily``, at one fixed tolerance.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import pairwise
 from typing import Callable, Sequence
 
@@ -24,8 +23,6 @@ from scipy import integrate, special
 from .errors import DomainError, NumericalError, QuadratureError
 
 __all__ = [
-    "QuadratureConfig",
-    "DEFAULT_QUADRATURE",
     "as_order",
     "integrate_adaptive",
     "gamma",
@@ -34,22 +31,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Tolerances for the adaptive integrator."""
-
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-10
-    max_refinements: int = 200
-
-    def __post_init__(self):
-        if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
-            raise DomainError("quadrature tolerances must be strictly positive")
-        if self.max_refinements < 1:
-            raise DomainError("max_refinements must be at least 1")
-
-
-DEFAULT_QUADRATURE = QuadratureConfig()
+# the adaptive integrator's absolute and relative tolerances and subinterval limit
+_QUAD_ABS_TOL = 1e-12
+_QUAD_REL_TOL = 1e-10
+_QUAD_LIMIT = 200
 
 # u * U(1, p+2, u) = 1 + p/u + O(u^-2): from here on the correction is below rounding
 _HYPERU_CAP = 1e17
@@ -59,51 +44,32 @@ def as_order(p) -> float:
     """Validate a moment order p > -1, the range on which E|X|^p is finite
     for log-concave X."""
     value = float(p)
-    if not value > -1.0:
-        raise DomainError(f"moment order must exceed -1, got {value}")
+    if not -1.0 < value < math.inf:
+        raise DomainError(f"moment order must be finite and exceed -1, got {value}")
     return value
 
 
-def _quad(f, lo, hi, cfg: QuadratureConfig, points=None):
-    out = integrate.quad(
-        f,
-        lo,
-        hi,
-        epsabs=cfg.abs_tol,
-        epsrel=cfg.rel_tol,
-        limit=cfg.max_refinements,
-        points=points,
-        full_output=1,
+def _quad(f, lo, hi):
+    value, _, _, *message = integrate.quad(
+        f, lo, hi, epsabs=_QUAD_ABS_TOL, epsrel=_QUAD_REL_TOL, limit=_QUAD_LIMIT, full_output=1
     )
-    value, abserr = out[0], out[1]
-    if len(out) > 3:
-        # quad appends a message only when its error code is nonzero; accept
-        # the result anyway if the error estimate is within a small multiple
-        # of the requested tolerance.
-        if abserr > 50.0 * max(cfg.abs_tol, cfg.rel_tol * abs(value)):
-            raise QuadratureError(f"quadrature on [{lo}, {hi}] did not converge: {out[3]}")
+    # quad appends a message only when its error code is nonzero
+    if message:
+        raise QuadratureError(f"quadrature on [{lo}, {hi}] did not converge: {message[0]}")
     return value
 
 
 def integrate_adaptive(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-    points: Sequence[float] | None = None,
+    f: Callable[[float], float], lo: float, hi: float, points: Sequence[float] = ()
 ) -> float:
-    """Adaptive quadrature of ``f`` on [lo, hi] with optional interior breakpoints.
+    """Adaptive quadrature of ``f`` on [lo, hi], split at interior breakpoints.
 
-    Infinite endpoints are allowed; breakpoints are used to split the range
-    so the integrator never straddles a kink or jump of the integrand.
+    Infinite endpoints are allowed.  The range is cut at each breakpoint and
+    the pieces summed, so the integrator never straddles a kink or jump of
+    the integrand.
     """
-    pts = sorted({float(x) for x in (points or ()) if lo < x < hi and math.isfinite(x)})
-    if not pts:
-        return _quad(f, lo, hi, cfg)
-    if math.isinf(lo) or math.isinf(hi):
-        edges = [lo, *pts, hi]
-        return sum(_quad(f, a, b, cfg) for a, b in pairwise(edges))
-    return _quad(f, lo, hi, cfg, points=pts)
+    pts = sorted({float(x) for x in points if lo < x < hi and math.isfinite(x)})
+    return sum(_quad(f, a, b) for a, b in pairwise([lo, *pts, hi]))
 
 
 def gamma(x: float) -> float:

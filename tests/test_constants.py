@@ -76,6 +76,11 @@ class TestBranchGap:
         signs = np.sign([branch_gap(p) for p in ps])
         assert np.sum(signs[1:] != signs[:-1]) == 1
 
+    @pytest.mark.parametrize("p", [math.inf, math.nan])
+    def test_non_finite_order_rejected(self, p):
+        with pytest.raises(DomainError):
+            branch_gap(p)
+
 
 class TestFindP0:
     def test_bracketed_value(self):

@@ -161,6 +161,11 @@ class TestNormEbar:
         with pytest.raises(DomainError):
             norm_ebar(0.0, 0.5)
 
+    @pytest.mark.parametrize("p", [math.inf, -math.inf, math.nan])
+    def test_non_finite_order_rejected(self, p):
+        with pytest.raises(DomainError):
+            norm_ebar(p, 0.3)
+
     def test_second_norm_strictly_increasing(self):
         ts = np.linspace(0.0, 1.0, 200)
         vals = [norm_ebar(2.0, t) for t in ts]
@@ -348,3 +353,14 @@ def test_abs_moment_matches_family_closed_form():
     density = two_sided_exponential_density(1.0, 0.5)
     for p in (-0.5, 0.5, 2.0):
         assert abs_moment(density, p) == pytest.approx(moment_et(p, 0.5), rel=1e-9)
+
+
+@pytest.mark.parametrize("p", [-0.999, -0.9999])
+def test_abs_moment_near_minus_one_matches_closed_forms(p):
+    gaussian = 2.0 ** (p / 2.0) * gamma((p + 1.0) / 2.0) / math.sqrt(math.pi)
+    cases = [(two_sided_exponential_density(1.0, b), moment_et(p, b)) for b in (1.0, 0.5, 0.0)]
+    cases += [(centred_uniform(1.0), 1.0 / (p + 1.0)), (centred_gaussian(1.0), gaussian)]
+    for density, expected in cases:
+        assert abs_moment(density, p) == pytest.approx(expected, rel=1e-8), density.name
+    for density in catalogue():
+        assert reduction_check(density, p).holds, density.name
