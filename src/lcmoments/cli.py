@@ -82,6 +82,8 @@ def _parse_weights(text: str) -> list[float]:
 
 def _cmd_constant(args):
     which = args.which
+    if args.q is not None and which != "lp-lq":
+        raise DomainError(f"--q applies only to lp-lq, not {which}")
     if which == "lp-lq":
         if args.q is None:
             raise DomainError("lp-lq needs --q")

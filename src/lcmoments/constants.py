@@ -10,6 +10,7 @@ signed gap between the p-th powers of the branches.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cache
 
@@ -36,6 +37,9 @@ __all__ = [
 
 # scans snap to an endpoint when its value is this close to the refined optimum
 _ENDPOINT_SNAP = 1e-8
+
+# the largest grid a scan accepts: ten million objective evaluations take over a minute
+_MAX_GRID = 10**7
 
 
 def sharp_constant(p) -> float:
@@ -112,8 +116,12 @@ def _grid_then_refine(objective, grid_size: int, maximize: bool, snap) -> ScanRe
     is within _ENDPOINT_SNAP of the refined optimum is reported instead,
     the first such candidate winning.
     """
+    if not isinstance(grid_size, numbers.Integral):
+        raise DomainError(f"grid_size must be an integer, got {grid_size!r}")
     if grid_size < 100:
         raise DomainError(f"grid_size must be at least 100, got {grid_size}")
+    if grid_size > _MAX_GRID:
+        raise DomainError(f"grid_size must be at most {_MAX_GRID}, got {grid_size}")
     xs = np.linspace(0.0, 1.0, grid_size)
     vals = np.array([objective(x) for x in xs])
     profile = np.column_stack([xs, vals])

@@ -10,15 +10,21 @@ The first is Kummer's function 1F1 (DLMF 13.2), the second the upper
 incomplete gamma function (DLMF 8.2) or, once e^u would overflow, Tricomi's
 U (DLMF 13.6).  ``integrate_adaptive`` serves only the generic-density
 moments and checks in ``expfamily``, at one fixed tolerance.
+
+``scipy.integrate`` takes about half a second to import and only those
+checks use it, so it loads on the first access to ``specfun.integrate``
+(PEP 562), not with the package.  ``_quad`` reads that module attribute
+at each call, so whatever is bound to it at the time does the integrating.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from itertools import pairwise
 from typing import Callable, Sequence
 
-from scipy import integrate, special
+from scipy import special
 
 from .errors import DomainError, NumericalError, QuadratureError
 
@@ -40,6 +46,15 @@ _QUAD_LIMIT = 200
 _HYPERU_CAP = 1e17
 
 
+def __getattr__(name):
+    if name == "integrate":
+        from scipy import integrate
+
+        globals()["integrate"] = integrate
+        return integrate
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def as_order(p) -> float:
     """Validate a moment order p > -1, the range on which E|X|^p is finite
     for log-concave X."""
@@ -50,7 +65,7 @@ def as_order(p) -> float:
 
 
 def _quad(f, lo, hi):
-    value, _, _, *message = integrate.quad(
+    value, _, _, *message = sys.modules[__name__].integrate.quad(
         f, lo, hi, epsabs=_QUAD_ABS_TOL, epsrel=_QUAD_REL_TOL, limit=_QUAD_LIMIT, full_output=1
     )
     # quad appends a message only when its error code is nonzero

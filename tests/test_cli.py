@@ -1,9 +1,11 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from lcmoments.cli import OutputRecord, build_parser, main
+from lcmoments.constants import _MAX_GRID
 
 
 def _run(capsys, argv):
@@ -42,6 +44,26 @@ def test_constant_commands(capsys):
 
 def test_constant_domain_error_exit_code(capsys):
     assert main(["constant", "--which", "lp-l1-lower", "--p", "3"]) == 2
+
+
+@pytest.mark.parametrize("which, p", [("lp-l1-lower", "0.5"), ("lp-l1-upper", "2"), ("lp-l2-lower", "0.5")])
+def test_constant_rejects_q_outside_lp_lq(capsys, which, p):
+    assert main(["constant", "--which", which, "--p", p]) == 0
+    capsys.readouterr()
+    assert main(["constant", "--which", which, "--p", p, "--q", "3"]) == 2
+    assert "--q" in json.loads(capsys.readouterr().err)["message"]
+
+
+def _no_grid(*args, **kwargs):
+    raise AssertionError("the grid was built")
+
+
+@pytest.mark.parametrize("grid", [str(10**20), str(_MAX_GRID + 1)])
+@pytest.mark.parametrize("command", ["scan", "scan-l2"])
+def test_oversized_grid_exits_2(capsys, monkeypatch, command, grid):
+    monkeypatch.setattr(np, "linspace", _no_grid)
+    assert main([command, "--p", "3", "--grid", grid]) == 2
+    assert json.loads(capsys.readouterr().err)["status"] == "error"
 
 
 def test_scan_command_with_csv(tmp_path, capsys):

@@ -1,0 +1,52 @@
+"""A fresh interpreter loads scipy.integrate only for the quadrature suites."""
+
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+_SCRIPT = textwrap.dedent(
+    """
+    import contextlib, io, sys
+
+    import lcmoments
+    from lcmoments import cli
+
+    closed_form = [
+        ["p0"],
+        ["constant", "--which", "lp-l1-upper", "--p", "4"],
+        ["scan", "--p", "4", "--grid", "100"],
+        ["scan-l2", "--p", "1.5", "--grid", "100"],
+        ["moment", "--p", "3", "--t", "0.2", "--normalized"],
+        ["slice", "--weights", "1,0,-1", "--project", "--volume"],
+        ["max-section", "--n", "3", "--seed", "1"],
+        ["crossings", "--t", "0.5"],
+        ["verify", "--suite", "crossings"],
+        ["verify", "--suite", "constants"],
+        ["verify", "--suite", "mc", "--samples", "100000"],
+    ]
+    with contextlib.redirect_stdout(io.StringIO()):
+        for argv in closed_form:
+            assert cli.main(argv) == 0, argv
+            assert "scipy.integrate" not in sys.modules, argv
+        assert cli.main(["verify", "--suite", "reduction"]) == 0
+
+    import scipy.integrate
+
+    assert lcmoments.specfun.integrate.quad is scipy.integrate.quad
+    print("ok")
+    """
+)
+
+
+def test_only_quadrature_suites_import_scipy_integrate():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", _SCRIPT], cwd=ROOT, env=env, capture_output=True, text=True, timeout=300
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "ok"

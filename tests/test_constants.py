@@ -17,6 +17,7 @@ from lcmoments.constants import (
     sharp_constant,
     small_t_bound_coefficient,
 )
+from lcmoments.constants import _MAX_GRID
 from lcmoments.errors import DomainError
 from lcmoments.expfamily import norm_ebar
 from lcmoments.specfun import gamma
@@ -145,6 +146,17 @@ class TestScanFamilyExtrema:
     def test_small_grid_rejected(self):
         with pytest.raises(DomainError):
             scan_family_extrema(2.0, grid_size=50)
+
+    @pytest.mark.parametrize("grid_size", [10**20, _MAX_GRID + 1, 1000.0, 1000.5])
+    def test_oversized_or_non_integer_grid_rejected_before_building(self, monkeypatch, grid_size):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("the grid was built")
+
+        monkeypatch.setattr(np, "linspace", no_grid)
+        with pytest.raises(DomainError):
+            scan_family_extrema(2.0, grid_size=grid_size)
+        with pytest.raises(DomainError):
+            scan_l2_ratio(3.0, grid_size=grid_size)
 
 
 def test_large_t_bound_for_low_orders():
