@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DomainError
 from .expfamily import moment_et, norm_ebar
-from .search import bisect_root, golden_section_max, golden_section_min
+from .search import bisect_root, golden_section_min
 from .specfun import as_order, gamma
 
 __all__ = [
@@ -129,8 +129,10 @@ def _grid_then_refine(objective, grid_size: int, maximize: bool, snap) -> ScanRe
     idx = int(np.argmax(vals)) if maximize else int(np.argmin(vals))
     lo = xs[max(idx - 1, 0)]
     hi = xs[min(idx + 1, grid_size - 1)]
-    refine = golden_section_max if maximize else golden_section_min
-    argopt, opt = refine(objective, lo, hi, tol=1e-10)
+    # maximising is minimising the negated objective; the sign flips are exact
+    sign = -1.0 if maximize else 1.0
+    argopt, opt = golden_section_min(lambda x: sign * objective(x), lo, hi, tol=1e-10)
+    opt *= sign
     for c in snap:
         vc = objective(c)
         if ((opt - vc) if maximize else (vc - opt)) <= _ENDPOINT_SNAP:

@@ -41,6 +41,9 @@ _CHUNK = 1 << 17
 # blocks of the delete-one-block jackknife
 _JACKKNIFE_BLOCKS = 100
 
+# half-width of the window around zero in the density estimator
+_DENSITY_WINDOW = 0.01
+
 
 def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
@@ -59,7 +62,6 @@ class McConfig:
 
     seed: int
     samples: int = 100_000
-    density_window: float = 0.01
 
     def __post_init__(self):
         _as_seed(self.seed)
@@ -67,8 +69,6 @@ class McConfig:
             raise DomainError(f"samples must be an integer, got {self.samples!r}")
         if self.samples < 100_000:
             raise DomainError(f"need at least 1e5 samples, got {self.samples}")
-        if not self.density_window > 0.0:
-            raise DomainError("density_window must be positive")
 
 
 def _chunk_sizes(total: int) -> list[int]:
@@ -196,7 +196,7 @@ def estimate_density_at_zero(weights, cfg: McConfig) -> McEstimate:
     w = np.asarray(weights.a if hasattr(weights, "a") else weights, dtype=float)
     if w.ndim != 1 or w.size < 2:
         raise DomainError("weight vector needs at least two coordinates")
-    half = cfg.density_window
+    half = _DENSITY_WINDOW
     count = 0
     for c, size in enumerate(_chunk_sizes(cfg.samples)):
         rng = _chunk_rng(cfg.seed, c)

@@ -10,8 +10,9 @@ from .errors import BracketError
 # inverse golden ratio, the fraction of the interval kept each step
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
-# halvings past which a bracket of any practical width is below rounding
-_MAX_HALVINGS = 200
+# halvings that take any finite bracket (width below 2^1025) to adjacent
+# floats, even around a root at zero (spacing 2^-1074)
+_MAX_HALVINGS = 2100
 
 
 def bisect_root(f: Callable[[float], float], lo: float, hi: float) -> float:
@@ -61,10 +62,3 @@ def golden_section_min(
     x = 0.5 * (a + b)
     return x, f(x)
 
-
-def golden_section_max(
-    f: Callable[[float], float], lo: float, hi: float, tol: float = 1e-10
-) -> tuple[float, float]:
-    """Golden-section maximisation on [lo, hi]; returns (argmax, max value)."""
-    x, neg = golden_section_min(lambda t: -f(t), lo, hi, tol)
-    return x, -neg

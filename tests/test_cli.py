@@ -161,6 +161,21 @@ def test_non_integer_seed_variable_exits_2(capsys, monkeypatch):
     assert json.loads(capsys.readouterr().err)["status"] == "error"
 
 
+@pytest.mark.parametrize("suite", ["reduction", "fradelizi", "crossings", "constants"])
+@pytest.mark.parametrize("flag", [["--samples", "3"], ["--seed", "5"]])
+def test_mc_flags_with_another_suite_exit_2(capsys, suite, flag):
+    assert main(["verify", "--suite", suite, *flag]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "only to the mc suite" in json.loads(err)["message"]
+
+
+def test_seed_variable_read_only_for_mc(capsys, monkeypatch):
+    monkeypatch.setenv("LCMOMENTS_SEED", "abc")
+    code, payload = _run(capsys, ["verify", "--suite", "constants"])
+    assert code == 0
+    assert all(record["status"] == "ok" for record in payload)
+
+
 def _config(tmp_path, text):
     path = tmp_path / "quad.cfg"
     path.write_text(text)

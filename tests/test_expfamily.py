@@ -14,7 +14,6 @@ from lcmoments.expfamily import (
     catalogue,
     centred_gaussian,
     centred_uniform,
-    convex_power,
     density_abs_ebar,
     density_xab,
     family_scale,
@@ -24,7 +23,6 @@ from lcmoments.expfamily import (
     norm_ebar,
     prob_positive,
     reduction_check,
-    truncated_exponential,
     two_sided_exponential_density,
 )
 from lcmoments.specfun import gamma
@@ -327,26 +325,49 @@ class TestReductionCheck:
         assert check.lhs >= check.rhs - 1e-10
 
     def test_asymmetric_density_reflection_path(self):
-        assert reduction_check(truncated_exponential(2.0), 2.0).holds
+        # P(X > 0) is about 0.596 for X(0.5, 1), so it is matched through its
+        # mirror X(1, 0.5), which shares E|X|^p and E|X|
+        density = two_sided_exponential_density(0.5, 1.0)
+        mirror = two_sided_exponential_density(1.0, 0.5)
+        for p in (-0.5, 0.5, 1.5, 3.0):
+            check, reflected = reduction_check(density, p), reduction_check(mirror, p)
+            assert check.holds
+            assert check.lhs == pytest.approx(check.rhs, abs=1e-10)
+            assert check.lhs == pytest.approx(reflected.lhs, rel=1e-12)
+            assert check.rhs == pytest.approx(reflected.rhs, rel=1e-12)
 
 
 class TestFradeliziCheck:
     def test_double_exponential_is_tight(self):
         density = two_sided_exponential_density(1.0, 1.0)
-        for phi in (convex_power(2.0), convex_power(3.0)):
-            check = fradelizi_check(density, phi)
+        for exponent in (2.0, 3.0):
+            check = fradelizi_check(density, exponent)
             assert check.holds
             assert check.lhs == pytest.approx(check.rhs, abs=1e-10)
 
     def test_uniform_square_closed_form(self):
         c = 1.0
-        check = fradelizi_check(centred_uniform(c), convex_power(2.0))
+        check = fradelizi_check(centred_uniform(c), 2.0)
         assert check.holds
         assert check.lhs == pytest.approx(c**2 / 3.0, rel=1e-10)
         assert check.rhs == pytest.approx(2.0 * c**2, rel=1e-8)
 
     def test_two_sided_cubic(self):
-        assert fradelizi_check(two_sided_exponential_density(1.0, 0.5), convex_power(3.0)).holds
+        assert fradelizi_check(two_sided_exponential_density(1.0, 0.5), 3.0).holds
+
+    @pytest.mark.parametrize("exponent", [1.0, 2.0, 2.5, 3.0])
+    def test_comparison_side_matches_laplace_quadrature(self, exponent):
+        for density in catalogue():
+            rate = 2.0 * float(density.pdf(0.0))
+            laplace, _ = integrate.quad(
+                lambda x: x**exponent * rate * math.exp(-rate * x), 0.0, math.inf, epsabs=0.0, epsrel=1e-13
+            )
+            assert fradelizi_check(density, exponent).rhs == pytest.approx(laplace, rel=1e-11)
+
+    @pytest.mark.parametrize("exponent", [math.nan, math.inf, 0.5, -1.0])
+    def test_exponent_must_be_finite_and_at_least_one(self, exponent):
+        with pytest.raises(DomainError):
+            fradelizi_check(centred_uniform(1.0), exponent)
 
 
 def test_abs_moment_matches_family_closed_form():

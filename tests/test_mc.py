@@ -22,10 +22,6 @@ class TestConfig:
         with pytest.raises(DomainError):
             McConfig(seed=1, samples=10_000)
 
-    def test_window_positive(self):
-        with pytest.raises(DomainError):
-            McConfig(seed=1, density_window=0.0)
-
     @pytest.mark.parametrize("seed", [-3, True, 1.0, "1", None])
     def test_seed_must_be_a_nonnegative_integer(self, seed):
         with pytest.raises(DomainError):
