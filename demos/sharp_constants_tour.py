@@ -14,8 +14,7 @@ from lcmoments import (
     branch_gap,
     find_l2_transition,
     find_p0,
-    lp_l1_lower,
-    lp_l2_lower,
+    lp_lq_ratio,
     norm_ebar,
     scan_family_extrema,
     scan_l2_ratio,
@@ -29,9 +28,10 @@ print(f"gap at 2.9414: {branch_gap(2.9414):+.3e}   gap at 2.9415: {branch_gap(2.
 print()
 
 print("=== Sharp constants across orders ===")
+print("the lower constants are lp_lq_ratio(p, q) at q = 1 and q = 2")
 print(f"{'p':>6} {'lower vs L1':>14} {'lower vs L2':>14} {'upper vs L1':>14}")
 for p in (-0.5, 0.5, 1.0):
-    print(f"{p:6.2f} {lp_l1_lower(p):14.8f} {lp_l2_lower(p):14.8f} {'-':>14}")
+    print(f"{p:6.2f} {lp_lq_ratio(p, 1.0):14.8f} {lp_lq_ratio(p, 2.0):14.8f} {'-':>14}")
 for p in (1.5, 2.0, p0, 4.0, 6.0):
     print(f"{p:6.3f} {'-':>14} {'-':>14} {sharp_constant(p):14.8f}")
 print()

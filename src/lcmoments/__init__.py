@@ -6,8 +6,6 @@ from .constants import (
     branch_gap,
     find_l2_transition,
     find_p0,
-    lp_l1_lower,
-    lp_l2_lower,
     lp_lq_ratio,
     scan_family_extrema,
     scan_l2_ratio,

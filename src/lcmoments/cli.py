@@ -34,6 +34,9 @@ _DEFAULT_SEED = 20250808
 # sample count of the mc suite when --samples is not given
 _MC_SAMPLES = 1_000_000
 
+# the q of lp_lq_ratio behind each named lower constant
+_LOWER_CONSTANT_Q = {"lp-l1-lower": 1.0, "lp-l2-lower": 2.0}
+
 
 @dataclasses.dataclass
 class OutputRecord:
@@ -86,19 +89,16 @@ def _cmd_constant(args):
     which = args.which
     if args.q is not None and which != "lp-lq":
         raise DomainError(f"--q applies only to lp-lq, not {which}")
+    inputs = {"which": which, "p": args.p}
     if which == "lp-lq":
         if args.q is None:
             raise DomainError("lp-lq needs --q")
         value = constants.lp_lq_ratio(args.p, args.q)
-        inputs = {"which": which, "p": args.p, "q": args.q}
+        inputs["q"] = args.q
+    elif which == "lp-l1-upper":
+        value = constants.sharp_constant(args.p)
     else:
-        fn = {
-            "lp-l1-lower": constants.lp_l1_lower,
-            "lp-l1-upper": constants.sharp_constant,
-            "lp-l2-lower": constants.lp_l2_lower,
-        }[which]
-        value = fn(args.p)
-        inputs = {"which": which, "p": args.p}
+        value = constants.lp_lq_ratio(args.p, _LOWER_CONSTANT_Q[which])
     return [OutputRecord("constant", inputs, {"value": value})], 0
 
 
@@ -115,24 +115,21 @@ def _cmd_p0(args):
     return [record], 0 if record.status == "ok" else 1
 
 
+# subcommand -> (scanner, output key of the extremiser, CSV column of the parameter)
+_SCANS = {
+    "scan": (constants.scan_family_extrema, "argopt_t", "t"),
+    "scan-l2": (constants.scan_l2_ratio, "argopt_s", "s"),
+}
+
+
 def _cmd_scan(args):
-    result = constants.scan_family_extrema(args.p, args.grid)
+    scanner, key, column = _SCANS[args.subcommand]
+    result = scanner(args.p, args.grid)
+    outputs = {key: result.argopt_t, "opt_value": result.opt_value}
     if args.csv:
-        _write_profile_csv(args.csv, result.profile)
-    outputs = {"argopt_t": result.argopt_t, "opt_value": result.opt_value}
-    if args.csv:
+        _write_profile_csv(args.csv, result.profile, columns=(column, "value"))
         outputs["csv"] = args.csv
-    return [OutputRecord("scan", {"p": args.p, "grid": args.grid}, outputs)], 0
-
-
-def _cmd_scan_l2(args):
-    result = constants.scan_l2_ratio(args.p, args.grid)
-    if args.csv:
-        _write_profile_csv(args.csv, result.profile, columns=("s", "value"))
-    outputs = {"argopt_s": result.argopt_t, "opt_value": result.opt_value}
-    if args.csv:
-        outputs["csv"] = args.csv
-    return [OutputRecord("scan-l2", {"p": args.p, "grid": args.grid}, outputs)], 0
+    return [OutputRecord(args.subcommand, {"p": args.p, "grid": args.grid}, outputs)], 0
 
 
 def _cmd_moment(args):
@@ -193,35 +190,19 @@ def _cmd_crossings(args):
 # ---------------------------------------------------------------------------
 
 
-def _suite_reduction():
+def _suite_comparison(name, check, orders, label):
+    """One record per catalogue density and order: ``check``'s two sides."""
     records = []
     for density in expfamily.catalogue():
-        for p in (-0.5, 0.5, 1.5, 3.0):
-            check = expfamily.reduction_check(density, p)
+        for order in orders:
+            result = check(density, order)
             records.append(
                 OutputRecord(
-                    "verify/reduction",
-                    {"density": density.name, "p": p},
-                    {"lhs": check.lhs, "rhs": check.rhs},
+                    f"verify/{name}",
+                    {"density": density.name, **label(order)},
+                    {"lhs": result.lhs, "rhs": result.rhs},
                     tolerances={"slack": expfamily.COMPARISON_SLACK},
-                    status="ok" if check.holds else "violated",
-                )
-            )
-    return records
-
-
-def _suite_fradelizi():
-    records = []
-    for density in expfamily.catalogue():
-        for exponent in (2.0, 3.0, 2.5):
-            check = expfamily.fradelizi_check(density, exponent)
-            records.append(
-                OutputRecord(
-                    "verify/fradelizi",
-                    {"density": density.name, "phi": f"abs_power_{exponent:g}"},
-                    {"lhs": check.lhs, "rhs": check.rhs},
-                    tolerances={"slack": expfamily.COMPARISON_SLACK},
-                    status="ok" if check.holds else "violated",
+                    status="ok" if result.holds else "violated",
                 )
             )
     return records
@@ -270,7 +251,7 @@ def _suite_constants():
     ]
     for p in (0.5, 2.0, 4.0):
         scan = constants.scan_family_extrema(p, 400)
-        target = constants.lp_l1_lower(p) if p <= 1 else constants.sharp_constant(p)
+        target = constants.lp_lq_ratio(p, 1.0) if p <= 1 else constants.sharp_constant(p)
         checks.append(
             (f"scan_p{p:g}", abs(scan.opt_value - target) < 1e-8, {"opt": scan.opt_value})
         )
@@ -309,8 +290,12 @@ def _suite_mc(seed, samples):
 
 
 _SUITES = {
-    "reduction": _suite_reduction,
-    "fradelizi": _suite_fradelizi,
+    "reduction": lambda: _suite_comparison(
+        "reduction", expfamily.reduction_check, (-0.5, 0.5, 1.5, 3.0), lambda p: {"p": p}
+    ),
+    "fradelizi": lambda: _suite_comparison(
+        "fradelizi", expfamily.fradelizi_check, (2.0, 3.0, 2.5), lambda r: {"phi": f"abs_power_{r:g}"}
+    ),
     "crossings": _suite_crossings,
     "constants": _suite_constants,
     "mc": _suite_mc,
@@ -351,17 +336,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("p0", help="locate the branch-crossover order")
     p.set_defaults(handler=_cmd_p0)
 
-    p = sub.add_parser("scan", help="profile the normalized family L_p norm over t")
-    p.add_argument("--p", type=float, required=True)
-    p.add_argument("--grid", type=int, default=1000)
-    p.add_argument("--csv", default=None)
-    p.set_defaults(handler=_cmd_scan)
-
-    p = sub.add_parser("scan-l2", help="extremise the L_p/L_2 ratio over the family")
-    p.add_argument("--p", type=float, required=True)
-    p.add_argument("--grid", type=int, default=1000)
-    p.add_argument("--csv", default=None)
-    p.set_defaults(handler=_cmd_scan_l2)
+    for name, text in (
+        ("scan", "profile the normalized family L_p norm over t"),
+        ("scan-l2", "extremise the L_p/L_2 ratio over the family"),
+    ):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--p", type=float, required=True)
+        p.add_argument("--grid", type=int, default=1000)
+        p.add_argument("--csv", default=None)
+        p.set_defaults(handler=_cmd_scan)
 
     p = sub.add_parser("moment", help="absolute moment of a family member")
     p.add_argument("--p", type=float, required=True)

@@ -1,10 +1,16 @@
 """Sharp moment-comparison constants and the extremiser scans.
 
 For p >= 1 the sharp L_p-L_1 constant is the larger of two candidate
-branches, Gamma(p+1)^(1/p) from the symmetric double exponential and
-(e/2)*||E-1||_p from the one-sided exponential.  The branches cross exactly
-once; the crossover order p0 = 2.9414.. is located by bisection on the
-signed gap between the p-th powers of the branches.
+branches, Gamma(p+1)^(1/p) from the symmetric double exponential E_1 and
+(e/2)*||E-1||_p from the one-sided exponential E_0.  The branches cross
+exactly once, at p0 = 2.9414..; the L_p/L_2 extremiser switches between
+the same two members near 1.68.
+
+Every order at which two family members compare equally comes from one
+tie routine, ``_tie``: bisection on ``_member_gap``, the signed gap between
+the p-th moments of E_s and E_t, each divided by the p-th power of a norm
+of the member (``family_scale`` for L_1, hypot(1, u) for L_2).  It locates
+p0, the 1.68 transition and ``crossings.matching_order``.
 """
 
 from __future__ import annotations
@@ -12,12 +18,12 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 
 import numpy as np
 
-from .errors import DomainError
-from .expfamily import moment_et, norm_ebar
+from .errors import BracketError, DomainError, NumericalError
+from .expfamily import family_scale, moment_et, norm_ebar
 from .search import bisect_root, golden_section_min
 from .specfun import as_order, gamma
 
@@ -25,8 +31,6 @@ __all__ = [
     "sharp_constant",
     "branch_gap",
     "find_p0",
-    "lp_l1_lower",
-    "lp_l2_lower",
     "lp_lq_ratio",
     "ScanResult",
     "scan_family_extrema",
@@ -42,18 +46,38 @@ _ENDPOINT_SNAP = 1e-8
 _MAX_GRID = 10**7
 
 
-def sharp_constant(p) -> float:
-    """The sharp L_p-L_1 comparison constant for p >= 1.
+def _member_gap(p: float, s: float, t: float, norm) -> float:
+    """E|E_s|^p / norm(s)^p - E|E_t|^p / norm(t)^p."""
+    return moment_et(p, s) / norm(s) ** p - moment_et(p, t) / norm(t) ** p
 
-    max{ Gamma(p+1)^(1/p), (e/2) * (E|E-1|^p)^(1/p) }; the second branch uses
-    moment_et(p, 0) since E_0 = E - 1.
+
+def _tie(s: float, t: float, lo: float, hi: float, norm) -> float:
+    """The order in (lo, hi) where ``_member_gap`` of E_s and E_t vanishes.
+
+    Raises NumericalError when the root falls on a bracket end, and
+    BracketError when the bracket holds no sign change or the root's
+    residual exceeds 1e-10 of the moments' size.
+    """
+    root = bisect_root(lambda p: _member_gap(p, s, t, norm), lo, hi)
+    if root in (lo, hi):
+        # the gap rounds to zero at the bracket end: at order 2 all L_1-normalized
+        # members match, so the root is not told apart from that one
+        raise NumericalError(f"tie of E_{s} and E_{t} lies within rounding of the bracket end {root}")
+    moments = (moment_et(root, s) / norm(s) ** root, moment_et(root, t) / norm(t) ** root)
+    residual = moments[0] - moments[1]
+    if abs(residual) > 1e-10 * max(map(abs, moments)):
+        raise BracketError(f"tie of E_{s} and E_{t}: relative residual too large: {residual:g}")
+    return root
+
+
+def sharp_constant(p) -> float:
+    """The sharp L_p-L_1 comparison constant for p >= 1: the larger of the
+    normalized L_p norms of E_1 and E_0, Gamma(p+1)^(1/p) and (e/2) ||E-1||_p.
     """
     p = as_order(p)
     if p < 1.0:
         raise DomainError(f"the upper constant is defined for p >= 1, got {p}")
-    symmetric = gamma(p + 1.0) ** (1.0 / p)
-    one_sided = 0.5 * math.e * moment_et(p, 0.0) ** (1.0 / p)
-    return max(symmetric, one_sided)
+    return max(norm_ebar(p, 1.0), norm_ebar(p, 0.0))
 
 
 def branch_gap(p) -> float:
@@ -65,39 +89,26 @@ def branch_gap(p) -> float:
     p = as_order(p)
     if p < 1.0:
         raise DomainError(f"branch gap is defined for p >= 1, got {p}")
-    return gamma(p + 1.0) - (0.5 * math.e) ** p * moment_et(p, 0.0)
+    return _member_gap(p, 1.0, 0.0, family_scale)
 
 
 @cache
 def find_p0() -> float:
     """The unique branch-crossover order in (1, inf), bracketed in [2, 4]."""
-    return bisect_root(branch_gap, 2.0, 4.0)
-
-
-def lp_l1_lower(p) -> float:
-    """Sharp constant in ||X||_p >= c ||X||_1 for -1 < p <= 1."""
-    p = as_order(p)
-    if p == 0.0 or p > 1.0:
-        raise DomainError(f"lower L1 constant needs p in (-1, 0) u (0, 1], got {p}")
-    return gamma(p + 1.0) ** (1.0 / p)
-
-
-def lp_l2_lower(p) -> float:
-    """Sharp constant in ||X||_p >= c ||X||_2 for -1 < p <= 1."""
-    p = as_order(p)
-    if p == 0.0 or p > 1.0:
-        raise DomainError(f"lower L2 constant needs p in (-1, 0) u (0, 1], got {p}")
-    return gamma(p + 1.0) ** (1.0 / p) / math.sqrt(2.0)
+    return _tie(1.0, 0.0, 2.0, 4.0, family_scale)
 
 
 def lp_lq_ratio(p, q) -> float:
-    """Sharp constant in ||X||_p >= c ||X||_q for -1 < p <= 1 <= q <= p0."""
+    """Sharp constant in ||X||_p >= c ||X||_q for -1 < p <= 1 <= q <= p0.
+
+    q = 1 and q = 2 give the lower L_p-L_1 and L_p-L_2 constants.
+    """
     p = as_order(p)
     q = float(q)
     if p == 0.0 or p > 1.0:
-        raise DomainError(f"ratio constant needs p in (-1, 0) u (0, 1], got {p}")
+        raise DomainError(f"the lower L_p-L_q constant needs p in (-1, 0) u (0, 1], got {p}")
     if not 1.0 <= q <= find_p0() + 1e-12:
-        raise DomainError(f"ratio constant needs q in [1, p0], got {q}")
+        raise DomainError(f"the lower L_p-L_q constant needs q in [1, p0], got {q}")
     return gamma(p + 1.0) ** (1.0 / p) / gamma(q + 1.0) ** (1.0 / q)
 
 
@@ -185,9 +196,11 @@ def find_l2_transition() -> float:
     """Order in (1, 2) where the symmetric and one-sided L_p/L_2 ratios tie.
 
     Below it the symmetric exponential has the smaller ratio, above it the
-    one-sided one does; this is the scan's extremiser switch point.
+    one-sided one does; this is the scan's extremiser switch point.  By
+    l2_ratio's reduction, Z_(1/2) and Z_0 are E_1 and E_0 under the norm
+    hypot(1, u), and the ratios tie where their p-th powers do.
     """
-    return bisect_root(lambda p: l2_ratio(p, 0.5) - l2_ratio(p, 0.0), 1.05, 1.95)
+    return _tie(1.0, 0.0, 1.05, 1.95, partial(math.hypot, 1.0))
 
 
 def small_t_bound_coefficient() -> float:

@@ -13,6 +13,10 @@ Jameson, Math. Gazette 90, 2006) the power gap x^p - alpha - beta*x -
 gamma*x^q has no more positive zeros than its four coefficients, ordered by
 exponent, have sign changes.  With three, the crossings are its only zeros
 and simple, so the product has the sign of both factors past the last one.
+
+The interpolation exponent q is the matching order, where the baseline
+member's normalized q-th moment equals E_t's; it comes from the tie
+routine ``constants._tie`` that also locates p0.
 """
 
 from __future__ import annotations
@@ -24,13 +28,12 @@ from itertools import pairwise
 
 import numpy as np
 
-from .constants import find_p0
-from .errors import BracketError, CrossingPatternError, DomainError, NumericalError
+from .constants import _tie, find_p0
+from .errors import CrossingPatternError, DomainError, NumericalError
 from .expfamily import (
     _abs_ebar_terms,
     _term_rate,
     family_scale,
-    moment_et,
 )
 from .search import bisect_root
 from .specfun import as_order
@@ -249,35 +252,15 @@ def matching_order(
     """The order q where E|Ebar_baseline|^q = E|Ebar_t|^q inside the bracket.
 
     The default baseline is the symmetric member t = 1; the one-sided member
-    t = 0 serves the high-order regime of the decomposition check.  Raises
-    NumericalError when the root falls on a bracket end, and BracketError
-    when the bracket holds no sign change or the root's residual exceeds
-    1e-10 of the moments' size.
+    t = 0 serves the high-order regime of the decomposition check.  The
+    root comes from ``constants._tie`` under the L_1 normalisation, which
+    raises NumericalError when the root falls on a bracket end, and
+    BracketError when the bracket holds no sign change or the root's
+    residual exceeds 1e-10 of the moments' size.
     """
     if not 0.0 < t < 1.0:
         raise DomainError(f"t must lie strictly inside (0, 1), got {t}")
-
-    def moments(q):
-        return (
-            moment_et(q, baseline_t) / family_scale(baseline_t) ** q,
-            moment_et(q, t) / family_scale(t) ** q,
-        )
-
-    def gap(q):
-        baseline_moment, moment = moments(q)
-        return baseline_moment - moment
-
-    q_lo, q_hi = bracket
-    root = bisect_root(gap, q_lo, q_hi)
-    if root in (q_lo, q_hi):
-        # the gap rounds to zero at the bracket end: at q = 2 every member
-        # matches the baseline, so the root is not told apart from that one
-        raise NumericalError(f"matching order at t={t} lies within rounding of the bracket end q={root}")
-    baseline_moment, moment = moments(root)
-    residual = baseline_moment - moment
-    if abs(residual) > 1e-10 * max(abs(baseline_moment), abs(moment)):
-        raise BracketError(f"matching order relative residual too large: {residual:g}")
-    return root
+    return _tie(baseline_t, t, *bracket, family_scale)
 
 
 def _decomposition_regime(p: float, p0: float):

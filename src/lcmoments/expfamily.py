@@ -74,8 +74,8 @@ class TwoSidedExpParams:
     b: float
 
     def __post_init__(self):
-        if self.a < 0.0 or self.b < 0.0:
-            raise DomainError(f"branch scales must be nonnegative, got ({self.a}, {self.b})")
+        if not (0.0 <= self.a < math.inf and 0.0 <= self.b < math.inf):
+            raise DomainError(f"branch scales must be finite and nonnegative, got ({self.a}, {self.b})")
         if self.a + self.b <= 0.0:
             raise DomainError("at least one branch scale must be positive")
 
@@ -130,8 +130,8 @@ def match_two_sided(alpha: float, l1: float) -> TwoSidedExpParams:
     """
     if not _INV_E - 1e-12 <= alpha <= 0.5 + 1e-12:
         raise DomainError(f"alpha must lie in [1/e, 1/2], got {alpha}")
-    if not l1 > 0.0:
-        raise DomainError(f"mean absolute value must be positive, got {l1}")
+    if not 0.0 < l1 < math.inf:
+        raise DomainError(f"mean absolute value must be finite and positive, got {l1}")
     alpha = min(max(alpha, _INV_E), 0.5)
     a = l1 / (2.0 * alpha)
     if alpha - _INV_E <= 1e-15:
@@ -244,8 +244,8 @@ def two_sided_exponential_density(a: float, b: float) -> LogConcaveTestDensity:
 
 
 def centred_uniform(half_width: float) -> LogConcaveTestDensity:
-    if not half_width > 0.0:
-        raise DomainError("half_width must be positive")
+    if not 0.0 < half_width < math.inf:
+        raise DomainError(f"half_width must be finite and positive, got {half_width}")
     c = float(half_width)
     height = 1.0 / (2.0 * c)
 
@@ -257,8 +257,8 @@ def centred_uniform(half_width: float) -> LogConcaveTestDensity:
 
 
 def centred_gaussian(sigma: float) -> LogConcaveTestDensity:
-    if not sigma > 0.0:
-        raise DomainError("sigma must be positive")
+    if not 0.0 < sigma < math.inf:
+        raise DomainError(f"sigma must be finite and positive, got {sigma}")
     s = float(sigma)
     norm = 1.0 / (s * math.sqrt(2.0 * math.pi))
 
@@ -274,8 +274,8 @@ def truncated_exponential(cut: float) -> LogConcaveTestDensity:
 
     Asymmetric, with P(X > 0) below 1/2 for every cut.
     """
-    if not cut > 0.0:
-        raise DomainError("cut must be positive")
+    if not 0.0 < cut < math.inf:
+        raise DomainError(f"cut must be finite and positive, got {cut}")
     z = 1.0 - math.exp(-cut)
     mean = (1.0 - (1.0 + cut) * math.exp(-cut)) / z
 

@@ -196,6 +196,8 @@ def estimate_density_at_zero(weights, cfg: McConfig) -> McEstimate:
     w = np.asarray(weights.a if hasattr(weights, "a") else weights, dtype=float)
     if w.ndim != 1 or w.size < 2:
         raise DomainError("weight vector needs at least two coordinates")
+    if not np.all(np.isfinite(w)):
+        raise DomainError(f"weights must be finite, got {w}")
     half = _DENSITY_WINDOW
     count = 0
     for c, size in enumerate(_chunk_sizes(cfg.samples)):

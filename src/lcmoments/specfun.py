@@ -88,10 +88,11 @@ def integrate_adaptive(
 
 
 def gamma(x: float) -> float:
-    """The gamma function on the positive half-line; past about 171.6 it
-    exceeds the largest float and raises NumericalError."""
-    if not x > 0.0:
-        raise DomainError(f"gamma requires a positive argument, got {x}")
+    """The gamma function on the positive half-line.  A non-finite argument
+    raises DomainError; past about 171.6 the value exceeds the largest float
+    and raises NumericalError."""
+    if not 0.0 < x < math.inf:
+        raise DomainError(f"gamma requires a finite positive argument, got {x}")
     try:
         return math.gamma(x)
     except OverflowError as exc:
@@ -103,13 +104,21 @@ def exp_power_integral(p, c: float) -> float:
 
     Closed form c^(p+1)/(p+1) * 1F1(p+1; p+2; c) (DLMF 13.2); the confluent
     hypergeometric series absorbs the endpoint singularity of x^p for p < 0.
+    A non-finite c raises DomainError (scipy's 1F1 does not return at
+    infinity), and a value past the largest float raises NumericalError.
     """
     p = as_order(p)
-    if not c >= 0.0:
-        raise DomainError(f"upper limit must be nonnegative, got {c}")
+    if not 0.0 <= c < math.inf:
+        raise DomainError(f"upper limit must be finite and nonnegative, got {c}")
     if c == 0.0:
         return 0.0
-    return c ** (p + 1.0) / (p + 1.0) * special.hyp1f1(p + 1.0, p + 2.0, c)
+    try:
+        value = c ** (p + 1.0) / (p + 1.0) * float(special.hyp1f1(p + 1.0, p + 2.0, c))
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise NumericalError(f"int_0^{c} x^{p} e^x dx overflows a float")
+    return value
 
 
 def shifted_exp_moment(p, t: float) -> float:
@@ -121,6 +130,7 @@ def shifted_exp_moment(p, t: float) -> float:
     Tricomi's U; writing it as t^p u^(p+1) U would overflow for tiny t.
     From u = 1e17 on, u * U(1, p+2, u) equals 1 + p/u to rounding, so U is
     evaluated at that cap (scipy's hyperu returns nan beyond about 1e154).
+    A value past the largest float raises NumericalError.
     """
     p = as_order(p)
     if not 0.0 <= t <= 1.0:
@@ -133,4 +143,7 @@ def shifted_exp_moment(p, t: float) -> float:
     if u <= 200.0:
         return math.exp(u) * t**p * gamma(p + 1.0) * special.gammaincc(p + 1.0, u)
     u = min(u, _HYPERU_CAP)
-    return (1.0 - t) ** p * u * special.hyperu(1.0, p + 2.0, u)
+    value = (1.0 - t) ** p * u * float(special.hyperu(1.0, p + 2.0, u))
+    if not math.isfinite(value):
+        raise NumericalError(f"E (t*E + 1-t)^p overflows a float at p={p}, t={t}")
+    return value

@@ -9,8 +9,6 @@ from lcmoments.constants import (
     find_l2_transition,
     find_p0,
     l2_ratio,
-    lp_l1_lower,
-    lp_l2_lower,
     lp_lq_ratio,
     scan_family_extrema,
     scan_l2_ratio,
@@ -97,20 +95,25 @@ class TestFindP0:
 
 
 class TestClosedFormConstants:
-    def test_lp_l2_lower_at_one(self):
-        assert lp_l2_lower(1.0) == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-13)
+    # the lower L_p-L_1 and L_p-L_2 constants are lp_lq_ratio at q = 1 and q = 2
 
-    def test_lp_lq_ratio(self):
+    def test_lp_l2_lower_at_one(self):
         assert lp_lq_ratio(1.0, 2.0) == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-13)
 
+    def test_lp_lq_ratio(self):
+        for p, q in [(-0.5, 1.3), (0.5, 2.5), (1.0, 2.9)]:
+            with mpmath.workdps(40):
+                expected = mpmath.gamma(p + 1) ** (1 / mpmath.mpf(p)) / mpmath.gamma(q + 1) ** (1 / mpmath.mpf(q))
+            assert lp_lq_ratio(p, q) == pytest.approx(float(expected), rel=1e-14)
+
     def test_lp_l1_lower_negative_order(self):
-        assert lp_l1_lower(-0.5) == pytest.approx(gamma(0.5) ** (-2.0), rel=1e-13)
+        assert lp_lq_ratio(-0.5, 1.0) == pytest.approx(gamma(0.5) ** (-2.0), rel=1e-13)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
-            lp_l1_lower(1.5)
+            lp_lq_ratio(1.5, 1.0)
         with pytest.raises(DomainError):
-            lp_l2_lower(0.0)
+            lp_lq_ratio(0.0, 2.0)
         with pytest.raises(DomainError):
             lp_lq_ratio(0.5, 3.5)
 

@@ -281,6 +281,32 @@ class TestMatchingOrder:
         flip = np.nonzero(np.sign(vals[1:]) != np.sign(vals[:-1]))[0][0]
         assert matching_order(t) == pytest.approx(qs[flip], abs=2e-4)
 
+    # the decomposition regimes: symmetric baseline on [2, 4] and [p0, 4],
+    # one-sided baseline on [2, p0]
+    @pytest.mark.parametrize(
+        "baseline, bracket",
+        [(1.0, (2.0, 4.0)), (1.0, (find_p0(), 4.0)), (0.0, (2.0, find_p0()))],
+        ids=["symmetric-2-4", "symmetric-p0-4", "one-sided-2-p0"],
+    )
+    @pytest.mark.parametrize("t", np.linspace(0.05, 0.95, 10))
+    def test_matches_mpmath_root(self, t, baseline, bracket):
+        def mp_normalized_moment(q, u):
+            """E|E_u|^q / scale(u)^q by the three-term formula, at mpmath's precision."""
+            c = 1 - u
+            head = c ** (q + 1) / (q + 1) * mpmath.hyp1f1(q + 1, q + 2, c) + mpmath.gamma(q + 1)
+            total = mpmath.exp(u - 1) / (1 + u) * head
+            if u > 0:
+                w = (1 - u) / u
+                total += u / (1 + u) * u**q * mpmath.exp(w) * mpmath.gammainc(q + 1, w)
+            return total / (2 * mpmath.exp(u - 1) / (1 + u)) ** q
+
+        q = matching_order(t, bracket, baseline_t=baseline)
+        with mpmath.workdps(40):
+            b, u = mpmath.mpf(baseline), mpmath.mpf(t)
+            root = mpmath.findroot(lambda x: mp_normalized_moment(x, b) - mp_normalized_moment(x, u), mpmath.mpf(q))
+        assert bracket[0] < root < bracket[1]
+        assert q == pytest.approx(float(root), rel=1e-12, abs=0.0)
+
     def test_bad_bracket(self):
         with pytest.raises(BracketError):
             matching_order(0.5, bracket=(2.0, 2.1))

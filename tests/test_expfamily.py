@@ -23,6 +23,7 @@ from lcmoments.expfamily import (
     norm_ebar,
     prob_positive,
     reduction_check,
+    truncated_exponential,
     two_sided_exponential_density,
 )
 from lcmoments.specfun import gamma
@@ -67,6 +68,40 @@ class TestDensityXab:
             TwoSidedExpParams(0.0, 0.0)
         with pytest.raises(DomainError):
             TwoSidedExpParams(-1.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: TwoSidedExpParams(math.nan, 1.0),
+        lambda: TwoSidedExpParams(1.0, math.nan),
+        lambda: TwoSidedExpParams(math.inf, 1.0),
+        lambda: TwoSidedExpParams(1.0, math.inf),
+        lambda: two_sided_exponential_density(math.inf, 0.5),
+        lambda: match_two_sided(0.45, math.inf),
+        lambda: match_two_sided(0.45, math.nan),
+        lambda: centred_uniform(math.inf),
+        lambda: centred_gaussian(math.inf),
+        lambda: truncated_exponential(math.inf),
+        lambda: truncated_exponential(math.nan),
+    ],
+    ids=[
+        "params-nan-a",
+        "params-nan-b",
+        "params-inf-a",
+        "params-inf-b",
+        "two-sided-density-inf",
+        "match-inf-l1",
+        "match-nan-l1",
+        "uniform-inf",
+        "gaussian-inf",
+        "truncated-inf",
+        "truncated-nan",
+    ],
+)
+def test_non_finite_parameters_rejected(call):
+    with pytest.raises(DomainError):
+        call()
 
 
 class TestProbPositive:

@@ -197,6 +197,13 @@ class TestEstimateDensityAtZero:
         est = estimate_density_at_zero(w, McConfig(seed=32, samples=400_000))
         assert abs(est.estimate - 1.0 / math.sqrt(2.0)) < 3.0 * est.standard_error + 1e-4
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_weights_rejected(self, bad):
+        # the sums of non-finite weights never fall in the window, which read
+        # as a density of 0 +- 0
+        with pytest.raises(DomainError):
+            estimate_density_at_zero([0.5, bad, -0.5], McConfig(seed=33))
+
 
 def test_coverage_calibration_quick():
     # scaled-down version of the acceptance calibration: target well inside

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from lcmoments.errors import DomainError, QuadratureError
+from lcmoments.errors import DomainError, NumericalError, QuadratureError
 from lcmoments.specfun import (
     as_order,
     exp_power_integral,
@@ -98,6 +98,29 @@ def test_exp_power_integral_domain_errors():
     with pytest.raises(DomainError):
         exp_power_integral(0.5, -0.1)
     assert exp_power_integral(0.5, 0.0) == 0.0
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        # scipy's 1F1 does not return at c = inf
+        (lambda: exp_power_integral(2.0, math.inf), DomainError),
+        (lambda: exp_power_integral(2.0, math.nan), DomainError),
+        # c^(p+1) overflows
+        (lambda: exp_power_integral(2.0, 1e308), NumericalError),
+        # 1F1 overflows
+        (lambda: exp_power_integral(2.0, 800.0), NumericalError),
+        (lambda: gamma(math.inf), DomainError),
+        (lambda: gamma(math.nan), DomainError),
+        (lambda: gamma(172.0), NumericalError),
+        # Tricomi's U overflows (moment_et would stop at Gamma(p+1) first)
+        (lambda: shifted_exp_moment(1e4, 1e-3), NumericalError),
+    ],
+    ids=["epi-inf", "epi-nan", "epi-1e308", "epi-800", "gamma-inf", "gamma-nan", "gamma-172", "sem-1e4"],
+)
+def test_non_finite_input_or_overflow_fails_loudly(call, error):
+    with pytest.raises(error):
+        call()
 
 
 @pytest.mark.parametrize("p", [-0.5, 0.5, 1.0, 3.0])
