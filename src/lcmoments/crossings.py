@@ -5,8 +5,10 @@ gap), pointwise one-signed once alpha + beta*x + gamma*x^q is pinned at the
 density gap's three crossings.  Between breakpoints each gap is a sum of at
 most four exponentials (``expfamily._abs_ebar_terms``), whose zeros Rolle
 recursion isolates exactly, the constructive proof of Laguerre's rule of
-signs (Polya-Szego, Problems and Theorems in Analysis II, Part V).  A sign
-change across a breakpoint (the t = 0 jump at e/2) is a crossing there.
+signs (Polya-Szego, Problems and Theorems in Analysis II, Part V).
+Bisection runs on the sum's value alone; its rounding bound is taken only
+at run ends and stationary points, where the certificate reads a sign.  A
+sign change across a breakpoint (the t = 0 jump at e/2) is a crossing there.
 
 By Descartes' rule of signs for real exponents (same source; G. J. O.
 Jameson, Math. Gazette 90, 2006) the power gap x^p - alpha - beta*x -
@@ -24,7 +26,8 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from itertools import pairwise
+from functools import partial
+from itertools import combinations, pairwise
 
 import numpy as np
 
@@ -84,6 +87,19 @@ def _normalized(coef: dict[int, float]) -> dict[int, float]:
     return {i: c / scale for i, c in coef.items()}
 
 
+def _exp_sum_value(pairs, lo: float, x: float) -> float:
+    """The sum of c * exp(rate * (x - lo)) over the (c, rate) pairs."""
+    return math.fsum([c * math.exp(r * (x - lo)) for c, r in pairs])
+
+
+def _exp_sum_bounded(pairs, lo: float, x: float) -> tuple[float, float]:
+    """``_exp_sum_value`` and the rounding bound a sign of it must exceed."""
+    exponents = [r * (x - lo) for _, r in pairs]
+    parts = [c * math.exp(e) for (c, _), e in zip(pairs, exponents)]
+    bound = _SIGN_MARGIN * sum(abs(v) * (1.0 + abs(e)) for v, e in zip(parts, exponents) if v)
+    return math.fsum(parts), bound
+
+
 def _exp_sum_zeros(terms, lo: float, hi: float):
     """The zeros of g(x) = sum c * exp(rate * (x - lo)) on (lo, hi); hi may be inf.
 
@@ -105,14 +121,6 @@ def _exp_sum_zeros(terms, lo: float, hi: float):
         for a, ra in zip(keys, rates)
     ]
 
-    def evaluate(coef, x):
-        """The sum and its rounding bound, in the frame of its fastest-growing term."""
-        top = max(coef)
-        exponents = [diff[i][top] * (x - lo) for i in coef]
-        parts = [c * math.exp(e) for c, e in zip(coef.values(), exponents)]
-        bound = _SIGN_MARGIN * sum(abs(v) * (1.0 + abs(e)) for v, e in zip(parts, exponents) if v)
-        return math.fsum(parts), bound
-
     def zeros(coef):
         """Rolle recursion: the zeros of the derivative, in the frame of the
         median rate (which keeps the shifted rates moderate), cut (lo, hi)
@@ -121,11 +129,14 @@ def _exp_sum_zeros(terms, lo: float, hi: float):
             return [], True
         k = list(coef)[len(coef) // 2]
         stationary, certified = zeros(_normalized({i: c * diff[i][k] for i, c in coef.items() if i != k}))
+        # (c, rate) pairs in the frame of the fastest-growing term
+        top = max(coef)
+        pairs = [(c, diff[i][top]) for i, c in coef.items()]
         edges = [lo, *stationary, hi]
-        values = [evaluate(coef, x) for x in edges]
+        values = [_exp_sum_bounded(pairs, lo, x) for x in edges]
         certified = certified and all(abs(v) > bound for v, bound in values)
         found = [
-            bisect_root(lambda x: evaluate(coef, x)[0], a, b)
+            bisect_root(partial(_exp_sum_value, pairs, lo), a, b)
             for (a, (va, _)), (b, (vb, _)) in pairwise(zip(edges, values))
             if (va < 0.0) != (vb < 0.0)
         ]
@@ -138,7 +149,7 @@ def _exp_sum_zeros(terms, lo: float, hi: float):
         logs = [math.log(len(keys) * abs(c)) - math.log(abs(coef[top])) for c in coef.values()]
         hi = lo + max([0.0, *(logs[i] / -diff[i][top] for i in range(top))])
     found, certified = zeros(coef)
-    return tuple(found), "+" if evaluate(coef, lo)[0] > 0.0 else "-", certified
+    return tuple(found), "+" if math.fsum(coef.values()) > 0.0 else "-", certified
 
 
 def _gap_pieces(s: float, t: float):
@@ -180,15 +191,12 @@ def vandermonde_coeffs(p: float, q: float, x1: float, x2: float, x3: float) -> t
     The system's matrix is of generalized-Vandermonde type, hence invertible
     for valid inputs; near-singularity is still guarded numerically.
     """
-    if not (0.0 < x1 < x2 < x3):
-        raise DomainError(f"nodes must satisfy 0 < x1 < x2 < x3, got {(x1, x2, x3)}")
+    if not (0.0 < x1 < x2 < x3 < math.inf):
+        raise DomainError(f"nodes must be finite and satisfy 0 < x1 < x2 < x3, got {(x1, x2, x3)}")
     if not (math.isfinite(p) and 2.0 < q < math.inf):
         raise DomainError(f"need a finite p and a finite interpolation exponent q > 2, got p={p}, q={q}")
-    exps = (0.0, 1.0, p, q)
-    for i in range(4):
-        for j in range(i + 1, 4):
-            if abs(exps[i] - exps[j]) <= 1e-12:
-                raise DomainError(f"exponents 0, 1, p={p}, q={q} must be pairwise distinct")
+    if min(abs(a - b) for a, b in combinations((0.0, 1.0, p, q), 2)) <= 1e-12:
+        raise DomainError(f"exponents 0, 1, p={p}, q={q} must be pairwise distinct")
 
     nodes = np.array([x1, x2, x3], dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -256,11 +264,17 @@ def matching_order(
     root comes from ``constants._tie`` under the L_1 normalisation, which
     raises NumericalError when the root falls on a bracket end, and
     BracketError when the bracket holds no sign change or the root's
-    residual exceeds 1e-10 of the moments' size.
+    residual exceeds 1e-10 of the moments' size.  Against a 40-digit root
+    the relative error is at most 6e-14 for t in [0.05, 0.95] and grows as t
+    nears the baseline, where the members coincide: baseline 0, 6.3e-12 at
+    t = 1e-3, 1.6e-6 at 1e-5; baseline 1, 7.8e-11 at 0.999, 4.1e-7 at 1 - 1e-5.
     """
-    if not 0.0 < t < 1.0:
-        raise DomainError(f"t must lie strictly inside (0, 1), got {t}")
-    return _tie(baseline_t, t, *bracket, family_scale)
+    lo, hi = bracket
+    if not (0.0 < t < 1.0 and 0.0 <= baseline_t <= 1.0 and baseline_t != t):
+        raise DomainError(f"need t in (0, 1) and a distinct baseline_t in [0, 1], got t={t}, baseline_t={baseline_t}")
+    if not -1.0 < lo < hi < math.inf:
+        raise DomainError(f"bracket must be finite orders with -1 < lo < hi, got {bracket}")
+    return _tie(baseline_t, t, lo, hi, family_scale)
 
 
 def _decomposition_regime(p: float, p0: float):
@@ -284,7 +298,8 @@ def nonneg_decomposition_check(t: float, p) -> bool:
     NumericalError if a solved coefficient is within rounding of zero, by
     the interpolation system's condition number, or the coefficients do not
     change sign three times.  t must lie where ``matching_order`` and
-    ``verify_3crossings`` resolve, about [1e-5, 1 - 1e-5].
+    ``verify_3crossings`` resolve, about [1e-5, 1 - 1e-5]; the exponent q
+    carries ``matching_order``'s error, up to about 1e-6 relative at those ends.
     """
     p = as_order(p)
     if not 0.0 < t < 1.0:

@@ -11,6 +11,8 @@ from lcmoments.constants import find_p0
 from lcmoments.crossings import (
     SignChangeReport,
     _decomposition_regime,
+    _exp_sum_bounded,
+    _exp_sum_value,
     _exp_sum_zeros,
     _gap_crossings,
     _gap_pieces,
@@ -63,6 +65,19 @@ class TestExpSumZeros:
     def test_cancelling_terms_are_not_certified(self):
         terms = [_term(1.0, -1.0), _term(-1.0, -1.0)]
         assert not _exp_sum_zeros(terms, 0.0, 1.0)[2]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        pairs=st.lists(st.tuples(st.floats(-10.0, 10.0), st.floats(-20.0, 20.0)), min_size=1, max_size=4),
+        lo=st.floats(-5.0, 5.0),
+        offset=st.floats(0.0, 30.0),
+    )
+    def test_value_is_the_bounded_value_bit_for_bit(self, pairs, lo, offset):
+        # bisection reads the value alone; the certificate reads the bounded one
+        x = lo + offset
+        value, bound = _exp_sum_bounded(pairs, lo, x)
+        assert _exp_sum_value(pairs, lo, x).hex() == value.hex()
+        assert bound >= 0.0
 
 
 class TestGapPieces:
@@ -157,6 +172,11 @@ class TestVandermondeCoeffs:
     def test_non_finite_exponents_rejected(self, p, q):
         with pytest.raises(DomainError, match="finite"):
             vandermonde_coeffs(p, q, 1.0, 2.0, 3.0)
+
+    @pytest.mark.parametrize("nodes", [(1.0, 2.0, math.inf), (1.0, 2.0, math.nan), (math.nan, 2.0, 3.0)])
+    def test_non_finite_nodes_rejected(self, nodes):
+        with pytest.raises(DomainError, match="finite"):
+            vandermonde_coeffs(3.5, 2.5, *nodes)
 
     @pytest.mark.parametrize("p, q", [(1000.0, 3.0), (0.5, 1000.0)])
     def test_overflow_at_the_nodes(self, p, q):
@@ -255,6 +275,26 @@ def test_outside_the_band_certified_or_numerical_error(t):
         assert report.pattern == "+-+-"
 
 
+def _mp_normalized_moment(q, u):
+    """E|E_u|^q / scale(u)^q by the three-term formula, at mpmath's precision."""
+    c = 1 - u
+    head = c ** (q + 1) / (q + 1) * mpmath.hyp1f1(q + 1, q + 2, c) + mpmath.gamma(q + 1)
+    total = mpmath.exp(u - 1) / (1 + u) * head
+    if u > 0:
+        w = (1 - u) / u
+        total += u / (1 + u) * u**q * mpmath.exp(w) * mpmath.gammainc(q + 1, w)
+    return total / (2 * mpmath.exp(u - 1) / (1 + u)) ** q
+
+
+def _mp_matching_order(q, t, baseline, bracket):
+    """The 40-digit tie of the baseline and t, started from q, checked inside the bracket."""
+    with mpmath.workdps(40):
+        b, u = mpmath.mpf(baseline), mpmath.mpf(t)
+        root = mpmath.findroot(lambda x: _mp_normalized_moment(x, b) - _mp_normalized_moment(x, u), mpmath.mpf(q))
+    assert bracket[0] < root < bracket[1]
+    return float(root)
+
+
 class TestMatchingOrder:
     def test_default_bracket(self):
         q = matching_order(0.5)
@@ -290,22 +330,38 @@ class TestMatchingOrder:
     )
     @pytest.mark.parametrize("t", np.linspace(0.05, 0.95, 10))
     def test_matches_mpmath_root(self, t, baseline, bracket):
-        def mp_normalized_moment(q, u):
-            """E|E_u|^q / scale(u)^q by the three-term formula, at mpmath's precision."""
-            c = 1 - u
-            head = c ** (q + 1) / (q + 1) * mpmath.hyp1f1(q + 1, q + 2, c) + mpmath.gamma(q + 1)
-            total = mpmath.exp(u - 1) / (1 + u) * head
-            if u > 0:
-                w = (1 - u) / u
-                total += u / (1 + u) * u**q * mpmath.exp(w) * mpmath.gammainc(q + 1, w)
-            return total / (2 * mpmath.exp(u - 1) / (1 + u)) ** q
-
         q = matching_order(t, bracket, baseline_t=baseline)
-        with mpmath.workdps(40):
-            b, u = mpmath.mpf(baseline), mpmath.mpf(t)
-            root = mpmath.findroot(lambda x: mp_normalized_moment(x, b) - mp_normalized_moment(x, u), mpmath.mpf(q))
-        assert bracket[0] < root < bracket[1]
-        assert q == pytest.approx(float(root), rel=1e-12, abs=0.0)
+        assert q == pytest.approx(_mp_matching_order(q, t, baseline, bracket), rel=1e-12, abs=0.0)
+
+    # near its baseline t's member nearly coincides with it, and the root
+    # is resolved less finely (the docstring's accuracy statement)
+    @pytest.mark.parametrize(
+        "baseline, bracket",
+        [(1.0, (2.0, 4.0)), (1.0, (find_p0(), 4.0)), (0.0, (2.0, find_p0()))],
+        ids=["symmetric-2-4", "symmetric-p0-4", "one-sided-2-p0"],
+    )
+    @pytest.mark.parametrize("t", [1e-3, 0.01, 0.99, 0.999])
+    def test_matches_mpmath_root_near_the_baseline(self, t, baseline, bracket):
+        q = matching_order(t, bracket, baseline_t=baseline)
+        rel = max(1e-12, 1e-14 / (t - baseline) ** 2)
+        assert q == pytest.approx(_mp_matching_order(q, t, baseline, bracket), rel=rel, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "t, bracket, baseline",
+        [
+            (0.5, (2.0, 4.0), 0.5),
+            (0.5, (4.0, 2.0), 1.0),
+            (0.5, (math.nan, 4.0), 1.0),
+            (0.5, (2.0, math.inf), 1.0),
+            (0.5, (-2.0, 4.0), 1.0),
+            (0.5, (2.0, 4.0), 1.5),
+            (0.5, (2.0, 4.0), math.nan),
+            (1.0, (2.0, 4.0), 0.0),
+        ],
+    )
+    def test_bad_arguments_rejected_up_front(self, t, bracket, baseline):
+        with pytest.raises(DomainError):
+            matching_order(t, bracket, baseline_t=baseline)
 
     def test_bad_bracket(self):
         with pytest.raises(BracketError):
