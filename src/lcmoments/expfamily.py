@@ -20,9 +20,9 @@ densities together with the matching construction: for any mean-zero
 log-concave X there is a unique (a, b) with matching P(X > 0) and E|X|,
 and moments of convex powers can only grow when X is swapped for X(a, b).
 Fradelizi's comparison bounds them too, by the moments of the Laplace
-density f(0) e^{-2 f(0) |x|}, which are closed-form.  P(X > 0), E|X| and
-E|X|^p of a catalogue density all come from ``abs_moment`` and its
-one-sided half, which hold the package's only quadrature.
+density f(0) e^{-2 f(0) |x|}, which are closed-form.  Each catalogue
+density carries its E|X|^p and P(X > 0) in closed form as well, so no
+check in this module integrates.
 """
 
 from __future__ import annotations
@@ -33,10 +33,11 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy import special
 
 from .errors import DomainError
 from .search import bisect_root
-from .specfun import as_order, exp_power_integral, gamma, integrate_adaptive, shifted_exp_moment
+from .specfun import as_order, exp_power_integral, gamma, shifted_exp_moment
 
 __all__ = [
     "TwoSidedExpParams",
@@ -62,7 +63,9 @@ __all__ = [
 _INV_E = 1.0 / math.e
 _TWO_OVER_E = 2.0 * _INV_E
 
-# relative slack of the comparison checks, for the quadrature error of their sides
+# relative slack of the comparison checks.  Both sides are closed forms, so it
+# covers rounding and the matched (a, b): u -> e^(u-1)/(1+u) is flat at u = 0,
+# so inverting it near the one-sided end loses up to half the digits of u
 COMPARISON_SLACK = 1e-8
 
 
@@ -223,11 +226,15 @@ def density_abs_ebar(t: float, x):
 
 @dataclass(frozen=True)
 class LogConcaveTestDensity:
-    """A mean-zero log-concave density with known support and kink locations."""
+    """A mean-zero log-concave density with known support and kink locations,
+    its absolute moments ``moment(p) = E|X|^p`` (p > -1) and P(X > 0), both
+    in closed form."""
 
     name: str
     pdf: Callable
     support: tuple[float, float]
+    moment: Callable[[float], float]
+    prob_positive: float
     breakpoints: tuple[float, ...] = ()
 
 
@@ -235,10 +242,14 @@ def two_sided_exponential_density(a: float, b: float) -> LogConcaveTestDensity:
     params = TwoSidedExpParams(a, b)
     lo = -math.inf if b > 0.0 else params.breakpoint
     hi = math.inf if a > 0.0 else params.breakpoint
+    # |X(a, b)| is distributed as big * |E_u| with u = small / big
+    big, small = max(a, b), min(a, b)
     return LogConcaveTestDensity(
         name=f"two-sided-exponential({a:g},{b:g})",
         pdf=lambda x: density_xab(params, x),
         support=(lo, hi),
+        moment=lambda p: big**p * moment_et(p, small / big),
+        prob_positive=prob_positive(params),
         breakpoints=(params.breakpoint,),
     )
 
@@ -253,7 +264,7 @@ def centred_uniform(half_width: float) -> LogConcaveTestDensity:
         xs = np.asarray(x, dtype=float)
         return np.where(np.abs(xs) <= c, height, 0.0)
 
-    return LogConcaveTestDensity(f"centred-uniform({c:g})", pdf, (-c, c))
+    return LogConcaveTestDensity(f"centred-uniform({c:g})", pdf, (-c, c), lambda p: c**p / (p + 1.0), 0.5)
 
 
 def centred_gaussian(sigma: float) -> LogConcaveTestDensity:
@@ -266,7 +277,10 @@ def centred_gaussian(sigma: float) -> LogConcaveTestDensity:
         xs = np.asarray(x, dtype=float)
         return norm * np.exp(-0.5 * (xs / s) ** 2)
 
-    return LogConcaveTestDensity(f"centred-gaussian({s:g})", pdf, (-math.inf, math.inf))
+    def moment(p):
+        return s**p * 2.0 ** (p / 2.0) * gamma((p + 1.0) / 2.0) / math.sqrt(math.pi)
+
+    return LogConcaveTestDensity(f"centred-gaussian({s:g})", pdf, (-math.inf, math.inf), moment, 0.5)
 
 
 def truncated_exponential(cut: float) -> LogConcaveTestDensity:
@@ -284,7 +298,14 @@ def truncated_exponential(cut: float) -> LogConcaveTestDensity:
         inside = (xs >= -mean) & (xs <= cut - mean)
         return np.where(inside, np.exp(-(xs + mean)) / z, 0.0)
 
-    return LogConcaveTestDensity(f"truncated-exponential({cut:g})", pdf, (-mean, cut - mean))
+    def moment(p):
+        # X + mean has density e^-y / z on [0, cut]; below the mean this leaves
+        # e^-mean int_0^mean x^p e^x dx, above it e^-mean Gamma(p+1) P(p+1, cut-mean)
+        lower = gamma(p + 1.0) * float(special.gammainc(p + 1.0, cut - mean))
+        return math.exp(-mean) * (exp_power_integral(p, mean) + lower) / z
+
+    positive = (math.exp(-mean) - math.exp(-cut)) / z
+    return LogConcaveTestDensity(f"truncated-exponential({cut:g})", pdf, (-mean, cut - mean), moment, positive)
 
 
 def catalogue() -> list[LogConcaveTestDensity]:
@@ -299,30 +320,9 @@ def catalogue() -> list[LogConcaveTestDensity]:
     ]
 
 
-def _one_sided_abs_moment(pdf, upper, p, breakpoints):
-    """int_0^upper x^p pdf(x) dx.  For p < 0 the singular x^p is integrated
-    exactly against pdf(0) on [0, min(upper, 1)], and the quadrature there
-    sees only x^p (pdf(x) - pdf(0)), bounded since a log-concave density is
-    Lipschitz at the interior point 0."""
-    if p >= 0.0:
-        return integrate_adaptive(lambda x: x**p * float(pdf(x)), 0.0, upper, points=breakpoints)
-    head, f0 = min(upper, 1.0), float(pdf(0.0))
-    near = f0 * head ** (1.0 + p) / (1.0 + p)
-    near += integrate_adaptive(lambda x: x**p * (float(pdf(x)) - f0), 0.0, head, points=breakpoints)
-    if upper <= 1.0:
-        return near
-    return near + integrate_adaptive(lambda x: x**p * float(pdf(x)), 1.0, upper, points=breakpoints)
-
-
 def abs_moment(density: LogConcaveTestDensity, p) -> float:
-    """E|X|^p for a catalogue density, by quadrature split at 0 and all kinks."""
-    p = as_order(p)
-    lo, hi = density.support
-    pos_bps = [b for b in density.breakpoints if b > 0.0]
-    neg_bps = [-b for b in density.breakpoints if b < 0.0]
-    right = _one_sided_abs_moment(density.pdf, hi, p, pos_bps)
-    left = _one_sided_abs_moment(lambda x: density.pdf(-x), -lo, p, neg_bps)
-    return left + right
+    """E|X|^p for a catalogue density, from its closed form."""
+    return density.moment(as_order(p))
 
 
 # ---------------------------------------------------------------------------
@@ -347,9 +347,7 @@ def reduction_check(density: LogConcaveTestDensity, p) -> ComparisonCheck:
     and concave for 0 < p < 1 (the inequality reverses).
     """
     p = as_order(p)
-    hi = density.support[1]
-    alpha = _one_sided_abs_moment(density.pdf, hi, 0.0, [b for b in density.breakpoints if b > 0.0])
-    alpha = min(alpha, 1.0 - alpha)
+    alpha = min(density.prob_positive, 1.0 - density.prob_positive)
 
     l1 = abs_moment(density, 1.0)
     params = match_two_sided(alpha, l1)

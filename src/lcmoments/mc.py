@@ -1,6 +1,6 @@
 """Seeded Monte-Carlo oracles for moments and densities.
 
-These estimators exist to validate the closed-form and quadrature routes,
+These estimators exist to validate the closed-form routes,
 so reproducibility is strict: sampling is split into fixed-size chunks, the
 counter-based Philox generator for chunk c is keyed by (seed, c), and
 reductions run in chunk order, so identical configurations give

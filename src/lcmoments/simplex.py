@@ -151,12 +151,17 @@ def density_at_zero(weights: WeightVector) -> float:
 
 
 def section_volume(weights: WeightVector, n: int) -> float:
-    """vol_{n-1} of the central section with the given unit normal."""
+    """vol_{n-1} of the central section with the given unit normal.  From
+    n = 172 on, (n - 1)! exceeds the largest float and NumericalError is raised."""
     if n < 2:
         raise DomainError(f"sections need dimension n >= 2, got {n}")
     if len(weights) != n + 1:
         raise DomainError(f"normal of a {n}-simplex section needs {n + 1} coordinates")
-    return math.sqrt(n + 1.0) / math.factorial(n - 1) * density_at_zero(weights)
+    try:
+        scale = math.sqrt(n + 1.0) / math.factorial(n - 1)
+    except OverflowError as exc:
+        raise NumericalError(f"(n - 1)! overflows a float at n = {n}") from exc
+    return scale * density_at_zero(weights)
 
 
 # ---------------------------------------------------------------------------

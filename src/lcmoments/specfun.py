@@ -8,13 +8,14 @@ exponential-weighted integrals, both evaluated in closed form:
 
 The first is Kummer's function 1F1 (DLMF 13.2), the second the upper
 incomplete gamma function (DLMF 8.2) or, once e^u would overflow, Tricomi's
-U (DLMF 13.6).  ``integrate_adaptive`` serves only the generic-density
-moments and checks in ``expfamily``, at one fixed tolerance.
+U (DLMF 13.6).  No route of the package integrates: ``integrate_adaptive``,
+at one fixed tolerance, is the quadrature that the tests compare the
+closed forms against.
 
-``scipy.integrate`` takes about half a second to import and only those
-checks use it, so it loads on the first access to ``specfun.integrate``
-(PEP 562), not with the package.  ``_quad`` reads that module attribute
-at each call, so whatever is bound to it at the time does the integrating.
+``scipy.integrate`` takes about half a second to import, so it loads on
+the first access to ``specfun.integrate`` (PEP 562), not with the package.
+``_quad`` reads that module attribute at each call, so whatever is bound
+to it at the time does the integrating.
 """
 
 from __future__ import annotations

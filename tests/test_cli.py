@@ -100,6 +100,19 @@ def test_slice_with_projection(capsys):
     assert payload["outputs"]["volume"] == pytest.approx(math.sqrt(1.5), abs=1e-8)
 
 
+@pytest.mark.parametrize("n", [171, 172, 200])
+def test_slice_volume_where_the_factorial_overflows(capsys, n):
+    weights = ",".join(["1", "-1", *["0"] * (n - 1)])
+    code = main(["slice", "--weights", weights, "--project", "--volume"])
+    out, err = capsys.readouterr()
+    if n == 171:
+        assert code == 0
+        assert 0.0 < json.loads(out)["outputs"]["volume"] < math.inf
+    else:
+        assert code == 2 and out == ""
+        assert "overflows" in json.loads(err)["message"]
+
+
 def test_slice_json_weights(capsys):
     code, payload = _run(capsys, ["slice", "--weights", "[0.7071067811865476, -0.7071067811865476]"])
     assert code == 0
@@ -201,6 +214,31 @@ def test_malformed_input_exits_2(tmp_path, capsys, argv, usage_error):
         assert "lcmoments: error:" in err
     else:
         assert json.loads(err)["status"] == "error"
+
+
+@pytest.mark.parametrize(
+    "argv, p",
+    [
+        (["scan", "--p", "-6.3e-05", "--grid", "100"], -6.3e-05),
+        (["moment", "--p", "-1e-3", "--t", "0.5"], -1e-3),
+        (["moment", "--p", "-5E-1", "--t", "0.5"], -0.5),
+    ],
+)
+def test_negative_order_in_exponent_notation(capsys, argv, p):
+    code, payload = _run(capsys, argv)
+    assert code == 0
+    assert payload["inputs"]["p"] == p
+
+
+def test_negative_exponent_notation_reaches_the_order_check(capsys):
+    # -.5e1 is the number -5: the order check rejects it, not the parser
+    assert main(["moment", "--p", "-.5e1", "--t", "0.5"]) == 2
+    assert "got -5.0" in json.loads(capsys.readouterr().err)["message"]
+
+
+def test_negative_non_number_is_an_option_name(capsys):
+    assert main(["moment", "--p", "-x", "--t", "0.5"]) == 2
+    assert "expected one argument" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -257,6 +257,17 @@ class TestSectionVolume:
         with pytest.raises(DomainError):
             section_volume(_pair_normal(2, 0, 1), 3)
 
+    def test_largest_dimension_with_a_finite_factorial(self):
+        w = _pair_normal(171, 0, 1)
+        volume = section_volume(w, 171)
+        assert 0.0 < volume < math.inf
+        assert volume == math.sqrt(172.0) / math.factorial(170) * density_at_zero(w)
+
+    @pytest.mark.parametrize("n", [172, 200])
+    def test_factorial_past_the_largest_float_raises(self, n):
+        with pytest.raises(NumericalError, match="overflows"):
+            section_volume(_pair_normal(n, 0, 1), n)
+
 
 class TestGeometryOracle:
     def test_triangle_matches_formula(self):
