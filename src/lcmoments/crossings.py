@@ -266,8 +266,11 @@ def matching_order(
     BracketError when the bracket holds no sign change or the root's
     residual exceeds 1e-10 of the moments' size.  Against a 40-digit root
     the relative error is at most 6e-14 for t in [0.05, 0.95] and grows as t
-    nears the baseline, where the members coincide: baseline 0, 6.3e-12 at
-    t = 1e-3, 1.6e-6 at 1e-5; baseline 1, 7.8e-11 at 0.999, 4.1e-7 at 1 - 1e-5.
+    nears the baseline, where the members coincide and the gap of two nearly
+    equal normalized moments cancels: baseline 0, 1.9e-12 at t = 0.01,
+    6.3e-12 at 1e-3 and 1.6e-6 at 1e-5; baseline 1, about 2e-12 at t = 0.99,
+    7.8e-11 at 0.999 and 4.1e-7 at 1 - 1e-5.  Near the ends of t the
+    decomposition check runs on an order good to about that accuracy.
     """
     lo, hi = bracket
     if not (0.0 < t < 1.0 and 0.0 <= baseline_t <= 1.0 and baseline_t != t):

@@ -283,6 +283,17 @@ def centred_gaussian(sigma: float) -> LogConcaveTestDensity:
     return LogConcaveTestDensity(f"centred-gaussian({s:g})", pdf, (-math.inf, math.inf), moment, 0.5)
 
 
+def _truncated_exponential_mean(cut: float) -> float:
+    """Mean 1 - cut / (e^cut - 1) of the standard exponential conditioned on
+    [0, cut].  Below cut = 0.1 the subtraction would cancel, so the mean
+    comes from the Bernoulli series cut/2 - cut^2/12 + cut^4/720 - ... of
+    the same function; the first omitted term is below 1e-17 of the mean."""
+    if cut < 0.1:
+        c2 = cut * cut
+        return cut * (0.5 - cut * (1.0 / 12.0 - c2 * (1.0 / 720.0 - c2 * (1.0 / 30240.0 - c2 / 1209600.0))))
+    return 1.0 - cut / math.expm1(cut)
+
+
 def truncated_exponential(cut: float) -> LogConcaveTestDensity:
     """Standard exponential conditioned on [0, cut], shifted to mean zero.
 
@@ -290,8 +301,8 @@ def truncated_exponential(cut: float) -> LogConcaveTestDensity:
     """
     if not 0.0 < cut < math.inf:
         raise DomainError(f"cut must be finite and positive, got {cut}")
-    z = 1.0 - math.exp(-cut)
-    mean = (1.0 - (1.0 + cut) * math.exp(-cut)) / z
+    z = -math.expm1(-cut)
+    mean = _truncated_exponential_mean(cut)
 
     def pdf(x):
         xs = np.asarray(x, dtype=float)
@@ -304,7 +315,8 @@ def truncated_exponential(cut: float) -> LogConcaveTestDensity:
         lower = gamma(p + 1.0) * float(special.gammainc(p + 1.0, cut - mean))
         return math.exp(-mean) * (exp_power_integral(p, mean) + lower) / z
 
-    positive = (math.exp(-mean) - math.exp(-cut)) / z
+    # (e^-mean - e^-cut) / z, without the cancellation of the two exponentials
+    positive = -math.exp(-mean) * math.expm1(mean - cut) / z
     return LogConcaveTestDensity(f"truncated-exponential({cut:g})", pdf, (-mean, cut - mean), moment, positive)
 
 

@@ -6,18 +6,26 @@ counter-based Philox generator for chunk c is keyed by (seed, c), and
 reductions run in chunk order, so identical configurations give
 bit-identical estimates.
 
+The chunks run on two lanes: the calling thread takes the even chunks and
+one helper thread the odd ones.  Each lane allocates its buffers once, and
+the per-chunk results are merged in chunk order, so every estimate is the
+one a serial loop over the chunks gives, whatever the thread scheduling.
+
 The draws (E, E') depend on the seed and the sample count alone, so every
 member a(E-1) - b(E'-1) of the two-sided family shares them under one
 configuration.  `estimate_xab_moments` makes one pass over the chunks that
 serves many (params, p) cases: each chunk is drawn once, and each case only
-adds its |x|^p to per-block sums, so memory stays at a few chunks whatever
-the sample count.  `sample_xab` followed by `estimate_abs_moment` is the
-array route over the same samples, for raw samples and as a test oracle.
+adds its |x|^p to per-block sums, so memory stays at about three chunks per
+lane whatever the sample count.  `sample_xab` followed by
+`estimate_abs_moment` is the array route over the same samples, for raw
+samples and as a test oracle.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,35 +88,80 @@ def _chunk_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, index))))
 
 
-def _centred_draws(cfg: McConfig):
-    """Yield (start, E-1, E'-1) chunk by chunk, in two reused buffers."""
-    e1 = np.empty(min(cfg.samples, _CHUNK))
-    e2 = np.empty_like(e1)
-    start = 0
-    for c, size in enumerate(_chunk_sizes(cfg.samples)):
-        rng = _chunk_rng(cfg.seed, c)
-        d1, d2 = e1[:size], e2[:size]
-        rng.standard_exponential(out=d1)
-        rng.standard_exponential(out=d2)
-        d1 -= 1.0
-        d2 -= 1.0
-        yield start, d1, d2
-        start += size
+def _two_lanes(sizes: list[int], buffers, work) -> list:
+    """[work(c, size, *lane) for c, size in enumerate(sizes)], on two lanes.
+
+    The calling thread takes the even chunks and one helper thread, started
+    in a copy of the caller's context (so numpy's error state carries over),
+    the odd ones.  Each lane calls `buffers()` once and passes what it
+    returns to every `work` call it makes.  The results come back in chunk
+    order.  A lane stops before any chunk past one that failed, and once the
+    helper has ended, the error of the lowest failing chunk is raised here:
+    the one a serial loop over the chunks would raise.
+    """
+    results = [None] * len(sizes)
+    errors = []  # (chunk, exception); appends are atomic
+
+    def lane(first):
+        c = first
+        try:
+            lane_buffers = buffers()
+            for c in range(first, len(sizes), 2):
+                if any(failed < c for failed, _ in errors):
+                    return
+                results[c] = work(c, sizes[c], *lane_buffers)
+        except BaseException as exc:  # re-raised in the calling thread
+            errors.append((c, exc))
+
+    helper = None
+    if len(sizes) > 1:
+        helper = threading.Thread(target=contextvars.copy_context().run, args=(lane, 1), name="lcmoments-mc-lane")
+        helper.start()
+    lane(0)
+    if helper is not None:
+        helper.join()
+    if errors:
+        raise min(errors, key=lambda error: error[0])[1]
+    return results
+
+
+def _lane_buffers(cfg: McConfig, rows: int) -> tuple[np.ndarray, ...]:
+    """One lane's buffers: `rows` chunk-long rows, then a quarter-chunk scratch."""
+    return (*np.empty((rows, min(cfg.samples, _CHUNK))), np.empty(_CHUNK // 4))
+
+
+def _draw_chunk(seed: int, c: int, size: int, e1, e2):
+    """E-1 and E'-1 of chunk c, drawn into the first `size` entries of e1 and e2."""
+    rng = _chunk_rng(seed, c)
+    d1, d2 = e1[:size], e2[:size]
+    rng.standard_exponential(out=d1)
+    rng.standard_exponential(out=d2)
+    d1 -= 1.0
+    d2 -= 1.0
+    return d1, d2
 
 
 def _xab_into(params: TwoSidedExpParams, d1, d2, out, scratch) -> None:
-    """out = a (E-1) - b (E'-1), rounded as the plain array expression."""
+    """out = a (E-1) - b (E'-1), rounded as the plain array expression; the
+    b (E'-1) term goes through `scratch` a piece at a time."""
     np.multiply(d1, params.a, out=out)
-    np.multiply(d2, params.b, out=scratch)
-    np.subtract(out, scratch, out=out)
+    for lo in range(0, out.size, scratch.size):
+        part = slice(lo, lo + scratch.size)
+        tmp = scratch[: out[part].size]
+        np.multiply(d2[part], params.b, out=tmp)
+        np.subtract(out[part], tmp, out=out[part])
 
 
 def sample_xab(params: TwoSidedExpParams, cfg: McConfig) -> np.ndarray:
     """i.i.d. samples of a(E-1) - b(E'-1), two exponential draws per sample."""
     out = np.empty(cfg.samples)
-    scratch = np.empty(min(cfg.samples, _CHUNK))
-    for start, d1, d2 in _centred_draws(cfg):
-        _xab_into(params, d1, d2, out[start : start + d1.size], scratch[: d1.size])
+
+    def work(c, size, e1, e2, scratch):
+        d1, d2 = _draw_chunk(cfg.seed, c, size, e1, e2)
+        start = c * _CHUNK
+        _xab_into(params, d1, d2, out[start : start + size], scratch)
+
+    _two_lanes(_chunk_sizes(cfg.samples), lambda: _lane_buffers(cfg, 2), work)
     return out
 
 
@@ -169,19 +222,25 @@ def estimate_xab_moments(cases, cfg: McConfig) -> list[McEstimate]:
     cases = [(params, as_order(p)) for params, p in cases]
     n = cfg.samples
     edges = _block_edges(n)
-    block_sums = np.zeros((len(cases), _JACKKNIFE_BLOCKS))
-    x = np.empty(min(n, _CHUNK))
-    scratch = np.empty_like(x)
-    for start, d1, d2 in _centred_draws(cfg):
-        xs, tmp = x[: d1.size], scratch[: d1.size]
+
+    def work(c, size, e1, e2, x, scratch):
+        d1, d2 = _draw_chunk(cfg.seed, c, size, e1, e2)
+        xs, start = x[:size], c * _CHUNK
         # the block holding the chunk's first sample, then each block that
         # starts inside the chunk
         first = int(np.searchsorted(edges, start, side="right")) - 1
-        cuts = np.concatenate(([start], edges[(edges > start) & (edges < start + d1.size)])) - start
-        for sums, (params, p) in zip(block_sums, cases):
-            _xab_into(params, d1, d2, xs, tmp)
+        cuts = np.concatenate(([start], edges[(edges > start) & (edges < start + size)])) - start
+        parts = []
+        for params, p in cases:
+            _xab_into(params, d1, d2, xs, scratch)
             _abs_power_inplace(xs, p)
-            sums[first : first + cuts.size] += np.add.reduceat(xs, cuts)
+            parts.append(np.add.reduceat(xs, cuts))
+        return first, parts
+
+    block_sums = np.zeros((len(cases), _JACKKNIFE_BLOCKS))
+    for first, parts in _two_lanes(_chunk_sizes(n), lambda: _lane_buffers(cfg, 3), work):
+        for sums, part in zip(block_sums, parts):
+            sums[first : first + part.size] += part
     sizes = np.diff(edges)
     return [_jackknife(sums, sizes, n) for sums in block_sums]
 
@@ -191,7 +250,8 @@ def estimate_density_at_zero(weights, cfg: McConfig) -> McEstimate:
 
     Counts samples of sum_j w_j E_j falling in [-w, w] and divides by 2w;
     the window bias is O(w^2), far below the sampling noise at the window
-    and sample sizes used here.
+    and sample sizes used here.  Each chunk's draws come in blocks of rows
+    that continue one stream, so memory does not grow with the dimension.
     """
     w = np.asarray(weights.a if hasattr(weights, "a") else weights, dtype=float)
     if w.ndim != 1 or w.size < 2:
@@ -199,11 +259,23 @@ def estimate_density_at_zero(weights, cfg: McConfig) -> McEstimate:
     if not np.all(np.isfinite(w)):
         raise DomainError(f"weights must be finite, got {w}")
     half = _DENSITY_WINDOW
-    count = 0
-    for c, size in enumerate(_chunk_sizes(cfg.samples)):
+    # rows per block of draws: about one chunk of doubles
+    rows = max(1, _CHUNK // w.size)
+
+    def buffers():
+        return np.empty((rows, w.size)), np.empty(rows)
+
+    def work(c, size, block, sums):
         rng = _chunk_rng(cfg.seed, c)
-        sums = rng.standard_exponential((size, w.size)) @ w
-        count += int(np.count_nonzero(np.abs(sums) <= half))
+        count = 0
+        for lo in range(0, size, rows):
+            draws = block[: min(rows, size - lo)]
+            rng.standard_exponential(out=draws)
+            s = np.matmul(draws, w, out=sums[: draws.shape[0]])
+            count += int(np.count_nonzero(np.abs(s, out=s) <= half))
+        return count
+
+    count = sum(_two_lanes(_chunk_sizes(cfg.samples), buffers, work))
     frac = count / cfg.samples
     estimate = frac / (2.0 * half)
     se = math.sqrt(frac * (1.0 - frac) / cfg.samples) / (2.0 * half)

@@ -1,4 +1,5 @@
-"""A fresh interpreter runs every subcommand and suite without loading scipy.integrate."""
+"""A fresh interpreter runs every subcommand and suite without loading
+scipy.integrate, and no thread outlives the import or a subcommand."""
 
 import os
 import subprocess
@@ -10,10 +11,12 @@ ROOT = Path(__file__).resolve().parents[1]
 
 _SCRIPT = textwrap.dedent(
     """
-    import contextlib, io, sys
+    import contextlib, io, sys, threading
 
     import lcmoments
     from lcmoments import cli
+
+    assert threading.active_count() == 1
 
     commands = [
         ["p0"],
@@ -26,7 +29,7 @@ _SCRIPT = textwrap.dedent(
         ["crossings", "--t", "0.5"],
         ["verify", "--suite", "crossings"],
         ["verify", "--suite", "constants"],
-        ["verify", "--suite", "mc", "--samples", "100000"],
+        ["verify", "--suite", "mc", "--samples", "300000"],  # three chunks, so both lanes run
         ["verify", "--suite", "reduction"],
         ["verify", "--suite", "fradelizi"],
     ]
@@ -34,6 +37,7 @@ _SCRIPT = textwrap.dedent(
         for argv in commands:
             assert cli.main(argv) == 0, argv
             assert "scipy.integrate" not in sys.modules, argv
+            assert threading.active_count() == 1, argv
 
     import scipy.integrate
 

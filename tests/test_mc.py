@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -9,12 +12,56 @@ from lcmoments.errors import DomainError, NumericalError
 from lcmoments.expfamily import TwoSidedExpParams, family_scale, moment_et
 from lcmoments.mc import (
     McConfig,
+    McEstimate,
     estimate_abs_moment,
     estimate_density_at_zero,
     estimate_xab_moments,
     sample_xab,
 )
 from lcmoments.simplex import WeightVector
+
+
+def _centred_draws(cfg: McConfig):
+    """Serial oracle: yield (start, E-1, E'-1) chunk by chunk, in chunk order."""
+    start = 0
+    for c, size in enumerate(mc._chunk_sizes(cfg.samples)):
+        rng = mc._chunk_rng(cfg.seed, c)
+        e1 = rng.standard_exponential(size)
+        e2 = rng.standard_exponential(size)
+        yield start, e1 - 1.0, e2 - 1.0
+        start += size
+
+
+def serial_sample_xab(params, cfg):
+    return np.concatenate([params.a * d1 - params.b * d2 for _, d1, d2 in _centred_draws(cfg)])
+
+
+def serial_xab_moments(cases, cfg):
+    """Serial oracle of estimate_xab_moments: one chunk loop, block sums in chunk order."""
+    n = cfg.samples
+    edges = mc._block_edges(n)
+    block_sums = np.zeros((len(cases), mc._JACKKNIFE_BLOCKS))
+    for start, d1, d2 in _centred_draws(cfg):
+        first = int(np.searchsorted(edges, start, side="right")) - 1
+        cuts = np.concatenate(([start], edges[(edges > start) & (edges < start + d1.size)])) - start
+        for sums, (params, p) in zip(block_sums, cases):
+            xs = params.a * d1 - params.b * d2
+            mc._abs_power_inplace(xs, p)
+            sums[first : first + cuts.size] += np.add.reduceat(xs, cuts)
+    return [mc._jackknife(sums, np.diff(edges), n) for sums in block_sums]
+
+
+def one_shot_density_at_zero(weights, cfg):
+    """Serial oracle of estimate_density_at_zero: each chunk drawn as one array."""
+    w = np.asarray(weights.a if hasattr(weights, "a") else weights, dtype=float)
+    half = mc._DENSITY_WINDOW
+    count = 0
+    for c, size in enumerate(mc._chunk_sizes(cfg.samples)):
+        sums = mc._chunk_rng(cfg.seed, c).standard_exponential((size, w.size)) @ w
+        count += int(np.count_nonzero(np.abs(sums) <= half))
+    frac = count / cfg.samples
+    se = math.sqrt(frac * (1.0 - frac) / cfg.samples) / (2.0 * half)
+    return McEstimate(frac / (2.0 * half), se)
 
 
 class TestConfig:
@@ -215,3 +262,157 @@ def test_coverage_calibration_quick():
         est = estimate_abs_moment(samples, 2.0)
         hits += abs(est.estimate - target) <= 3.0 * est.standard_error
     assert hits >= 27
+
+
+# p < 0, b = 0 and a != 1
+_LANE_CASES = [
+    (TwoSidedExpParams(1.3, 0.4), -0.5),
+    (TwoSidedExpParams(2.0, 0.0), 3.0),
+    (TwoSidedExpParams(0.7, 1.1), 1.0),
+]
+_LANE_WEIGHTS = [
+    WeightVector.from_raw([2.0, -1.0, -1.0], project=True),
+    WeightVector.from_raw([0.3, -1.2, 0.5, 0.9, -0.1, -0.4], project=True),
+]
+
+
+class TestTwoLanes:
+    # 1, 2, 3 and 8 chunks: the caller's lane alone, a one-sample chunk on
+    # the helper, the helper a chunk short, and a short last chunk
+    @pytest.mark.parametrize("samples", [100_000, 131_073, 393_216, 1_000_003])
+    def test_bit_identical_to_the_serial_oracles(self, samples):
+        cfg = McConfig(seed=61, samples=samples)
+        assert estimate_xab_moments(_LANE_CASES, cfg) == serial_xab_moments(_LANE_CASES, cfg)
+        for params, _ in _LANE_CASES:
+            assert np.array_equal(sample_xab(params, cfg), serial_sample_xab(params, cfg))
+        for w in _LANE_WEIGHTS:
+            assert estimate_density_at_zero(w, cfg) == one_shot_density_at_zero(w, cfg)
+
+    def test_bit_identical_when_blocks_span_several_chunks(self, monkeypatch):
+        # at 1e7 samples a jackknife block spans at most two chunks, whose two
+        # sums add the same in either order; 4096-sample chunks give each block
+        # three or four, so only a merge in chunk order matches the oracle
+        monkeypatch.setattr(mc, "_CHUNK", 1 << 12)
+        cfg = McConfig(seed=67, samples=1_000_003)
+        assert estimate_xab_moments(_LANE_CASES, cfg) == serial_xab_moments(_LANE_CASES, cfg)
+        assert np.array_equal(sample_xab(_LANE_CASES[1][0], cfg), serial_sample_xab(_LANE_CASES[1][0], cfg))
+        assert estimate_density_at_zero(_LANE_WEIGHTS[1], cfg) == one_shot_density_at_zero(_LANE_WEIGHTS[1], cfg)
+
+    def test_repeated_calls_agree(self):
+        cfg = McConfig(seed=62, samples=393_216)
+        moments = estimate_xab_moments(_LANE_CASES, cfg)
+        samples = sample_xab(_LANE_CASES[0][0], cfg)
+        density = estimate_density_at_zero(_LANE_WEIGHTS[1], cfg)
+        for _ in range(20):
+            assert estimate_xab_moments(_LANE_CASES, cfg) == moments
+            assert np.array_equal(sample_xab(_LANE_CASES[0][0], cfg), samples)
+            assert estimate_density_at_zero(_LANE_WEIGHTS[1], cfg) == density
+
+    def test_odd_chunks_run_on_one_helper_thread_in_the_callers_errstate(self, monkeypatch):
+        lanes, errstates = {}, {}
+        chunk_rng = mc._chunk_rng
+
+        def recording(seed, index):
+            lanes[index] = threading.get_ident()
+            errstates[index] = np.geterr()["over"]
+            return chunk_rng(seed, index)
+
+        monkeypatch.setattr(mc, "_chunk_rng", recording)
+        with np.errstate(over="raise"):
+            sample_xab(_LANE_CASES[0][0], McConfig(seed=63, samples=1_000_003))
+        assert sorted(lanes) == list(range(8))
+        assert {lanes[c] for c in range(0, 8, 2)} == {threading.get_ident()}
+        helper = {lanes[c] for c in range(1, 8, 2)}
+        assert len(helper) == 1 and threading.get_ident() not in helper
+        assert set(errstates.values()) == {"raise"}
+
+    def test_concurrent_callers_under_fast_thread_switching(self):
+        # four callers and their helpers: eight lanes at once, switching every microsecond
+        cfg = McConfig(seed=66, samples=393_216)
+        expected = serial_xab_moments(_LANE_CASES, cfg)
+        results = []
+        callers = [
+            threading.Thread(target=lambda: results.append(estimate_xab_moments(_LANE_CASES, cfg))) for _ in range(4)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert results == [expected] * 4
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda cfg: estimate_xab_moments(_LANE_CASES, cfg),
+            lambda cfg: sample_xab(_LANE_CASES[0][0], cfg),
+            lambda cfg: estimate_density_at_zero(_LANE_WEIGHTS[0], cfg),
+        ],
+        ids=["estimate_xab_moments", "sample_xab", "estimate_density_at_zero"],
+    )
+    @pytest.mark.parametrize("failing", [{1}, {1, 2}])
+    def test_lane_error_propagates_and_no_thread_outlives_the_call(self, monkeypatch, call, failing):
+        # chunk 1 runs on the helper lane and chunk 2 on the caller's; a serial
+        # loop would stop at chunk 1, so its error is the one raised
+        class ChunkError(RuntimeError):
+            pass
+
+        chunk_rng = mc._chunk_rng
+
+        def failing_rng(seed, index):
+            if index in failing:
+                raise ChunkError(index)
+            return chunk_rng(seed, index)
+
+        monkeypatch.setattr(mc, "_chunk_rng", failing_rng)
+        before = threading.active_count()
+        with pytest.raises(ChunkError) as info:
+            call(McConfig(seed=64, samples=393_216))
+        assert info.value.args == (1,)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("first, second", [(2, 3), (2, 1)])
+    def test_lowest_failing_chunk_wins_whichever_lane_fails_first(self, monkeypatch, first, second):
+        # chunk `first` fails only once `second` has started, and `second`
+        # just after `first`: both errors are recorded, in that order
+        class ChunkError(RuntimeError):
+            pass
+
+        started, failed = threading.Event(), threading.Event()
+        chunk_rng = mc._chunk_rng
+
+        def failing_rng(seed, index):
+            if index == first:
+                started.wait(60)
+                failed.set()
+                raise ChunkError(index)
+            if index == second:
+                started.set()
+                failed.wait(60)
+                time.sleep(0.05)
+                raise ChunkError(index)
+            return chunk_rng(seed, index)
+
+        monkeypatch.setattr(mc, "_chunk_rng", failing_rng)
+        with pytest.raises(ChunkError) as info:
+            sample_xab(_LANE_CASES[0][0], McConfig(seed=68, samples=4 * mc._CHUNK))
+        assert started.is_set() and failed.is_set()
+        assert info.value.args == (min(first, second),)
+
+    def test_density_memory_does_not_grow_with_the_dimension(self):
+        # one chunk of n = 200 drawn at once is 131072 x 201 doubles, 211 MB
+        w = WeightVector.from_raw(np.r_[1.0, -1.0, np.zeros(199)], project=True)
+        cfg = McConfig(seed=65, samples=262_144)
+        tracemalloc.start()
+        try:
+            estimate_density_at_zero(w, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert w.a.size == 201
+        assert peak < 8_000_000
