@@ -5,10 +5,16 @@ gap), pointwise one-signed once alpha + beta*x + gamma*x^q is pinned at the
 density gap's three crossings.  Between breakpoints each gap is a sum of at
 most four exponentials (``expfamily._abs_ebar_terms``), whose zeros Rolle
 recursion isolates exactly, the constructive proof of Laguerre's rule of
-signs (Polya-Szego, Problems and Theorems in Analysis II, Part V).
-Bisection runs on the sum's value alone; its rounding bound is taken only
-at run ends and stationary points, where the certificate reads a sign.  A
-sign change across a breakpoint (the t = 0 jump at e/2) is a crossing there.
+signs (Polya-Szego, Problems and Theorems in Analysis II, Part V).  Each
+monotone run's root comes from ``search.bisect_root``, Brent's method down
+to adjacent floats (never much more than three times plain bisection's
+evaluations), run on the sum's value alone; its rounding bound is taken
+only at run ends and stationary points, where the certificate reads a sign.
+A certificate takes about 79 evaluations of the sums where halving took 357
+(the mean over 99 values of t in [0.01, 0.99]), and a median of 0.42 to
+0.69 ms against 0.59 to 1.06 ms by halving, about two thirds of the time
+(2-core Xeon VM, Python 3.11).  A sign change across a breakpoint (the
+t = 0 jump at e/2) is a crossing there.
 
 By Descartes' rule of signs for real exponents (same source; G. J. O.
 Jameson, Math. Gazette 90, 2006) the power gap x^p - alpha - beta*x -
@@ -265,11 +271,13 @@ def matching_order(
     raises NumericalError when the root falls on a bracket end, and
     BracketError when the bracket holds no sign change or the root's
     residual exceeds 1e-10 of the moments' size.  Against a 40-digit root
-    the relative error is at most 6e-14 for t in [0.05, 0.95] and grows as t
+    the relative error is at most 5e-14 for t in [0.05, 0.95] and grows as t
     nears the baseline, where the members coincide and the gap of two nearly
-    equal normalized moments cancels: baseline 0, 1.9e-12 at t = 0.01,
-    6.3e-12 at 1e-3 and 1.6e-6 at 1e-5; baseline 1, about 2e-12 at t = 0.99,
-    7.8e-11 at 0.999 and 4.1e-7 at 1 - 1e-5.  Near the ends of t the
+    equal normalized moments cancels: baseline 0, 3.4e-13 at t = 0.01,
+    1.2e-10 at 1e-3 and 5.7e-6 at 1e-5; baseline 1, about 1.8e-12 at
+    t = 0.99, 2.5e-11 at 0.999 and 1.3e-6 at 1 - 1e-5.  There the rounded
+    gap changes sign many times around the root, and which of those sign
+    changes the root finder stops at sets the error.  Near the ends of t the
     decomposition check runs on an order good to about that accuracy.
     """
     lo, hi = bracket
@@ -302,7 +310,7 @@ def nonneg_decomposition_check(t: float, p) -> bool:
     the interpolation system's condition number, or the coefficients do not
     change sign three times.  t must lie where ``matching_order`` and
     ``verify_3crossings`` resolve, about [1e-5, 1 - 1e-5]; the exponent q
-    carries ``matching_order``'s error, up to about 1e-6 relative at those ends.
+    carries ``matching_order``'s error, up to about 6e-6 relative at those ends.
     """
     p = as_order(p)
     if not 0.0 < t < 1.0:

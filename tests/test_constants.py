@@ -15,7 +15,9 @@ from lcmoments.constants import (
     sharp_constant,
     small_t_bound_coefficient,
 )
-from lcmoments.constants import _MAX_GRID
+from lcmoments import constants
+from lcmoments.constants import _MAX_GRID, _member_gap
+from lcmoments.crossings import matching_order
 from lcmoments.errors import DomainError
 from lcmoments.expfamily import norm_ebar
 from lcmoments.specfun import gamma
@@ -92,6 +94,24 @@ class TestFindP0:
     def test_constant_continuous_at_crossover(self):
         p0 = find_p0()
         assert abs(sharp_constant(p0 - 1e-6) - sharp_constant(p0 + 1e-6)) < 1e-4
+
+
+@pytest.mark.parametrize(
+    "tie",
+    [find_p0.__wrapped__, find_l2_transition, lambda: matching_order(0.5)],
+    ids=["p0", "l2-transition", "matching-order"],
+)
+def test_gap_evaluations_per_tie(tie, monkeypatch):
+    # a count, not a time: Brent's method takes 12 to 14, halving to adjacent floats took 50 to 54
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _member_gap(*args)
+
+    monkeypatch.setattr(constants, "_member_gap", counted)
+    tie()
+    assert 0 < len(calls) <= 20
 
 
 class TestClosedFormConstants:

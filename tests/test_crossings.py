@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from lcmoments import crossings
 from lcmoments.constants import find_p0
 from lcmoments.crossings import (
     SignChangeReport,
@@ -191,6 +192,22 @@ class TestVerify3Crossings:
         for report in (result.report_upper, result.report_lower):
             assert len(report.crossings) == 3
             assert report.pattern == "+-+-"
+
+    def test_evaluations_per_certificate(self, monkeypatch):
+        # a count, not a time, so it cannot flake: Brent's method takes about
+        # 79 evaluations of the exponential sums per certificate, halving
+        # down to adjacent floats took 357
+        calls = []
+
+        def counted(pairs, lo, x):
+            calls.append(x)
+            return _exp_sum_value(pairs, lo, x)
+
+        monkeypatch.setattr(crossings, "_exp_sum_value", counted)
+        ts = np.linspace(0.01, 0.99, 99)
+        for t in ts:
+            verify_3crossings(float(t))
+        assert len(calls) / len(ts) <= 100
 
     def test_lower_report_locates_jump(self):
         # the t = 0 density jumps at e/2; the third-vs-one-sided comparison
