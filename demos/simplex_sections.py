@@ -30,15 +30,10 @@ print(f"the sharp ceiling is 2^(-1/2) = {1.0 / math.sqrt(2.0):.12f}")
 print()
 
 print("=== Section volumes against the direct geometry oracle ===")
-cases = [
-    (2, [1.0, -1.0, 0.0]),
-    (2, [2.0, -0.7, -1.3]),
-    (3, [1.0, -1.0, 0.0, 0.0]),
-    (3, [2.0, -1.0, -1.0, 0.3]),
-]
-for n, raw in cases:
+for raw in ([1.0, -1.0, 0.0], [2.0, -0.7, -1.3], [1.0, -1.0, 0.0, 0.0], [2.0, -1.0, -1.0, 0.3]):
+    n = len(raw) - 1
     w = WeightVector.from_raw(raw, project=True)
-    formula = section_volume(w, n)
+    formula = section_volume(w)
     sliced = geometry_oracle_volume(w, n)
     print(f"n = {n}, weights {raw}: formula {formula:.12f}, polytope slicing {sliced:.12f}")
 print()

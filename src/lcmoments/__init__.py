@@ -35,7 +35,6 @@ from .expfamily import (
     catalogue,
     centred_gaussian,
     centred_uniform,
-    density_abs_ebar,
     density_xab,
     family_scale,
     fradelizi_check,

@@ -146,14 +146,11 @@ def _cmd_moment(args):
 
 def _cmd_slice(args):
     values = _parse_weights(args.weights)
-    n = len(values) - 1
-    if args.volume and n < 2:
-        raise DomainError(f"section volume needs n >= 2, got n = {n}")
     weights = simplex.WeightVector.from_raw(values, project=args.project)
     outputs = {"density_at_zero": simplex.density_at_zero(weights)}
     if args.volume:
-        outputs["volume"] = simplex.section_volume(weights, n)
-    inputs = {"weights": list(weights.a), "n": n, "project": bool(args.project)}
+        outputs["volume"] = simplex.section_volume(weights)
+    inputs = {"weights": list(weights.a), "n": len(values) - 1, "project": bool(args.project)}
     return [OutputRecord("slice", inputs, outputs)], 0
 
 

@@ -25,9 +25,10 @@ from dataclasses import dataclass
 from functools import cache, partial
 
 import numpy as np
+from scipy import special
 
 from .errors import BracketError, DomainError, NumericalError
-from .expfamily import family_scale, moment_et, norm_ebar
+from .expfamily import _member_norm, family_scale, moment_et, norm_ebar
 from .search import bisect_root, golden_section_min
 from .specfun import as_order, gamma
 
@@ -48,6 +49,12 @@ _ENDPOINT_SNAP = 1e-8
 
 # the largest grid a scan accepts: ten million objective evaluations take over a minute
 _MAX_GRID = 10**7
+
+# log Gamma(1+p) / p = -euler_gamma + p * sum_{k>=2} (-1)^k zeta(k) p^(k-2) / k
+# (DLMF 5.7.3): the sum's coefficients from k = 9 down, past which the terms
+# stay below 1e-27 for |p| < _SERIES_ORDER
+_LOG_GAMMA_SERIES = [(-1.0) ** k * float(special.zeta(k)) / k for k in range(9, 1, -1)]
+_SERIES_ORDER = 1e-3
 
 
 def _member_gap(p: float, s: float, t: float, norm) -> float:
@@ -113,7 +120,12 @@ def lp_lq_ratio(p, q) -> float:
         raise DomainError(f"the lower L_p-L_q constant needs p in (-1, 0) u (0, 1], got {p}")
     if not 1.0 <= q <= find_p0() + 1e-12:
         raise DomainError(f"the lower L_p-L_q constant needs q in [1, p0], got {q}")
-    return gamma(p + 1.0) ** (1.0 / p) / gamma(q + 1.0) ** (1.0 / q)
+    if abs(p) >= _SERIES_ORDER:
+        lower = gamma(p + 1.0) ** (1.0 / p)
+    else:
+        # the power 1/p would lift the rounding of Gamma(1+p) = 1 + O(p) by 1/p
+        lower = math.exp(p * float(np.polyval(_LOG_GAMMA_SERIES, p)) - np.euler_gamma)
+    return lower / gamma(q + 1.0) ** (1.0 / q)
 
 
 @dataclass(frozen=True)
@@ -162,8 +174,6 @@ def scan_family_extrema(p, grid_size: int = 1000) -> ScanResult:
     endpoint report the endpoint.
     """
     p = as_order(p)
-    if p == 0.0:
-        raise DomainError("p = 0 (geometric mean) is not supported")
     return _grid_then_refine(lambda t: norm_ebar(p, t), grid_size, p > 1.0, (1.0, 0.0))
 
 
@@ -178,7 +188,7 @@ def l2_ratio(p, s: float) -> float:
         raise DomainError(f"s must lie in [0, 1], got {s}")
     big = max(s, 1.0 - s)
     u = min(s, 1.0 - s) / big
-    return moment_et(p, u) ** (1.0 / p) / math.sqrt(1.0 + u * u)
+    return _member_norm(p, u) / math.sqrt(1.0 + u * u)
 
 
 def scan_l2_ratio(p, grid_size: int = 1000) -> ScanResult:

@@ -49,7 +49,6 @@ __all__ = [
     "match_two_sided",
     "moment_et",
     "norm_ebar",
-    "density_abs_ebar",
     "abs_moment",
     "reduction_check",
     "fradelizi_check",
@@ -67,6 +66,9 @@ _TWO_OVER_E = 2.0 * _INV_E
 # covers rounding and the matched (a, b): u -> e^(u-1)/(1+u) is flat at u = 0,
 # so inverting it near the one-sided end loses up to half the digits of u
 COMPARISON_SLACK = 1e-8
+
+# the smallest |p| of a family member's L_p norm, which keeps it within 1e-8 relative
+_MIN_ORDER = 1e-6
 
 
 @dataclass(frozen=True)
@@ -160,17 +162,17 @@ def moment_et(p, t: float) -> float:
     return head + t / (1.0 + t) * shifted_exp_moment(p, t)
 
 
+def _member_norm(p: float, t: float) -> float:
+    """(E|E_t|^p)^(1/p).  The power 1/p lifts the moment's rounding, up to 2e-15
+    relative near t = 0.47, by 1/|p|; orders within _MIN_ORDER of 0 raise DomainError."""
+    if abs(p) < _MIN_ORDER:
+        raise DomainError(f"the L_p norm needs |p| >= {_MIN_ORDER:g} (p = 0 is the geometric mean), got {p!r}")
+    return moment_et(p, t) ** (1.0 / p)
+
+
 def norm_ebar(p, t: float) -> float:
     """L_p norm of the normalized family member, (E|E_t|^p)^(1/p) / scale(t)."""
-    p = as_order(p)
-    if p == 0.0:
-        raise DomainError("p = 0 (geometric mean) is not supported")
-    return moment_et(p, t) ** (1.0 / p) / family_scale(t)
-
-
-def abs_ebar_breakpoint(t: float) -> float:
-    """Abscissa where the |E_t|/scale(t) density formula changes branch."""
-    return (1.0 - t) / family_scale(t)
+    return _member_norm(as_order(p), t) / family_scale(t)
 
 
 def _term_rate(sign: float, rho: float) -> float:
@@ -198,28 +200,7 @@ def _abs_ebar_terms(t: float):
     # float past the kink, and the head owns the kink itself
     if t >= sys.float_info.min:
         tail += ((mu / (1.0 + t), -1.0, rho - math.log(t)),)
-    return abs_ebar_breakpoint(t), head, tail
-
-
-def density_abs_ebar(t: float, x):
-    """Density of |E_t| / scale(t) on [0, inf); accepts scalars or arrays.
-
-    Sums the terms of ``_abs_ebar_terms``: the head up to and including the
-    kink (the left branch owns the breakpoint), the tail beyond it.
-    """
-    if not 0.0 <= t <= 1.0:
-        raise DomainError(f"family parameter t must lie in [0, 1], got {t}")
-    xs = np.asarray(x, dtype=float)
-    scalar = xs.ndim == 0
-    xs = np.atleast_1d(xs)
-    if np.any(xs < 0.0):
-        raise DomainError("density of |.| is defined on x >= 0")
-    kink, head, tail = _abs_ebar_terms(t)
-    out = np.empty_like(xs)
-    left = xs <= kink
-    for part, terms, anchor in ((left, head, 0.0), (~left, tail, kink)):
-        out[part] = sum(c * np.exp(_term_rate(sign, rho) * (xs[part] - anchor)) for c, sign, rho in terms)
-    return float(out[0]) if scalar else out
+    return (1.0 - t) / mu, head, tail
 
 
 # ---------------------------------------------------------------------------
@@ -229,31 +210,24 @@ def density_abs_ebar(t: float, x):
 
 @dataclass(frozen=True)
 class LogConcaveTestDensity:
-    """A mean-zero log-concave density with known support and kink locations,
-    its absolute moments ``moment(p) = E|X|^p`` (p > -1) and P(X > 0), both
-    in closed form."""
+    """A mean-zero log-concave density with its absolute moments
+    ``moment(p) = E|X|^p`` (p > -1) and P(X > 0), both in closed form."""
 
     name: str
     pdf: Callable
-    support: tuple[float, float]
     moment: Callable[[float], float]
     prob_positive: float
-    breakpoints: tuple[float, ...] = ()
 
 
 def two_sided_exponential_density(a: float, b: float) -> LogConcaveTestDensity:
     params = TwoSidedExpParams(a, b)
-    lo = -math.inf if b > 0.0 else params.breakpoint
-    hi = math.inf if a > 0.0 else params.breakpoint
     # |X(a, b)| is distributed as big * |E_u| with u = small / big
     big, small = max(a, b), min(a, b)
     return LogConcaveTestDensity(
         name=f"two-sided-exponential({a:g},{b:g})",
         pdf=lambda x: density_xab(params, x),
-        support=(lo, hi),
         moment=lambda p: big**p * moment_et(p, small / big),
         prob_positive=prob_positive(params),
-        breakpoints=(params.breakpoint,),
     )
 
 
@@ -267,7 +241,7 @@ def centred_uniform(half_width: float) -> LogConcaveTestDensity:
         xs = np.asarray(x, dtype=float)
         return np.where(np.abs(xs) <= c, height, 0.0)
 
-    return LogConcaveTestDensity(f"centred-uniform({c:g})", pdf, (-c, c), lambda p: c**p / (p + 1.0), 0.5)
+    return LogConcaveTestDensity(f"centred-uniform({c:g})", pdf, lambda p: c**p / (p + 1.0), 0.5)
 
 
 def centred_gaussian(sigma: float) -> LogConcaveTestDensity:
@@ -283,7 +257,7 @@ def centred_gaussian(sigma: float) -> LogConcaveTestDensity:
     def moment(p):
         return s**p * 2.0 ** (p / 2.0) * gamma((p + 1.0) / 2.0) / math.sqrt(math.pi)
 
-    return LogConcaveTestDensity(f"centred-gaussian({s:g})", pdf, (-math.inf, math.inf), moment, 0.5)
+    return LogConcaveTestDensity(f"centred-gaussian({s:g})", pdf, moment, 0.5)
 
 
 def _truncated_exponential_mean(cut: float) -> float:
@@ -320,7 +294,7 @@ def truncated_exponential(cut: float) -> LogConcaveTestDensity:
 
     # (e^-mean - e^-cut) / z, without the cancellation of the two exponentials
     positive = -math.exp(-mean) * math.expm1(mean - cut) / z
-    return LogConcaveTestDensity(f"truncated-exponential({cut:g})", pdf, (-mean, cut - mean), moment, positive)
+    return LogConcaveTestDensity(f"truncated-exponential({cut:g})", pdf, moment, positive)
 
 
 def catalogue() -> list[LogConcaveTestDensity]:

@@ -72,6 +72,10 @@ class WeightVector:
         if project:
             if arr.ndim != 1 or arr.size < 2:
                 raise DomainError("weight vector needs at least two coordinates")
+            if not np.all(np.isfinite(arr)):
+                raise DomainError("weight vector must be finite")
+            # an exact power-of-two scale: 1e300 centres and 1e-20 clears the cutoff
+            arr = np.ldexp(arr, -np.frexp(np.max(np.abs(arr)))[1])
             arr = arr - arr.mean()
             norm = float(np.linalg.norm(arr))
             if norm <= 1e-14:
@@ -150,13 +154,13 @@ def density_at_zero(weights: WeightVector) -> float:
     return value
 
 
-def section_volume(weights: WeightVector, n: int) -> float:
-    """vol_{n-1} of the central section with the given unit normal.  From
-    n = 172 on, (n - 1)! exceeds the largest float and NumericalError is raised."""
+def section_volume(weights: WeightVector) -> float:
+    """vol_{n-1} of the central section of the n-simplex with the given unit
+    normal of n + 1 coordinates.  From n = 172 on, (n - 1)! exceeds the
+    largest float and NumericalError is raised."""
+    n = len(weights) - 1
     if n < 2:
         raise DomainError(f"sections need dimension n >= 2, got {n}")
-    if len(weights) != n + 1:
-        raise DomainError(f"normal of a {n}-simplex section needs {n + 1} coordinates")
     try:
         scale = math.sqrt(n + 1.0) / math.factorial(n - 1)
     except OverflowError as exc:
@@ -213,22 +217,10 @@ def geometry_oracle_volume(weights: WeightVector, n: int) -> float:
             raise DegenerateSectionError(f"segment section with {len(verts)} vertices")
         return float(np.linalg.norm(verts[0] - verts[1]))
 
-    # orthonormal basis of the 2-plane {sum x = 0, <a, x> = 0} in R^4
-    ones = np.ones(4) / 2.0
-    u = weights.a - np.dot(weights.a, ones) * ones
-    u = u / np.linalg.norm(u)
-    basis = []
-    for seed in np.eye(4):
-        v = seed - np.dot(seed, ones) * ones - np.dot(seed, u) * u
-        for b in basis:
-            v -= np.dot(v, b) * b
-        norm = np.linalg.norm(v)
-        if norm > 1e-9:
-            basis.append(v / norm)
-        if len(basis) == 2:
-            break
-    centre = verts.mean(axis=0)
-    coords = np.column_stack([(verts - centre) @ basis[0], (verts - centre) @ basis[1]])
+    # the centred vertices span the polygon's 2-plane: coordinates in its
+    # orthonormal basis, the two leading right singular vectors
+    centred = verts - verts.mean(axis=0)
+    coords = centred @ np.linalg.svd(centred)[2][:2].T
     order = np.argsort(np.arctan2(coords[:, 1], coords[:, 0]))
     ring = coords[order]
     x, y = ring[:, 0], ring[:, 1]
@@ -272,10 +264,6 @@ def _density_gradients(A: np.ndarray) -> np.ndarray:
         span = np.maximum(w[:, -1] - w[:, 0], _TINY)
         grad[rows[:, None], idx] = (q[:, m:] - q[:, :m]) / span[:, None]
     return grad
-
-
-def _density_gradient(a: np.ndarray) -> np.ndarray:
-    return _density_gradients(a[None, :])[0]
 
 
 # Row-wise forms of a 1-D ascent's reductions that round exactly as they do:

@@ -25,7 +25,7 @@ from lcmoments.expfamily import (
     TwoSidedExpParams,
     abs_moment,
     catalogue,
-    density_abs_ebar,
+    density_xab,
     family_scale,
     fradelizi_check,
     moment_et,
@@ -84,8 +84,14 @@ def test_criterion_2_maximal_sections():
 
 
 def _density_moment_oracle(p: float, t: float) -> float:
-    """E|Ebar_t|^p by direct quadrature of the |Ebar_t| density."""
+    """E|Ebar_t|^p by direct quadrature of the |Ebar_t| density, folded from
+    the density of E_t = X(1, t): mu (f(mu x) + f(-mu x)) with mu = scale(t)."""
     mu = family_scale(t)
+    params = TwoSidedExpParams(1.0, t)
+
+    def folded(x):
+        return mu * float(density_xab(params, mu * np.array([x, -x])).sum())
+
     breaks = [(1.0 - t) / mu]
     if t == 0.0:
         breaks.append(1.0 / mu)
@@ -94,7 +100,7 @@ def _density_moment_oracle(p: float, t: float) -> float:
         s = 1.0 / (1.0 + p)
         pts = sorted(b ** (1.0 + p) for b in breaks)
         val, _ = integrate.quad(
-            lambda u: s * float(density_abs_ebar(t, u**s)),
+            lambda u: s * folded(u**s),
             0.0,
             hi ** (1.0 + p),
             points=pts,
@@ -104,7 +110,7 @@ def _density_moment_oracle(p: float, t: float) -> float:
         )
         return val
     val, _ = integrate.quad(
-        lambda x: x**p * float(density_abs_ebar(t, x)),
+        lambda x: x**p * folded(x),
         0.0,
         hi,
         points=sorted(breaks),

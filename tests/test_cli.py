@@ -46,6 +46,16 @@ def test_constant_domain_error_exit_code(capsys):
     assert main(["constant", "--which", "lp-l1-lower", "--p", "3"]) == 2
 
 
+def test_orders_next_to_zero(capsys):
+    # the lower constant tends to e^(-euler_gamma) as p -> 0; it printed 1.0 at 1e-17
+    code, payload = _run(capsys, ["constant", "--which", "lp-l1-lower", "--p", "1e-17"])
+    assert code == 0
+    assert payload["outputs"]["value"] == pytest.approx(math.exp(-np.euler_gamma), rel=1e-15)
+    # the scan's norms cannot keep 1e-8 there: an error, not a value reported as ok
+    assert main(["scan", "--p", "1e-17"]) == 2
+    assert "geometric mean" in json.loads(capsys.readouterr().err)["message"]
+
+
 @pytest.mark.parametrize("which, p", [("lp-l1-lower", "0.5"), ("lp-l1-upper", "2"), ("lp-l2-lower", "0.5")])
 def test_constant_rejects_q_outside_lp_lq(capsys, which, p):
     assert main(["constant", "--which", which, "--p", p]) == 0
@@ -98,6 +108,19 @@ def test_slice_with_projection(capsys):
     assert code == 0
     assert payload["outputs"]["density_at_zero"] == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-8)
     assert payload["outputs"]["volume"] == pytest.approx(math.sqrt(1.5), abs=1e-8)
+
+
+@pytest.mark.parametrize("scale", ["1e300", "1e-20"])
+def test_slice_projection_at_extreme_scales(capsys, scale):
+    code, payload = _run(capsys, ["slice", "--weights", f"{scale},0,-{scale}", "--project", "--volume"])
+    assert code == 0
+    assert payload["outputs"]["density_at_zero"] == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-15)
+    assert payload["outputs"]["volume"] == pytest.approx(math.sqrt(1.5), rel=1e-15)
+
+
+def test_slice_projection_rejects_an_infinite_weight(capsys):
+    assert main(["slice", "--weights", "1,2,inf", "--project"]) == 2
+    assert "finite" in json.loads(capsys.readouterr().err)["message"]
 
 
 @pytest.mark.parametrize("n", [171, 172, 200])

@@ -3,6 +3,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from lcmoments.constants import (
     branch_gap,
@@ -129,6 +131,23 @@ class TestClosedFormConstants:
     def test_lp_l1_lower_negative_order(self):
         assert lp_lq_ratio(-0.5, 1.0) == pytest.approx(gamma(0.5) ** (-2.0), rel=1e-13)
 
+    @settings(max_examples=300, deadline=None)
+    @given(magnitude=st.floats(-17.0, 0.0), negative=st.booleans(), q=st.floats(1.0, 2.94))
+    @example(magnitude=-17.0, negative=False, q=1.0)  # e^(-euler_gamma), not 1.0
+    @example(magnitude=-14.0, negative=True, q=2.0)
+    @example(magnitude=-8.0, negative=False, q=2.0)
+    def test_lp_lq_ratio_against_mpmath_at_any_order(self, magnitude, negative, q):
+        """2e-15 relative where the series for log Gamma(1+p)/p takes over, |p|
+        below 1e-3.  Above, Gamma(1+p)^(1/p) lifts the rounding of Gamma(1+p)
+        by 1/|p| and that of 1/p by |log Gamma(1+p) / p|, which grows as p -> -1."""
+        p = -(10.0**magnitude) if negative else 10.0**magnitude
+        assume(p > -1.0)
+        with mpmath.workdps(40):
+            mp, mq = mpmath.mpf(p), mpmath.mpf(q)
+            expected = mpmath.exp(mpmath.loggamma(1 + mp) / mp - mpmath.loggamma(1 + mq) / mq)
+        rel = 2e-15 if abs(p) < 1e-3 else 2e-15 + 1e-15 * (1.0 + abs(math.lgamma(1.0 + p))) / abs(p)
+        assert lp_lq_ratio(p, q) == pytest.approx(float(expected), rel=rel, abs=0.0)
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             lp_lq_ratio(1.5, 1.0)
@@ -219,6 +238,13 @@ class TestScanL2Ratio:
             scan_l2_ratio(2.0)
         with pytest.raises(DomainError):
             scan_l2_ratio(0.8)
+
+    @pytest.mark.parametrize("p", [0.0, 1e-17, -1e-17, 1e-8, 9.9e-7, -9.9e-7])
+    def test_orders_within_a_millionth_of_zero_rejected(self, p):
+        # the power 1/p would lift the moment's rounding past 1e-8 relative
+        for call in (lambda: norm_ebar(p, 0.3), lambda: l2_ratio(p, 0.3), lambda: scan_family_extrema(p, 100)):
+            with pytest.raises(DomainError, match="geometric mean"):
+                call()
 
     def test_ratio_symmetric_in_s(self):
         for p in (1.5, 3.0):

@@ -23,7 +23,15 @@ from lcmoments.crossings import (
     verify_3crossings,
 )
 from lcmoments.errors import BracketError, CrossingPatternError, DomainError, NumericalError
-from lcmoments.expfamily import _term_rate, abs_ebar_breakpoint, density_abs_ebar, family_scale, moment_et
+from lcmoments.expfamily import TwoSidedExpParams, _term_rate, density_xab, family_scale, moment_et
+
+
+def _folded_density(t, x):
+    """The density of |E_t| / scale(t) at x >= 0 (scalar or array), folded from
+    the density of E_t = X(1, t): mu (f(mu x) + f(-mu x)) with mu = scale(t)."""
+    mu = family_scale(t)
+    params = TwoSidedExpParams(1.0, t)
+    return mu * (density_xab(params, mu * x) + density_xab(params, -mu * x))
 
 
 def _term(c, rate):
@@ -88,7 +96,7 @@ class TestGapPieces:
             top = min(hi, lo + 10.0)
             for x in np.linspace(lo, top, 7)[1:-1]:
                 value = sum(c * math.exp(_term_rate(sign, rho) * (x - lo)) for c, sign, rho in terms)
-                assert value == pytest.approx(density_abs_ebar(s, x) - density_abs_ebar(t, x), abs=1e-14)
+                assert value == pytest.approx(_folded_density(s, x) - _folded_density(t, x), abs=1e-14)
 
     def test_family_density_gap(self):
         crossings, pattern, certified = _gap_crossings(1.0, 0.5)
@@ -531,9 +539,9 @@ def _sampled_product(t, p):
     of (0, 48) plus the breakpoints and nodes: the check's former route."""
     baseline, flip, q, nodes = _interpolation(t, p)
     alpha, beta, gamma_q = vandermonde_coeffs(p, q, *nodes)
-    extra = [abs_ebar_breakpoint(t), abs_ebar_breakpoint(baseline), *nodes]
+    extra = [(1.0 - t) / family_scale(t), (1.0 - baseline) / family_scale(baseline), *nodes]
     xs = np.unique(np.concatenate([np.linspace(0.0, 48.0, 10_002)[1:-1], [x for x in extra if 0.0 < x < 48.0]]))
-    density_gap = density_abs_ebar(baseline, xs) - density_abs_ebar(t, xs)
+    density_gap = _folded_density(baseline, xs) - _folded_density(t, xs)
     product = density_gap * (xs**p - (alpha + beta * xs + gamma_q * xs**q))
     return -product if flip else product
 

@@ -3,18 +3,20 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
 from lcmoments.errors import DomainError, NumericalError
 from lcmoments.expfamily import (
     TwoSidedExpParams,
+    _abs_ebar_terms,
+    _term_rate,
+    _truncated_exponential_mean,
     abs_moment,
     catalogue,
     centred_gaussian,
     centred_uniform,
-    density_abs_ebar,
     density_xab,
     family_scale,
     fradelizi_check,
@@ -219,14 +221,24 @@ class TestNormEbar:
         assert np.all(diffs[diffs != 0][:1] < 0) and vals[-1] > vals.min()
 
 
+def _abs_ebar_density(t: float, x: float) -> float:
+    """The density of |E_t| / scale(t) at x >= 0, summed from the terms of
+    ``_abs_ebar_terms``: the head up to and including the kink, the tail beyond."""
+    kink, head, tail = _abs_ebar_terms(t)
+    terms, anchor = (head, 0.0) if x <= kink else (tail, kink)
+    return sum(c * math.exp(_term_rate(sign, rho) * (x - anchor)) for c, sign, rho in terms)
+
+
 class TestDensityAbsEbar:
+    """The certificates' exponential terms of the |E_t| / scale(t) density."""
+
     def test_symmetric_member_is_exponential(self):
         xs = np.linspace(0.0, 10.0, 50)
-        assert density_abs_ebar(1.0, xs) == pytest.approx(np.exp(-xs), rel=1e-13)
+        assert [_abs_ebar_density(1.0, x) for x in xs] == pytest.approx(np.exp(-xs), rel=1e-13)
 
     def test_one_sided_value_at_zero(self):
         mu0 = family_scale(0.0)
-        assert density_abs_ebar(0.0, 0.0) == pytest.approx(2.0 * mu0 / math.e, rel=1e-13)
+        assert _abs_ebar_density(0.0, 0.0) == pytest.approx(2.0 * mu0 / math.e, rel=1e-13)
 
     @pytest.mark.parametrize("t", [0.0, 0.3, 0.5, 1.0])
     def test_integrates_to_one(self, t):
@@ -234,29 +246,38 @@ class TestDensityAbsEbar:
         if t == 0.0:
             breaks.append(1.0 / family_scale(0.0))
         val, _ = integrate.quad(
-            lambda x: density_abs_ebar(t, x), 0.0, 70.0,
+            lambda x: _abs_ebar_density(t, x), 0.0, 70.0,
             points=breaks, limit=400, epsabs=1e-13, epsrel=1e-12,
         )
         assert val == pytest.approx(1.0, abs=1e-10)
 
-    def test_matches_folded_two_sided_density(self):
-        t = 0.4
+    @settings(max_examples=300, deadline=None)
+    @given(
+        t=st.one_of(
+            st.sampled_from([0.0, 0.4, 1.0]), st.floats(1e-300, 1.0), st.floats(-300.0, 0.0).map(lambda e: 10.0**e)
+        ),
+        x=st.floats(0.0, 40.0),
+    )
+    def test_matches_folded_two_sided_density(self, t, x):
+        """The terms, summed piece by piece, against mu (f(mu x) + f(-mu x)) with
+        f the density of E_t = X(1, t) and mu = scale(t)."""
         mu = family_scale(t)
+        kink = (1.0 - t) / mu
+        # at t = 0 the density jumps at the kink, which each route rounds its own way
+        assume(t > 0.0 or abs(x - kink) > 1e-12)
         params = TwoSidedExpParams(1.0, t)
-        for x in (0.0, 0.2, 0.7, 1.3, 4.0):
-            folded = mu * (density_xab(params, mu * x) + density_xab(params, -mu * x))
-            assert density_abs_ebar(t, x) == pytest.approx(folded, rel=1e-12)
-
-    def test_negative_x_rejected(self):
-        with pytest.raises(DomainError):
-            density_abs_ebar(0.5, -0.1)
+        folded = mu * (density_xab(params, mu * x) + density_xab(params, -mu * x))
+        # past the kink the log-density falls at rate mu/t, which turns the rounding
+        # of x and of the kink into up to about 2e-16 x/t of the value in either route
+        rel = max(1e-12, 5e-16 * x / t) if t > 0.0 else 1e-12
+        assert _abs_ebar_density(t, x) == pytest.approx(folded, rel=rel)
 
 
 @pytest.mark.parametrize("t", [0.0, 0.5, 1.0])
 def test_limit_identity_towards_density_at_zero(t):
     # (1+p)/2 * E|Ebar_t|^p converges to the Ebar_t density at 0, which is
     # half the |Ebar_t| density there; extrapolate linearly in (1+p)
-    target = density_abs_ebar(t, 0.0) / 2.0
+    target = _abs_ebar_density(t, 0.0) / 2.0
     mu = family_scale(t)
     v1 = (1.0 - 0.999) / 2.0 * moment_et(-0.999, t) / mu**-0.999
     v2 = (1.0 - 0.9999) / 2.0 * moment_et(-0.9999, t) / mu**-0.9999
@@ -269,8 +290,9 @@ def test_moment_et_overflow_is_a_numerical_error():
         moment_et(200.0, 0.5)
 
 
-def _mp_moment_et(p: float, t: float) -> float:
-    """E|E_t|^p at 40 digits from the three-term formula, each term by mpmath."""
+def _mp_moment_et(p: float, t: float, root: bool = False) -> float:
+    """E|E_t|^p at 40 digits from the three-term formula, each term by mpmath;
+    with ``root``, its power 1/p."""
     with mpmath.workdps(40):
         p, t = mpmath.mpf(p), mpmath.mpf(t)
         c = 1 - t
@@ -279,7 +301,7 @@ def _mp_moment_et(p: float, t: float) -> float:
         if t > 0:
             u = (1 - t) / t
             total += t / (1 + t) * t**p * mpmath.exp(u) * mpmath.gammainc(p + 1, u)
-        return float(total)
+        return float(total ** (1 / p) if root else total)
 
 
 # t = 0 and t = 1, the whole interval, the range t < 1/201 where the shifted
@@ -296,6 +318,16 @@ _family_t = st.one_of(
 @given(p=st.floats(-1.0, 15.0, exclude_min=True), t=_family_t)
 def test_moment_et_matches_mpmath(p, t):
     assert moment_et(p, t) == pytest.approx(_mp_moment_et(p, t), rel=1e-13, abs=0.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(magnitude=st.floats(-6.0, -2.0), negative=st.booleans(), t=st.floats(0.0, 1.0))
+def test_norm_ebar_near_order_zero_matches_mpmath(magnitude, negative, t):
+    """1e-8 relative down to |p| = 1e-6, below which norm_ebar raises: the
+    power 1/p lifts the moment's rounding, up to 2e-15, by 1/|p|."""
+    p = -(10.0**magnitude) if negative else 10.0**magnitude
+    expected = _mp_moment_et(p, t, root=True) / family_scale(t)
+    assert norm_ebar(p, t) == pytest.approx(expected, rel=1e-8, abs=0.0)
 
 
 class TestFamilyPoint:
@@ -315,12 +347,45 @@ class TestFamilyPoint:
             family_scale(1.5)
 
 
+# the support and the kinks of each catalogue constructor's density, which
+# only the quadrature oracle reads
+_GEOMETRY = {
+    two_sided_exponential_density: lambda a, b: (
+        (-math.inf if b > 0.0 else b - a, math.inf if a > 0.0 else b - a), (b - a,)
+    ),
+    centred_uniform: lambda c: ((-c, c), ()),
+    centred_gaussian: lambda s: ((-math.inf, math.inf), ()),
+    truncated_exponential: lambda cut: (
+        (-_truncated_exponential_mean(cut), cut - _truncated_exponential_mean(cut)), ()
+    ),
+}
+
+
+def _case(constructor, *args):
+    """(density, (support, kinks)) of a catalogue constructor's density."""
+    return constructor(*args), _GEOMETRY[constructor](*args)
+
+
+# (support, kinks) of each density in catalogue(), by name
+_CATALOGUE_GEOMETRY = {
+    density.name: geometry
+    for density, geometry in (
+        _case(two_sided_exponential_density, 1.0, 1.0),
+        _case(two_sided_exponential_density, 1.0, 0.5),
+        _case(two_sided_exponential_density, 1.0, 0.0),
+        _case(centred_uniform, 1.0),
+        _case(centred_gaussian, 1.0),
+        _case(truncated_exponential, 2.0),
+    )
+}
+
+
 class TestCatalogue:
     @pytest.mark.parametrize("density", catalogue(), ids=lambda d: d.name)
     def test_normalised_centred_logconcave(self, density):
-        lo, hi = density.support
+        (lo, hi), kinks = _CATALOGUE_GEOMETRY[density.name]
         lo_c, hi_c = max(lo, -80.0), min(hi, 80.0)
-        pts = [b for b in (*density.breakpoints, 0.0) if lo_c < b < hi_c]
+        pts = [b for b in (*kinks, 0.0) if lo_c < b < hi_c]
         mass, _ = integrate.quad(
             lambda x: float(density.pdf(x)), lo_c, hi_c, points=pts, limit=400,
             epsabs=1e-13, epsrel=1e-12,
@@ -425,35 +490,34 @@ def _one_sided_abs_moment(pdf, upper, p, breakpoints):
     return near + integrate_adaptive(lambda x: x**p * float(pdf(x)), 1.0, upper, points=breakpoints)
 
 
-def quadrature_abs_moment(density, p) -> float:
+def quadrature_abs_moment(density, geometry, p) -> float:
     """E|X|^p for a catalogue density, by quadrature split at 0 and all kinks."""
     p = as_order(p)
-    lo, hi = density.support
-    pos_bps = [b for b in density.breakpoints if b > 0.0]
-    neg_bps = [-b for b in density.breakpoints if b < 0.0]
-    right = _one_sided_abs_moment(density.pdf, hi, p, pos_bps)
-    left = _one_sided_abs_moment(lambda x: density.pdf(-x), -lo, p, neg_bps)
+    (lo, hi), kinks = geometry
+    right = _one_sided_abs_moment(density.pdf, hi, p, [b for b in kinks if b > 0.0])
+    left = _one_sided_abs_moment(lambda x: density.pdf(-x), -lo, p, [-b for b in kinks if b < 0.0])
     return left + right
 
 
-def quadrature_prob_positive(density) -> float:
+def quadrature_prob_positive(density, geometry) -> float:
     """P(X > 0) as the order-0 moment of the positive half."""
-    pos_bps = [b for b in density.breakpoints if b > 0.0]
-    return _one_sided_abs_moment(density.pdf, density.support[1], 0.0, pos_bps)
+    (_, hi), kinks = geometry
+    return _one_sided_abs_moment(density.pdf, hi, 0.0, [b for b in kinks if b > 0.0])
 
 
 def test_abs_moment_matches_family_closed_form():
-    density = two_sided_exponential_density(1.0, 0.5)
+    density, geometry = _case(two_sided_exponential_density, 1.0, 0.5)
     for p in (-0.5, 0.5, 2.0):
-        assert abs_moment(density, p) == pytest.approx(quadrature_abs_moment(density, p), rel=1e-9)
+        assert abs_moment(density, p) == pytest.approx(quadrature_abs_moment(density, geometry, p), rel=1e-9)
 
 
 @pytest.mark.parametrize("p", [-0.999, -0.9999])
 def test_abs_moment_near_minus_one_matches_closed_forms(p):
-    cases = [two_sided_exponential_density(1.0, b) for b in (1.0, 0.5, 0.0)]
-    cases += [centred_uniform(1.0), centred_gaussian(1.0)]
-    for density in cases:
-        assert abs_moment(density, p) == pytest.approx(quadrature_abs_moment(density, p), rel=1e-8), density.name
+    cases = [_case(two_sided_exponential_density, 1.0, b) for b in (1.0, 0.5, 0.0)]
+    cases += [_case(centred_uniform, 1.0), _case(centred_gaussian, 1.0)]
+    for density, geometry in cases:
+        oracle = quadrature_abs_moment(density, geometry, p)
+        assert abs_moment(density, p) == pytest.approx(oracle, rel=1e-8), density.name
     for density in catalogue():
         assert reduction_check(density, p).holds, density.name
 
@@ -461,28 +525,32 @@ def test_abs_moment_near_minus_one_matches_closed_forms(p):
 @pytest.mark.parametrize("density", catalogue(), ids=lambda d: d.name)
 @pytest.mark.parametrize("p", [-0.999, -0.9, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 6.0])
 def test_catalogue_closed_forms_match_quadrature(density, p):
-    assert abs_moment(density, p) == pytest.approx(quadrature_abs_moment(density, p), rel=1e-12, abs=0.0)
-    assert density.prob_positive == pytest.approx(quadrature_prob_positive(density), rel=0.0, abs=1e-15)
+    geometry = _CATALOGUE_GEOMETRY[density.name]
+    assert abs_moment(density, p) == pytest.approx(quadrature_abs_moment(density, geometry, p), rel=1e-12, abs=0.0)
+    assert density.prob_positive == pytest.approx(quadrature_prob_positive(density, geometry), rel=0.0, abs=1e-15)
 
 
 _constructor_scale = st.floats(0.1, 20.0)
-_test_densities = st.one_of(
-    _constructor_scale.map(lambda a: two_sided_exponential_density(a, 0.0)),
-    st.tuples(_constructor_scale, _constructor_scale).map(sorted).map(lambda ab: two_sided_exponential_density(*ab)),
-    _constructor_scale.map(centred_uniform),
-    _constructor_scale.map(centred_gaussian),
-    _constructor_scale.map(truncated_exponential),
+_test_cases = st.one_of(
+    _constructor_scale.map(lambda a: _case(two_sided_exponential_density, a, 0.0)),
+    st.tuples(_constructor_scale, _constructor_scale).map(sorted).map(
+        lambda ab: _case(two_sided_exponential_density, *ab)
+    ),
+    _constructor_scale.map(lambda c: _case(centred_uniform, c)),
+    _constructor_scale.map(lambda s: _case(centred_gaussian, s)),
+    _constructor_scale.map(lambda cut: _case(truncated_exponential, cut)),
 )
 
 
 @settings(max_examples=200, deadline=None)
-@given(density=_test_densities, p=st.floats(-0.95, 6.0, exclude_min=True))
-def test_closed_forms_match_quadrature_over_parameters(density, p):
+@given(case=_test_cases, p=st.floats(-0.95, 6.0, exclude_min=True))
+def test_closed_forms_match_quadrature_over_parameters(case, p):
     """The closed forms against the quadrature oracle, at the tolerances the
     oracle requests (relative 1e-10, absolute 1e-12), and pdf(0) against the
     closed-form moment through 2 f(0) = lim_{p -> -1} (p + 1) E|X|^p."""
-    assert abs_moment(density, p) == pytest.approx(quadrature_abs_moment(density, p), rel=1e-10, abs=1e-12)
-    assert density.prob_positive == pytest.approx(quadrature_prob_positive(density), rel=1e-10, abs=1e-12)
+    density, geometry = case
+    assert abs_moment(density, p) == pytest.approx(quadrature_abs_moment(density, geometry, p), rel=1e-10, abs=1e-12)
+    assert density.prob_positive == pytest.approx(quadrature_prob_positive(density, geometry), rel=1e-10, abs=1e-12)
     near = -1.0 + 1e-9
     assert 2.0 * float(density.pdf(0.0)) == pytest.approx((near + 1.0) * density.moment(near), rel=1e-7)
 
@@ -506,7 +574,6 @@ def test_truncated_exponential_against_mpmath(cut):
     expm1 keep the centring and P(X > 0) free of cancellation."""
     density = truncated_exponential(cut)
     mean, positive, first = _mp_truncated_exponential(cut)
-    assert -density.support[0] == pytest.approx(mean, rel=1e-13, abs=0.0)
-    assert density.support[1] == pytest.approx(cut - mean, rel=1e-13, abs=0.0)
+    assert _truncated_exponential_mean(cut) == pytest.approx(mean, rel=1e-13, abs=0.0)
     assert density.prob_positive == pytest.approx(positive, rel=1e-13, abs=0.0)
     assert density.moment(1.0) == pytest.approx(first, rel=1e-13, abs=0.0)

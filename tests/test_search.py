@@ -1,3 +1,4 @@
+import itertools
 import math
 import struct
 
@@ -98,6 +99,45 @@ def test_bisect_root_stops_at_adjacent_floats_within_three_bisections(kind, r, s
     if kind is _step:
         # one sign change, between the same two adjacent floats
         assert root == oracle
+
+
+def _floats_in(lo, hi):
+    """Every float in [lo, hi], in ascending order."""
+    xs = [lo]
+    while xs[-1] < hi:
+        xs.append(math.nextafter(xs[-1], math.inf))
+    return xs
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [
+        # one ulp of 2 wide, and one float, 2 - 2^-52, inside: the interpolation
+        # step cannot land there, only the midpoint can
+        (2.0 - 2.0**-51, 2.0),
+        (-2.0, -2.0 + 2.0**-51),
+        (2.0 - 6 * 2.0**-52, 2.0 + 3 * 2.0**-51),
+        (1.0 - 5 * 2.0**-53, 1.0 + 2 * 2.0**-52),
+        (2.0**-1022 - 3 * 2.0**-1074, 2.0**-1022 + 3 * 2.0**-1074),
+    ],
+)
+def test_bisect_root_on_brackets_across_a_binade_edge(lo, hi):
+    """Every sign change between adjacent floats of a bracket that spans a
+    binade edge, as a step, and a line through every float inside."""
+    for r in _floats_in(lo, hi)[1:]:
+        for kind, flip in itertools.product((_step, _line), (False, True)):
+            if kind is _line and r == hi:
+                continue
+            g = kind(r, 1.0)
+            f = (lambda x: -g(x)) if flip else g
+            calls = []
+            root = bisect_root(lambda x: calls.append(x) or f(x), lo, hi)
+            assert lo <= root <= hi
+            assert _sign_changes_next_to(f, root, lo, hi)
+            oracle, bisections = plain_bisect(lambda x: f(x) or 1.0, lo, hi)
+            assert len(calls) <= 3 * bisections + 4
+            if kind is _step:
+                assert root == oracle
 
 
 @settings(max_examples=100, deadline=None)
