@@ -44,8 +44,12 @@ class OutputRecord:
     tolerances: dict = dataclasses.field(default_factory=dict)
     status: str = "ok"
 
+    def _as_dict(self) -> dict:
+        # the five fields, uncopied: dataclasses.asdict deep-copies every value first
+        return vars(self)
+
     def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self), sort_keys=True)
+        return json.dumps(self._as_dict(), sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "OutputRecord":
@@ -69,12 +73,16 @@ def _write_profile_csv(path: str, profile: np.ndarray, columns=("t", "value")) -
 
 def _parse_weights(text: str) -> list[float]:
     text = text.strip()
-    values = json.loads(text) if text.startswith("[") else [tok for tok in text.split(",") if tok.strip()]
+    as_json = text.startswith("[")
+    values = json.loads(text) if as_json else [tok for tok in text.split(",") if tok.strip()]
     if not isinstance(values, list) or not values:
         raise DomainError("weights must be a nonempty JSON array or comma-separated list")
     try:
+        # a JSON array holds numbers only: float() would read true as 1 and "2" as 2
+        if as_json and not all(type(v) in (int, float) for v in values):
+            raise TypeError
         return [float(v) for v in values]
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise DomainError(f"weights must be numbers, got {text!r}") from None
 
 
@@ -314,8 +322,12 @@ def _cmd_verify(args):
 # ---------------------------------------------------------------------------
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    return _parsers()[0]
+
+
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict]:
     parser = argparse.ArgumentParser(
         prog="lcmoments",
         description="Sharp moment-comparison constants and simplex slicing, batch interface.",
@@ -371,13 +383,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     for each in (parser, *sub.choices.values()):
         each._negative_number_matcher = _NEGATIVE_NUMBER
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser, subparsers = _parsers()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        if argv and argv[0] in subparsers:
+            # straight to the subcommand's parser: the top level's pass cost as much again
+            args, extra = subparsers[argv[0]].parse_known_args(argv[1:])
+            if extra:
+                parser.error(f"unrecognized arguments: {' '.join(extra)}")
+            args.subcommand = argv[0]
+        else:
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
@@ -388,7 +408,7 @@ def main(argv=None) -> int:
     if len(records) == 1:
         print(records[0].to_json())
     else:
-        print(json.dumps([dataclasses.asdict(r) for r in records], sort_keys=True))
+        print(json.dumps([r._as_dict() for r in records], sort_keys=True))
     return code
 
 

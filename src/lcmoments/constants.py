@@ -51,10 +51,10 @@ _ENDPOINT_SNAP = 1e-8
 _MAX_GRID = 10**7
 
 # log Gamma(1+p) / p = -euler_gamma + p * sum_{k>=2} (-1)^k zeta(k) p^(k-2) / k
-# (DLMF 5.7.3): the sum's coefficients from k = 9 down, past which the terms
-# stay below 1e-27 for |p| < _SERIES_ORDER
-_LOG_GAMMA_SERIES = [(-1.0) ** k * float(special.zeta(k)) / k for k in range(9, 1, -1)]
-_SERIES_ORDER = 1e-3
+# (DLMF 5.7.3): the sum's coefficients from k = 32 down, past which the terms
+# stay below 1e-20 for |p| < _SERIES_ORDER
+_LOG_GAMMA_SERIES = [(-1.0) ** k * float(special.zeta(k)) / k for k in range(32, 1, -1)]
+_SERIES_ORDER = 0.25
 
 
 def _member_gap(p: float, s: float, t: float, norm) -> float:

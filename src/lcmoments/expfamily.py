@@ -109,11 +109,13 @@ def density_xab(params: TwoSidedExpParams, x):
     out = np.zeros_like(xs)
     m = b - a
     right = xs >= m
-    if a > 0.0:
-        out[right] = np.exp(-(xs[right] + a - b) / a) / (a + b)
-    if b > 0.0:
-        left = ~right
-        out[left] = np.exp((xs[left] + a - b) / b) / (a + b)
+    # a subnormal scale overflows the exponent to -inf, whose exp is the right 0
+    with np.errstate(over="ignore"):
+        if a > 0.0:
+            out[right] = np.exp(-(xs[right] + a - b) / a)
+        if b > 0.0:
+            out[~right] = np.exp((xs[~right] + a - b) / b)
+    out /= a + b
     return float(out[0]) if scalar else out
 
 

@@ -1,5 +1,10 @@
+import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -140,6 +145,26 @@ def test_slice_json_weights(capsys):
     code, payload = _run(capsys, ["slice", "--weights", "[0.7071067811865476, -0.7071067811865476]"])
     assert code == 0
     assert payload["outputs"]["density_at_zero"] == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-8)
+
+
+@pytest.mark.parametrize(
+    "weights",
+    ['[true, "2", -1]', "[1, false, -1]", '[1, "0", -1]', "[1, null, -1]", f"[1{'0' * 400}, 0, -1]", "true,0,-1"],
+    ids=["bool-and-string", "false", "string", "null", "int-past-float", "token"],
+)
+def test_slice_weights_are_numbers_only(capsys, weights):
+    # float() reads true as 1 and "2" as 2: the JSON form takes only JSON numbers
+    assert main(["slice", "--project", "--weights", weights]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "must be numbers" in json.loads(err)["message"]
+
+
+def test_slice_weights_in_either_form_agree(capsys):
+    outputs = []
+    for weights in ["[2, 0, -1.5e0]", "2, 0,-1.5e0", "2.0,0,-1.5"]:
+        assert main(["slice", "--project", "--volume", "--weights", weights]) == 0
+        outputs.append(json.loads(capsys.readouterr().out)["outputs"])
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_crossings_command(capsys):
@@ -320,3 +345,74 @@ def test_slice_many_repeated_weights(capsys):
     code, payload = _run(capsys, ["slice", "--project", "--weights", weights])
     assert code == 0
     assert payload["outputs"]["density_at_zero"] == pytest.approx(0.397902344289480, abs=1e-12)
+
+
+# every subcommand, every suite, and negative orders in exponent notation
+_EVERY_COMMAND = [
+    ["p0"],
+    ["constant", "--which", "lp-lq", "--p", "0.5", "--q", "2"],
+    ["scan", "--p", "4", "--grid", "100"],
+    ["scan", "--p", "-6.3e-05", "--grid", "100"],
+    ["scan-l2", "--p", "1.5", "--grid", "100"],
+    ["moment", "--p", "3", "--t", "0.2", "--normalized"],
+    ["moment", "--p", "-6.3e-05", "--t", "0.5"],
+    ["slice", "--weights", "1,0,-1", "--project", "--volume"],
+    ["max-section", "--n", "3", "--restarts", "20", "--seed", "1"],
+    ["crossings", "--t", "0.5"],
+    ["verify", "--suite", "reduction"],
+    ["verify", "--suite", "fradelizi"],
+    ["verify", "--suite", "crossings"],
+    ["verify", "--suite", "constants"],
+    ["verify", "--suite", "mc", "--samples", "300000", "--seed", "7"],
+]
+
+
+@pytest.mark.parametrize("argv", _EVERY_COMMAND, ids=" ".join)
+def test_stdout_is_the_records_through_dataclasses_asdict(capsys, argv):
+    code = main(argv)
+    out = capsys.readouterr().out
+    # the top parser's two-level parse and dataclasses.asdict are the oracle
+    args = build_parser().parse_args(argv)
+    records, expected_code = args.handler(args)
+    dicts = [dataclasses.asdict(r) for r in records]
+    assert code == expected_code
+    assert out == json.dumps(dicts[0] if len(dicts) == 1 else dicts, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["moment", "--p", "2", "--t", "0.5", "extra"],
+        ["moment", "--p", "2", "--t", "0.5", "--bogus", "1"],
+        ["--tol", "1e-9", "verify", "--suite", "fradelizi"],
+        [],
+        ["no-such-command"],
+        ["--help"],
+        ["moment", "--help"],
+        ["moment", "--t", "0.5"],
+        ["moment", "--p", "-x", "--t", "0.5"],
+        ["--", "moment", "--p", "2", "--t", "0.5"],
+    ],
+    ids=" ".join,
+)
+def test_usage_errors_and_help_match_the_top_parser(capsys, argv):
+    code = main(argv)
+    new = (code, *capsys.readouterr())
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    old = (2 if exc.value.code not in (0, None) else 0, *capsys.readouterr())
+    assert new == old
+    assert "usage: lcmoments" in new[1] + new[2]
+
+
+def test_module_run_prints_what_main_prints(capsys):
+    argv = ["moment", "--p", "3", "--t", "0.2", "--normalized"]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "lcmoments.cli", *argv], cwd=root, env=env, capture_output=True, text=True, timeout=300
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (0, expected, "")

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -64,6 +65,18 @@ class TestDensityXab:
         assert density_xab(one_sided, -1.5) == 0.0
         flipped = TwoSidedExpParams(0.0, 1.0)
         assert density_xab(flipped, 1.5) == 0.0
+
+    @pytest.mark.parametrize("a, b, x", [(1.0, 5e-324, -1.5), (5e-324, 1.0, 1.5), (1.0, 1e-320, -1.5)])
+    def test_subnormal_branch_scale_is_zero_without_a_warning(self, a, b, x):
+        # (x + a - b) / b overflows to -inf there; exp of it is the right 0
+        params = TwoSidedExpParams(a, b)
+        with warnings.catch_warnings(), np.errstate(over="warn"):
+            warnings.simplefilter("error")
+            assert density_xab(params, x) == 0.0
+            assert two_sided_exponential_density(a, b).pdf(x) == 0.0
+            # half a unit into the other branch, the density is unchanged
+            inner = params.breakpoint + (0.5 if a > b else -0.5)
+            assert density_xab(params, [x, inner]) == pytest.approx([0.0, math.exp(-0.5) / (a + b)], rel=1e-15)
 
     def test_invalid_params(self):
         with pytest.raises(DomainError):
