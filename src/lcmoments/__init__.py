@@ -25,7 +25,6 @@ from .errors import (
     DegenerateSectionError,
     DomainError,
     NumericalError,
-    QuadratureError,
 )
 from .expfamily import (
     ComparisonCheck,
@@ -49,10 +48,8 @@ from .expfamily import (
 from .mc import (
     McConfig,
     McEstimate,
-    estimate_abs_moment,
     estimate_density_at_zero,
     estimate_xab_moments,
-    sample_xab,
 )
 from .simplex import (
     MaxSectionResult,
@@ -65,7 +62,6 @@ from .simplex import (
 from .specfun import (
     exp_power_integral,
     gamma,
-    integrate_adaptive,
     shifted_exp_moment,
 )
 

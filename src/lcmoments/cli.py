@@ -51,10 +51,6 @@ class OutputRecord:
     def to_json(self) -> str:
         return json.dumps(self._as_dict(), sort_keys=True)
 
-    @classmethod
-    def from_json(cls, text: str) -> "OutputRecord":
-        return cls(**json.loads(text))
-
 
 def _default_seed() -> int:
     try:
@@ -121,16 +117,16 @@ def _cmd_p0(args):
     return [record], 0 if record.status == "ok" else 1
 
 
-# subcommand -> (scanner, output key of the extremiser, CSV column of the parameter)
+# subcommand -> (scanner's name in constants, read at each call; output key of the extremiser; CSV column)
 _SCANS = {
-    "scan": (constants.scan_family_extrema, "argopt_t", "t"),
-    "scan-l2": (constants.scan_l2_ratio, "argopt_s", "s"),
+    "scan": ("scan_family_extrema", "argopt_t", "t"),
+    "scan-l2": ("scan_l2_ratio", "argopt_s", "s"),
 }
 
 
 def _cmd_scan(args):
     scanner, key, column = _SCANS[args.subcommand]
-    result = scanner(args.p, args.grid)
+    result = getattr(constants, scanner)(args.p, args.grid)
     outputs = {key: result.argopt_t, "opt_value": result.opt_value}
     if args.csv:
         _write_profile_csv(args.csv, result.profile, columns=(column, "value"))

@@ -158,7 +158,7 @@ def _grid_then_refine(objective, grid_size: int, maximize: bool, snap) -> ScanRe
     hi = xs[min(idx + 1, grid_size - 1)]
     # maximising is minimising the negated objective; the sign flips are exact
     sign = -1.0 if maximize else 1.0
-    argopt, opt = golden_section_min(lambda x: sign * objective(x), lo, hi, tol=1e-10)
+    argopt, opt = golden_section_min(lambda x: sign * objective(x), lo, hi)
     opt *= sign
     for c in snap:
         vc = objective(c)

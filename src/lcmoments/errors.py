@@ -5,10 +5,6 @@ class DomainError(ValueError):
     """An argument violates a documented precondition."""
 
 
-class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to converge to the requested tolerance."""
-
-
 class BracketError(RuntimeError):
     """A root bracket does not enclose a sign change."""
 

@@ -35,7 +35,7 @@ from typing import Callable
 import numpy as np
 from scipy import special
 
-from .errors import DomainError
+from .errors import DomainError, NumericalError
 from .search import bisect_root
 from .specfun import as_order, exp_power_integral, gamma, shifted_exp_moment
 
@@ -205,6 +205,18 @@ def _abs_ebar_terms(t: float):
     return (1.0 - t) / mu, head, tail
 
 
+def _normal_power(x: float, p: float = 1.0) -> float:
+    """x**p for x > 0, if it is a positive normal float.  Past the largest
+    float, or rounded to a subnormal or 0, it has lost its digits: NumericalError."""
+    try:
+        value = x**p
+    except OverflowError:
+        value = math.inf
+    if not sys.float_info.min <= value < math.inf:
+        raise NumericalError(f"{x!r}**{p!r} lies outside the positive normal floats")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # log-concave test densities
 # ---------------------------------------------------------------------------
@@ -228,7 +240,7 @@ def two_sided_exponential_density(a: float, b: float) -> LogConcaveTestDensity:
     return LogConcaveTestDensity(
         name=f"two-sided-exponential({a:g},{b:g})",
         pdf=lambda x: density_xab(params, x),
-        moment=lambda p: big**p * moment_et(p, small / big),
+        moment=lambda p: _normal_power(big, p) * moment_et(p, small / big),
         prob_positive=prob_positive(params),
     )
 
@@ -243,7 +255,7 @@ def centred_uniform(half_width: float) -> LogConcaveTestDensity:
         xs = np.asarray(x, dtype=float)
         return np.where(np.abs(xs) <= c, height, 0.0)
 
-    return LogConcaveTestDensity(f"centred-uniform({c:g})", pdf, lambda p: c**p / (p + 1.0), 0.5)
+    return LogConcaveTestDensity(f"centred-uniform({c:g})", pdf, lambda p: _normal_power(c, p) / (p + 1.0), 0.5)
 
 
 def centred_gaussian(sigma: float) -> LogConcaveTestDensity:
@@ -257,7 +269,7 @@ def centred_gaussian(sigma: float) -> LogConcaveTestDensity:
         return norm * np.exp(-0.5 * (xs / s) ** 2)
 
     def moment(p):
-        return s**p * 2.0 ** (p / 2.0) * gamma((p + 1.0) / 2.0) / math.sqrt(math.pi)
+        return _normal_power(s, p) * 2.0 ** (p / 2.0) * gamma((p + 1.0) / 2.0) / math.sqrt(math.pi)
 
     return LogConcaveTestDensity(f"centred-gaussian({s:g})", pdf, moment, 0.5)
 
@@ -270,7 +282,8 @@ def _truncated_exponential_mean(cut: float) -> float:
     if cut < 0.1:
         c2 = cut * cut
         return cut * (0.5 - cut * (1.0 / 12.0 - c2 * (1.0 / 720.0 - c2 * (1.0 / 30240.0 - c2 / 1209600.0))))
-    return 1.0 - cut / math.expm1(cut)
+    c = min(cut, 700.0)  # the mean rounds to 1 from cut = 41.2 on, and e^cut overflows past 709.78
+    return 1.0 - c / math.expm1(c)
 
 
 def truncated_exponential(cut: float) -> LogConcaveTestDensity:
@@ -312,8 +325,8 @@ def catalogue() -> list[LogConcaveTestDensity]:
 
 
 def abs_moment(density: LogConcaveTestDensity, p) -> float:
-    """E|X|^p for a catalogue density, from its closed form."""
-    return density.moment(as_order(p))
+    """E|X|^p for a catalogue density, from its closed form (``_normal_power``)."""
+    return _normal_power(density.moment(as_order(p)))
 
 
 # ---------------------------------------------------------------------------
@@ -335,16 +348,18 @@ def reduction_check(density: LogConcaveTestDensity, p) -> ComparisonCheck:
     X -> -X, so a density with P(X > 0) > 1/2 is matched through its mirror
     image, whose P(X > 0) is 1 - P(X > 0).  The power x^p restricted to a
     half-line is convex for p < 0 or p > 1 (the matched family dominates)
-    and concave for 0 < p < 1 (the inequality reverses).
+    and concave for 0 < p < 1 (the inequality reverses).  NumericalError
+    where a side or scale leaves the positive normal floats.
     """
     p = as_order(p)
     alpha = min(density.prob_positive, 1.0 - density.prob_positive)
 
     l1 = abs_moment(density, 1.0)
     params = match_two_sided(alpha, l1)
-    lhs = abs_moment(density, p) / l1**p
+    scale = _normal_power(l1, p)
+    lhs = _normal_power(abs_moment(density, p) / scale)
     # E|X(a,b)|^p = a^p E|E_u|^p with u = b/a, and E|X(a,b)| = l1 by matching
-    rhs = params.a**p * moment_et(p, params.b / params.a) / l1**p
+    rhs = _normal_power(_normal_power(params.a, p) * moment_et(p, params.b / params.a) / scale)
 
     slack = COMPARISON_SLACK * max(1.0, abs(lhs), abs(rhs))
     if 0.0 < p < 1.0:
@@ -360,7 +375,8 @@ def fradelizi_check(density: LogConcaveTestDensity, exponent: float) -> Comparis
     """E|X|^r <= int |x|^r f(0) e^{-2 f(0) |x|} dx for r >= 1 and mean-zero f.
 
     The left side is ``abs_moment``; the right side is the Laplace integral
-    in closed form, Gamma(r + 1) / (2 f(0))^r.
+    in closed form, Gamma(r + 1) / (2 f(0))^r.  NumericalError where a side
+    leaves the positive normal floats.
     """
     exponent = float(exponent)
     if not 1.0 <= exponent < math.inf:
@@ -369,6 +385,6 @@ def fradelizi_check(density: LogConcaveTestDensity, exponent: float) -> Comparis
     if not f0 > 0.0:
         raise DomainError("comparison density requires f(0) > 0")
     lhs = abs_moment(density, exponent)
-    rhs = gamma(exponent + 1.0) / (2.0 * f0) ** exponent
+    rhs = _normal_power(gamma(exponent + 1.0) / _normal_power(2.0 * f0, exponent))
     holds = lhs <= rhs + COMPARISON_SLACK * max(1.0, abs(rhs))
     return ComparisonCheck(lhs, rhs, holds)

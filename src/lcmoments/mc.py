@@ -1,10 +1,9 @@
 """Seeded Monte-Carlo oracles for moments and densities.
 
-These estimators exist to validate the closed-form routes,
-so reproducibility is strict: sampling is split into fixed-size chunks, the
-counter-based Philox generator for chunk c is keyed by (seed, c), and
-reductions run in chunk order, so identical configurations give
-bit-identical estimates.
+These estimators exist to validate the closed-form routes, so reproducibility
+is strict: sampling is split into fixed-size chunks, the counter-based Philox
+generator for chunk c is keyed by (seed, c), and reductions run in chunk
+order, so identical configurations give bit-identical estimates.
 
 The chunks run on two lanes: the calling thread takes the even chunks and
 one helper thread the odd ones.  Each lane allocates its buffers once, and
@@ -16,9 +15,7 @@ member a(E-1) - b(E'-1) of the two-sided family shares them under one
 configuration.  `estimate_xab_moments` makes one pass over the chunks that
 serves many (params, p) cases: each chunk is drawn once, and each case only
 adds its |x|^p to per-block sums, so memory stays at about three chunks per
-lane whatever the sample count.  `sample_xab` followed by
-`estimate_abs_moment` is the array route over the same samples, for raw
-samples and as a test oracle.
+lane whatever the sample count.
 """
 
 from __future__ import annotations
@@ -37,8 +34,6 @@ from .specfun import as_order
 __all__ = [
     "McConfig",
     "McEstimate",
-    "sample_xab",
-    "estimate_abs_moment",
     "estimate_xab_moments",
     "estimate_density_at_zero",
 ]
@@ -125,11 +120,6 @@ def _two_lanes(sizes: list[int], buffers, work) -> list:
     return results
 
 
-def _lane_buffers(cfg: McConfig, rows: int) -> tuple[np.ndarray, ...]:
-    """One lane's buffers: `rows` chunk-long rows, then a quarter-chunk scratch."""
-    return (*np.empty((rows, min(cfg.samples, _CHUNK))), np.empty(_CHUNK // 4))
-
-
 def _draw_chunk(seed: int, c: int, size: int, e1, e2):
     """E-1 and E'-1 of chunk c, drawn into the first `size` entries of e1 and e2."""
     rng = _chunk_rng(seed, c)
@@ -152,19 +142,6 @@ def _xab_into(params: TwoSidedExpParams, d1, d2, out, scratch) -> None:
         np.subtract(out[part], tmp, out=out[part])
 
 
-def sample_xab(params: TwoSidedExpParams, cfg: McConfig) -> np.ndarray:
-    """i.i.d. samples of a(E-1) - b(E'-1), two exponential draws per sample."""
-    out = np.empty(cfg.samples)
-
-    def work(c, size, e1, e2, scratch):
-        d1, d2 = _draw_chunk(cfg.seed, c, size, e1, e2)
-        start = c * _CHUNK
-        _xab_into(params, d1, d2, out[start : start + size], scratch)
-
-    _two_lanes(_chunk_sizes(cfg.samples), lambda: _lane_buffers(cfg, 2), work)
-    return out
-
-
 @dataclass(frozen=True)
 class McEstimate:
     estimate: float
@@ -179,8 +156,6 @@ def _abs_power_inplace(x: np.ndarray, p: float) -> None:
 
 
 def _block_edges(n: int) -> np.ndarray:
-    if n < _JACKKNIFE_BLOCKS:
-        raise DomainError(f"need at least {_JACKKNIFE_BLOCKS} samples for the jackknife")
     return np.linspace(0, n, _JACKKNIFE_BLOCKS + 1).astype(int)
 
 
@@ -198,26 +173,13 @@ def _jackknife(block_sums: np.ndarray, block_sizes: np.ndarray, n: int) -> McEst
     return McEstimate(estimate, se)
 
 
-def estimate_abs_moment(samples: np.ndarray, p) -> McEstimate:
-    """Sample mean of |x|^p with a delete-one-block jackknife standard error.
-
-    For p in (-1, 0) this is still the raw mean of |x|^p; the heavier tail
-    of the summand simply shows up as a larger reported standard error.
-    """
-    p = as_order(p)
-    values = np.array(samples, dtype=float)
-    edges = _block_edges(values.size)
-    _abs_power_inplace(values, p)
-    return _jackknife(np.add.reduceat(values, edges[:-1]), np.diff(edges), values.size)
-
-
 def estimate_xab_moments(cases, cfg: McConfig) -> list[McEstimate]:
     """E|a(E-1) - b(E'-1)|^p for each (TwoSidedExpParams, p) in cases, in one
     pass over shared draws.
 
-    Each case sees the samples of `sample_xab(params, cfg)` bit for bit, and
-    its estimate and standard error are those of `estimate_abs_moment` on
-    them up to the order of summation.
+    Each estimate is the sample mean of |x|^p with a delete-one-block
+    jackknife standard error.  For p in (-1, 0) this is still the raw mean of
+    |x|^p; the heavier tail of the summand shows up as a larger standard error.
     """
     cases = [(params, as_order(p)) for params, p in cases]
     n = cfg.samples
@@ -237,8 +199,12 @@ def estimate_xab_moments(cases, cfg: McConfig) -> list[McEstimate]:
             parts.append(np.add.reduceat(xs, cuts))
         return first, parts
 
+    def buffers():
+        # rows for E-1, E'-1 and the case's samples, then a quarter-chunk scratch
+        return (*np.empty((3, min(n, _CHUNK))), np.empty(_CHUNK // 4))
+
     block_sums = np.zeros((len(cases), _JACKKNIFE_BLOCKS))
-    for first, parts in _two_lanes(_chunk_sizes(n), lambda: _lane_buffers(cfg, 3), work):
+    for first, parts in _two_lanes(_chunk_sizes(n), buffers, work):
         for sums, part in zip(block_sums, parts):
             sums[first : first + part.size] += part
     sizes = np.diff(edges)

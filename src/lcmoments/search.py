@@ -24,6 +24,7 @@ from .errors import BracketError, DomainError, NumericalError
 
 # inverse golden ratio, the fraction of the interval kept each step
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN_TOL = 1e-10  # the bracket width at which golden-section search stops
 
 
 def _value(f: Callable[[float], float], x: float) -> float:
@@ -96,10 +97,8 @@ def bisect_root(f: Callable[[float], float], lo: float, hi: float) -> float:
         stale = stale + 1 if abs(c - b) > 0.5 * width else 0
 
 
-def golden_section_min(
-    f: Callable[[float], float], lo: float, hi: float, tol: float = 1e-10
-) -> tuple[float, float]:
-    """Golden-section minimisation on [lo, hi]; returns (argmin, min value).
+def golden_section_min(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
+    """Golden-section minimisation on [lo, hi] down to _GOLDEN_TOL; returns (argmin, min value).
 
     Raises DomainError for a non-finite or inverted bracket and
     NumericalError when f is not finite at a point it is evaluated at.
@@ -111,7 +110,7 @@ def golden_section_min(
     x1 = b - _INVPHI * (b - a)
     x2 = a + _INVPHI * (b - a)
     f1, f2 = _value(f, x1), _value(f, x2)
-    while (b - a) > tol:
+    while (b - a) > _GOLDEN_TOL:
         if f1 < f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - _INVPHI * (b - a)

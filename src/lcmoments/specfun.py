@@ -1,4 +1,4 @@
-"""Special functions and the adaptive quadrature primitive.
+"""Special functions of the family moments.
 
 The family moments reduce to the gamma function plus two
 exponential-weighted integrals, both evaluated in closed form:
@@ -8,46 +8,34 @@ exponential-weighted integrals, both evaluated in closed form:
 
 The first is Kummer's function 1F1 (DLMF 13.2), the second the upper
 incomplete gamma function (DLMF 8.2) or, once e^u would overflow, Tricomi's
-U (DLMF 13.6).  No route of the package integrates: ``integrate_adaptive``,
-at one fixed tolerance, is the quadrature that the tests compare the
-closed forms against.
-
-``scipy.integrate`` takes about half a second to import, so it loads on
-the first access to ``specfun.integrate`` (PEP 562), not with the package.
-``_quad`` reads that module attribute at each call, so whatever is bound
-to it at the time does the integrating.
+U (DLMF 13.6).  No route of the package integrates.
 """
 
 from __future__ import annotations
 
 import math
-import sys
-from itertools import pairwise
-from typing import Callable, Sequence
 
 from scipy import special
 
-from .errors import DomainError, NumericalError, QuadratureError
+from .errors import DomainError, NumericalError
 
 __all__ = [
     "as_order",
-    "integrate_adaptive",
     "gamma",
     "exp_power_integral",
     "shifted_exp_moment",
 ]
 
 
-# the adaptive integrator's absolute and relative tolerances and subinterval limit
-_QUAD_ABS_TOL = 1e-12
-_QUAD_REL_TOL = 1e-10
-_QUAD_LIMIT = 200
-
 # u * U(1, p+2, u) = 1 + p/u + O(u^-2): from here on the correction is below rounding
 _HYPERU_CAP = 1e17
 
 
 def __getattr__(name):
+    """``specfun.integrate`` is ``scipy.integrate``, imported on first access
+    (PEP 562) rather than with the package, since it takes about half a
+    second to load.  The benchmark's tracer replaces this attribute to count
+    integrand evaluations."""
     if name == "integrate":
         from scipy import integrate
 
@@ -63,29 +51,6 @@ def as_order(p) -> float:
     if not -1.0 < value < math.inf:
         raise DomainError(f"moment order must be finite and exceed -1, got {value}")
     return value
-
-
-def _quad(f, lo, hi):
-    value, _, _, *message = sys.modules[__name__].integrate.quad(
-        f, lo, hi, epsabs=_QUAD_ABS_TOL, epsrel=_QUAD_REL_TOL, limit=_QUAD_LIMIT, full_output=1
-    )
-    # quad appends a message only when its error code is nonzero
-    if message:
-        raise QuadratureError(f"quadrature on [{lo}, {hi}] did not converge: {message[0]}")
-    return value
-
-
-def integrate_adaptive(
-    f: Callable[[float], float], lo: float, hi: float, points: Sequence[float] = ()
-) -> float:
-    """Adaptive quadrature of ``f`` on [lo, hi], split at interior breakpoints.
-
-    Infinite endpoints are allowed.  The range is cut at each breakpoint and
-    the pieces summed, so the integrator never straddles a kink or jump of
-    the integrand.
-    """
-    pts = sorted({float(x) for x in points if lo < x < hi and math.isfinite(x)})
-    return sum(_quad(f, a, b) for a, b in pairwise([lo, *pts, hi]))
 
 
 def gamma(x: float) -> float:

@@ -32,9 +32,10 @@ from lcmoments.expfamily import (
     reduction_check,
     two_sided_exponential_density,
 )
-from lcmoments.mc import McConfig, estimate_abs_moment, estimate_density_at_zero, sample_xab
+from lcmoments.mc import McConfig, estimate_density_at_zero, estimate_xab_moments
 from lcmoments.simplex import WeightVector, density_at_zero, maximize_section
 from lcmoments.specfun import gamma
+from mc_oracles import serial_sample_xab
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -198,26 +199,22 @@ def test_criterion_7_monte_carlo_cross_validation():
     with _Criterion(7, "Monte-Carlo estimates inside 3 standard errors"):
         cfg = McConfig(seed=MC_SEED, samples=MC_SAMPLES)
 
-        samples_sym = sample_xab(TwoSidedExpParams(1.0, 1.0), cfg)
+        samples_sym = serial_sample_xab(TwoSidedExpParams(1.0, 1.0), cfg)
         se_mean = samples_sym.std(ddof=1) / math.sqrt(samples_sym.size)
         assert abs(samples_sym.mean()) <= 3.0 * se_mean
-        est = estimate_abs_moment(samples_sym, 2.0)
-        assert abs(est.estimate - 2.0) <= 3.0 * est.standard_error
+        del samples_sym
 
-        samples_half = sample_xab(TwoSidedExpParams(1.0, 0.5), cfg)
-        est = estimate_abs_moment(samples_half, 1.0)
-        assert abs(est.estimate - moment_et(1.0, 0.5)) <= 3.0 * est.standard_error
-        est = estimate_abs_moment(samples_half, 2.0)
-        assert abs(est.estimate - 1.25) <= 3.0 * est.standard_error
-
-        samples_fifth = sample_xab(TwoSidedExpParams(1.0, 0.2), cfg) / family_scale(0.2)
-        est = estimate_abs_moment(samples_fifth, 3.0)
-        target = moment_et(3.0, 0.2) / family_scale(0.2) ** 3
-        assert abs(est.estimate - target) <= 3.0 * est.standard_error
-
-        samples_one = sample_xab(TwoSidedExpParams(1.0, 0.0), cfg)
-        est = estimate_abs_moment(samples_one, 4.0)
-        assert abs(est.estimate - 9.0) <= 3.0 * est.standard_error
+        s = family_scale(0.2)
+        cases = [
+            (TwoSidedExpParams(1.0, 1.0), 2.0, 2.0),
+            (TwoSidedExpParams(1.0, 0.5), 1.0, moment_et(1.0, 0.5)),
+            (TwoSidedExpParams(1.0, 0.5), 2.0, 1.25),
+            (TwoSidedExpParams(1.0 / s, 0.2 / s), 3.0, moment_et(3.0, 0.2) / s**3),
+            (TwoSidedExpParams(1.0, 0.0), 4.0, 9.0),
+        ]
+        estimates = estimate_xab_moments([(params, p) for params, p, _ in cases], cfg)
+        for (_, _, target), est in zip(cases, estimates):
+            assert abs(est.estimate - target) <= 3.0 * est.standard_error
 
         for raw in ([1.0, -1.0], [1.0, 0.0, -1.0]):
             w = WeightVector.from_raw(raw, project=True)
@@ -232,8 +229,7 @@ def test_criterion_7_monte_carlo_cross_validation():
         target = moment_et(2.0, 0.5)
         hits = 0
         for seed in range(100):
-            stream = sample_xab(TwoSidedExpParams(1.0, 0.5), McConfig(seed=seed, samples=100_000))
-            est = estimate_abs_moment(stream, 2.0)
+            [est] = estimate_xab_moments([(TwoSidedExpParams(1.0, 0.5), 2.0)], McConfig(seed=seed, samples=100_000))
             hits += abs(est.estimate - target) <= 3.0 * est.standard_error
         assert hits >= 95
 

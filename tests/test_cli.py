@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from lcmoments import constants
 from lcmoments.cli import OutputRecord, build_parser, main
 from lcmoments.constants import _MAX_GRID
 
@@ -27,7 +28,7 @@ def test_output_record_round_trip():
         tolerances={"value": 1e-8},
         status="ok",
     )
-    assert OutputRecord.from_json(record.to_json()) == record
+    assert OutputRecord(**json.loads(record.to_json())) == record
 
 
 def test_p0_command(capsys):
@@ -416,3 +417,20 @@ def test_module_run_prints_what_main_prints(capsys):
         [sys.executable, "-m", "lcmoments.cli", *argv], cwd=root, env=env, capture_output=True, text=True, timeout=300
     )
     assert (result.returncode, result.stdout, result.stderr) == (0, expected, "")
+
+
+@pytest.mark.parametrize(
+    "subcommand, scanner, p", [("scan", "scan_family_extrema", "4"), ("scan-l2", "scan_l2_ratio", "1.5")]
+)
+def test_scan_calls_the_scanner_bound_on_constants_at_call_time(capsys, monkeypatch, subcommand, scanner, p):
+    # a rebinding of the constants attribute, as a tracer makes, reaches the subcommand
+    real, calls = getattr(constants, scanner), []
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(constants, scanner, spy)
+    code, record = _run(capsys, [subcommand, "--p", p, "--grid", "100"])
+    assert code == 0 and record["command"] == subcommand
+    assert calls == [(float(p), 100)]

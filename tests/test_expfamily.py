@@ -1,5 +1,6 @@
 import math
 import warnings
+from itertools import pairwise
 
 import mpmath
 import numpy as np
@@ -29,7 +30,7 @@ from lcmoments.expfamily import (
     truncated_exponential,
     two_sided_exponential_density,
 )
-from lcmoments.specfun import as_order, gamma, integrate_adaptive
+from lcmoments.specfun import as_order, gamma
 
 
 def _quad_density(params, lo=-80.0, hi=80.0, weight=None):
@@ -488,19 +489,36 @@ class TestFradeliziCheck:
 # ---------------------------------------------------------------------------
 
 
+def _quad_split(f, lo, hi, breakpoints):
+    """int_lo^hi f by scipy's adaptive quad (absolute 1e-12, relative 1e-10),
+    summed over the pieces between the breakpoints inside (lo, hi): quad
+    takes ``points`` only on finite ranges.  A piece that does not converge
+    fails the test."""
+    pts = sorted({float(x) for x in breakpoints if lo < x < hi})
+
+    def piece(a, b):
+        value, _, _, *message = integrate.quad(f, a, b, epsabs=1e-12, epsrel=1e-10, limit=200, full_output=1)
+        # quad appends a message only when its error code is nonzero
+        if message:
+            pytest.fail(f"quadrature on [{a}, {b}] did not converge: {message[0]}")
+        return value
+
+    return sum(piece(a, b) for a, b in pairwise([lo, *pts, hi]))
+
+
 def _one_sided_abs_moment(pdf, upper, p, breakpoints):
     """int_0^upper x^p pdf(x) dx.  For p < 0 the singular x^p is integrated
     exactly against pdf(0) on [0, min(upper, 1)], and the quadrature there
     sees only x^p (pdf(x) - pdf(0)), bounded since a log-concave density is
     Lipschitz at the interior point 0."""
     if p >= 0.0:
-        return integrate_adaptive(lambda x: x**p * float(pdf(x)), 0.0, upper, points=breakpoints)
+        return _quad_split(lambda x: x**p * float(pdf(x)), 0.0, upper, breakpoints)
     head, f0 = min(upper, 1.0), float(pdf(0.0))
     near = f0 * head ** (1.0 + p) / (1.0 + p)
-    near += integrate_adaptive(lambda x: x**p * (float(pdf(x)) - f0), 0.0, head, points=breakpoints)
+    near += _quad_split(lambda x: x**p * (float(pdf(x)) - f0), 0.0, head, breakpoints)
     if upper <= 1.0:
         return near
-    return near + integrate_adaptive(lambda x: x**p * float(pdf(x)), 1.0, upper, points=breakpoints)
+    return near + _quad_split(lambda x: x**p * float(pdf(x)), 1.0, upper, breakpoints)
 
 
 def quadrature_abs_moment(density, geometry, p) -> float:
@@ -590,3 +608,46 @@ def test_truncated_exponential_against_mpmath(cut):
     assert _truncated_exponential_mean(cut) == pytest.approx(mean, rel=1e-13, abs=0.0)
     assert density.prob_positive == pytest.approx(positive, rel=1e-13, abs=0.0)
     assert density.moment(1.0) == pytest.approx(first, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("cut", [709.8, 800.0, 1e10, 1e300])
+def test_truncated_exponential_past_the_overflow_of_e_cut(cut):
+    """Past cut = 709.78 e^cut overflows a float; the density is then the
+    exponential shifted by its mean 1, up to a tail below e^-cut."""
+    density = truncated_exponential(cut)
+    mean, positive, first = _mp_truncated_exponential(cut)
+    assert _truncated_exponential_mean(cut) == mean == 1.0
+    assert density.prob_positive == pytest.approx(positive, rel=1e-15, abs=0.0)
+    assert abs_moment(density, 1.0) == pytest.approx(first, rel=1e-13, abs=0.0)
+    with mpmath.workdps(40):
+        c, m = mpmath.mpf(cut), mpmath.mpf(1) - mpmath.mpf(cut) / mpmath.expm1(cut)
+        for p in (-0.5, 0.5, 3.0):
+            f = lambda y: abs(y - m) ** p * mpmath.exp(-y)  # noqa: B023
+            moment = (mpmath.quad(f, [0, m, mpmath.inf]) - mpmath.quad(f, [c, mpmath.inf])) / -mpmath.expm1(-c)
+            assert abs_moment(density, p) == pytest.approx(float(moment), rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: abs_moment(centred_uniform(1e10), 50),
+        lambda: abs_moment(centred_gaussian(1e10), 50),
+        lambda: abs_moment(two_sided_exponential_density(1e-200, 0.5e-200), 3),
+        lambda: reduction_check(two_sided_exponential_density(1e300, 1e300), 3),
+        lambda: reduction_check(centred_uniform(1e-10), 50),
+        lambda: fradelizi_check(centred_uniform(1e-10), 50),
+        lambda: fradelizi_check(centred_gaussian(1e3), 160),
+    ],
+    ids=[
+        "uniform-moment-overflows",
+        "gaussian-moment-overflows",
+        "family-moment-underflows",
+        "reduction-scale-overflows",
+        "reduction-scale-underflows",
+        "fradelizi-moment-underflows",
+        "fradelizi-moment-overflows",
+    ],
+)
+def test_out_of_range_scales_raise_numerical_error(call):
+    with pytest.raises(NumericalError):
+        call()

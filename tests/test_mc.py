@@ -10,45 +10,9 @@ import pytest
 from lcmoments import mc
 from lcmoments.errors import DomainError, NumericalError
 from lcmoments.expfamily import TwoSidedExpParams, family_scale, moment_et
-from lcmoments.mc import (
-    McConfig,
-    McEstimate,
-    estimate_abs_moment,
-    estimate_density_at_zero,
-    estimate_xab_moments,
-    sample_xab,
-)
+from lcmoments.mc import McConfig, McEstimate, estimate_density_at_zero, estimate_xab_moments
 from lcmoments.simplex import WeightVector
-
-
-def _centred_draws(cfg: McConfig):
-    """Serial oracle: yield (start, E-1, E'-1) chunk by chunk, in chunk order."""
-    start = 0
-    for c, size in enumerate(mc._chunk_sizes(cfg.samples)):
-        rng = mc._chunk_rng(cfg.seed, c)
-        e1 = rng.standard_exponential(size)
-        e2 = rng.standard_exponential(size)
-        yield start, e1 - 1.0, e2 - 1.0
-        start += size
-
-
-def serial_sample_xab(params, cfg):
-    return np.concatenate([params.a * d1 - params.b * d2 for _, d1, d2 in _centred_draws(cfg)])
-
-
-def serial_xab_moments(cases, cfg):
-    """Serial oracle of estimate_xab_moments: one chunk loop, block sums in chunk order."""
-    n = cfg.samples
-    edges = mc._block_edges(n)
-    block_sums = np.zeros((len(cases), mc._JACKKNIFE_BLOCKS))
-    for start, d1, d2 in _centred_draws(cfg):
-        first = int(np.searchsorted(edges, start, side="right")) - 1
-        cuts = np.concatenate(([start], edges[(edges > start) & (edges < start + d1.size)])) - start
-        for sums, (params, p) in zip(block_sums, cases):
-            xs = params.a * d1 - params.b * d2
-            mc._abs_power_inplace(xs, p)
-            sums[first : first + cuts.size] += np.add.reduceat(xs, cuts)
-    return [mc._jackknife(sums, np.diff(edges), n) for sums in block_sums]
+from mc_oracles import array_abs_moment, serial_sample_xab, serial_xab_moments
 
 
 def one_shot_density_at_zero(weights, cfg):
@@ -80,15 +44,16 @@ class TestConfig:
             McConfig(seed=1, samples=samples)
 
     def test_numpy_integers_accepted(self):
+        cases = [(TwoSidedExpParams(1.0, 0.5), 1.0)]
         cfg = McConfig(seed=np.int64(4), samples=np.int64(100_000))
-        assert sample_xab(TwoSidedExpParams(1.0, 0.5), cfg).size == 100_000
+        assert estimate_xab_moments(cases, cfg) == estimate_xab_moments(cases, McConfig(seed=4, samples=100_000))
 
 
 class TestDeterminism:
     def test_identical_configs_bitwise(self):
-        cfg = McConfig(seed=123, samples=150_000)
-        params = TwoSidedExpParams(1.0, 0.4)
-        assert np.array_equal(sample_xab(params, cfg), sample_xab(params, cfg))
+        cases = [(TwoSidedExpParams(1.0, 0.4), 2.0)]
+        first = estimate_xab_moments(cases, McConfig(seed=123, samples=150_000))
+        assert estimate_xab_moments(cases, McConfig(seed=123, samples=150_000)) == first
 
     def test_density_estimate_reproducible(self):
         w = WeightVector.from_raw([1.0, -1.0], project=True)
@@ -100,82 +65,70 @@ class TestDeterminism:
 class TestSampleXab:
     @pytest.mark.parametrize("samples", [100_000, 131_073, 1_000_003])
     def test_bitwise_equal_to_per_chunk_formula(self, samples):
+        # each chunk's samples as estimate_xab_moments forms them in its buffers,
+        # with the b (E'-1) term a quarter chunk at a time
         params = TwoSidedExpParams(1.3, 0.4)
-        parts = []
+        e1, e2, out = np.empty((3, mc._CHUNK))
+        scratch = np.empty(mc._CHUNK // 4)
         for c, size in enumerate(mc._chunk_sizes(samples)):
+            d1, d2 = mc._draw_chunk(17, c, size, e1, e2)
+            mc._xab_into(params, d1, d2, out[:size], scratch)
             rng = mc._chunk_rng(17, c)
-            e1 = rng.standard_exponential(size)
-            e2 = rng.standard_exponential(size)
-            parts.append(params.a * (e1 - 1.0) - params.b * (e2 - 1.0))
-        got = sample_xab(params, McConfig(seed=17, samples=samples))
-        assert np.array_equal(got, np.concatenate(parts))
+            plain_e1, plain_e2 = rng.standard_exponential(size), rng.standard_exponential(size)
+            assert np.array_equal(out[:size], params.a * (plain_e1 - 1.0) - params.b * (plain_e2 - 1.0))
 
     def test_mean_is_centred(self):
-        cfg = McConfig(seed=11, samples=400_000)
-        samples = sample_xab(TwoSidedExpParams(1.0, 1.0), cfg)
+        samples = serial_sample_xab(TwoSidedExpParams(1.0, 1.0), McConfig(seed=11, samples=400_000))
         se = samples.std(ddof=1) / math.sqrt(samples.size)
         assert abs(samples.mean()) < 3.0 * se
 
     def test_mean_abs_matches_quadrature(self):
-        cfg = McConfig(seed=12, samples=400_000)
-        samples = sample_xab(TwoSidedExpParams(1.0, 0.5), cfg)
-        est = estimate_abs_moment(samples, 1.0)
+        [est] = estimate_xab_moments([(TwoSidedExpParams(1.0, 0.5), 1.0)], McConfig(seed=12, samples=400_000))
         assert abs(est.estimate - moment_et(1.0, 0.5)) < 3.0 * est.standard_error
 
     def test_variance_matches_closed_form(self):
         t = 0.7
-        cfg = McConfig(seed=13, samples=400_000)
-        samples = sample_xab(TwoSidedExpParams(1.0, t), cfg)
-        est = estimate_abs_moment(samples, 2.0)
+        [est] = estimate_xab_moments([(TwoSidedExpParams(1.0, t), 2.0)], McConfig(seed=13, samples=400_000))
         assert abs(est.estimate - (1.0 + t * t)) < 3.0 * est.standard_error
 
 
 class TestEstimateAbsMoment:
     def test_second_moment_of_symmetric_member(self):
-        cfg = McConfig(seed=21, samples=400_000)
-        samples = sample_xab(TwoSidedExpParams(1.0, 1.0), cfg)
-        est = estimate_abs_moment(samples, 2.0)
+        [est] = estimate_xab_moments([(TwoSidedExpParams(1.0, 1.0), 2.0)], McConfig(seed=21, samples=400_000))
         assert abs(est.estimate - 2.0) < 3.0 * est.standard_error
 
     def test_normalized_third_moment_near_recorded_value(self):
-        t = 0.2
-        cfg = McConfig(seed=22, samples=600_000)
-        samples = sample_xab(TwoSidedExpParams(1.0, t), cfg) / family_scale(t)
-        est = estimate_abs_moment(samples, 3.0)
+        s = family_scale(0.2)
+        [est] = estimate_xab_moments([(TwoSidedExpParams(1.0 / s, 0.2 / s), 3.0)], McConfig(seed=22, samples=600_000))
         assert abs(est.estimate - 5.9746) < 3.0 * est.standard_error
 
     def test_one_sided_fourth_moment(self):
-        cfg = McConfig(seed=23, samples=600_000)
-        samples = sample_xab(TwoSidedExpParams(1.0, 0.0), cfg)
-        est = estimate_abs_moment(samples, 4.0)
+        [est] = estimate_xab_moments([(TwoSidedExpParams(1.0, 0.0), 4.0)], McConfig(seed=23, samples=600_000))
         assert abs(est.estimate - 9.0) < 3.0 * est.standard_error
 
     def test_negative_order_estimator(self):
-        cfg = McConfig(seed=24, samples=400_000)
-        samples = sample_xab(TwoSidedExpParams(1.0, 1.0), cfg)
-        est = estimate_abs_moment(samples, -0.5)
-        target = moment_et(-0.5, 1.0)
-        assert abs(est.estimate - target) < 4.0 * est.standard_error
+        [est] = estimate_xab_moments([(TwoSidedExpParams(1.0, 1.0), -0.5)], McConfig(seed=24, samples=400_000))
+        assert abs(est.estimate - moment_et(-0.5, 1.0)) < 4.0 * est.standard_error
 
     def test_jackknife_matches_classic_se_for_the_mean(self):
         rng = np.random.default_rng(0)
         data = rng.standard_normal(100_000) + 3.0
-        est = estimate_abs_moment(data, 1.0)
+        est = array_abs_moment(data, 1.0)
         classic = data.std(ddof=1) / math.sqrt(data.size)
         assert est.standard_error == pytest.approx(classic, rel=0.05)
 
-
     def test_pole_at_zero_is_a_numerical_error(self):
         with pytest.raises(NumericalError):
-            estimate_abs_moment(np.r_[0.0, np.ones(200)], -0.5)
+            array_abs_moment(np.r_[0.0, np.ones(200)], -0.5)
 
     def test_overflow_is_a_numerical_error(self):
         with pytest.raises(NumericalError):
-            estimate_abs_moment(np.full(200, 1e10), 40.0)
+            array_abs_moment(np.full(200, 1e10), 40.0)
 
     def test_too_few_samples(self):
+        # McConfig's floor is the estimators' guard: every jackknife block gets samples
         with pytest.raises(DomainError):
-            estimate_abs_moment(np.ones(99), 1.0)
+            estimate_xab_moments([(TwoSidedExpParams(1.0, 1.0), 1.0)], McConfig(seed=25, samples=99_999))
 
 
 def _close(a, b, rel):
@@ -195,10 +148,10 @@ class TestEstimateXabMoments:
             (TwoSidedExpParams(1.0 / s, t / s), 3.0),
         ]
         streamed = estimate_xab_moments(cases, cfg)
-        arrays = [sample_xab(params, cfg) for params, _ in cases[:3]]
-        arrays.append(sample_xab(TwoSidedExpParams(1.0, t), cfg) / s)
+        arrays = [serial_sample_xab(params, cfg) for params, _ in cases[:3]]
+        arrays.append(serial_sample_xab(TwoSidedExpParams(1.0, t), cfg) / s)
         for est, samples_, (_, p) in zip(streamed, arrays, cases):
-            ref = estimate_abs_moment(samples_, p)
+            ref = array_abs_moment(samples_, p)
             assert _close(est.estimate, ref.estimate, 1e-12)
             assert _close(est.standard_error, ref.standard_error, 1e-12)
 
@@ -215,11 +168,11 @@ class TestEstimateXabMoments:
             estimate_xab_moments(cases, cfg)
             _, peak = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
-            sample_xab(cases[0][0], cfg)
+            serial_sample_xab(cases[0][0], cfg)
             _, array_peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # the array route holds 2e6 doubles, 16 MB, which shows that the
+        # the serial sampler returns 2e6 doubles, 16 MB, which shows that the
         # trace sees numpy's buffers
         assert array_peak > 16_000_000
         assert peak < 8_000_000
@@ -258,8 +211,7 @@ def test_coverage_calibration_quick():
     target = moment_et(2.0, 0.5)
     hits = 0
     for seed in range(30):
-        samples = sample_xab(TwoSidedExpParams(1.0, 0.5), McConfig(seed=seed, samples=100_000))
-        est = estimate_abs_moment(samples, 2.0)
+        [est] = estimate_xab_moments([(TwoSidedExpParams(1.0, 0.5), 2.0)], McConfig(seed=seed, samples=100_000))
         hits += abs(est.estimate - target) <= 3.0 * est.standard_error
     assert hits >= 27
 
@@ -283,8 +235,6 @@ class TestTwoLanes:
     def test_bit_identical_to_the_serial_oracles(self, samples):
         cfg = McConfig(seed=61, samples=samples)
         assert estimate_xab_moments(_LANE_CASES, cfg) == serial_xab_moments(_LANE_CASES, cfg)
-        for params, _ in _LANE_CASES:
-            assert np.array_equal(sample_xab(params, cfg), serial_sample_xab(params, cfg))
         for w in _LANE_WEIGHTS:
             assert estimate_density_at_zero(w, cfg) == one_shot_density_at_zero(w, cfg)
 
@@ -295,17 +245,14 @@ class TestTwoLanes:
         monkeypatch.setattr(mc, "_CHUNK", 1 << 12)
         cfg = McConfig(seed=67, samples=1_000_003)
         assert estimate_xab_moments(_LANE_CASES, cfg) == serial_xab_moments(_LANE_CASES, cfg)
-        assert np.array_equal(sample_xab(_LANE_CASES[1][0], cfg), serial_sample_xab(_LANE_CASES[1][0], cfg))
         assert estimate_density_at_zero(_LANE_WEIGHTS[1], cfg) == one_shot_density_at_zero(_LANE_WEIGHTS[1], cfg)
 
     def test_repeated_calls_agree(self):
         cfg = McConfig(seed=62, samples=393_216)
         moments = estimate_xab_moments(_LANE_CASES, cfg)
-        samples = sample_xab(_LANE_CASES[0][0], cfg)
         density = estimate_density_at_zero(_LANE_WEIGHTS[1], cfg)
         for _ in range(20):
             assert estimate_xab_moments(_LANE_CASES, cfg) == moments
-            assert np.array_equal(sample_xab(_LANE_CASES[0][0], cfg), samples)
             assert estimate_density_at_zero(_LANE_WEIGHTS[1], cfg) == density
 
     def test_odd_chunks_run_on_one_helper_thread_in_the_callers_errstate(self, monkeypatch):
@@ -319,7 +266,7 @@ class TestTwoLanes:
 
         monkeypatch.setattr(mc, "_chunk_rng", recording)
         with np.errstate(over="raise"):
-            sample_xab(_LANE_CASES[0][0], McConfig(seed=63, samples=1_000_003))
+            estimate_xab_moments(_LANE_CASES, McConfig(seed=63, samples=1_000_003))
         assert sorted(lanes) == list(range(8))
         assert {lanes[c] for c in range(0, 8, 2)} == {threading.get_ident()}
         helper = {lanes[c] for c in range(1, 8, 2)}
@@ -350,10 +297,9 @@ class TestTwoLanes:
         "call",
         [
             lambda cfg: estimate_xab_moments(_LANE_CASES, cfg),
-            lambda cfg: sample_xab(_LANE_CASES[0][0], cfg),
             lambda cfg: estimate_density_at_zero(_LANE_WEIGHTS[0], cfg),
         ],
-        ids=["estimate_xab_moments", "sample_xab", "estimate_density_at_zero"],
+        ids=["estimate_xab_moments", "estimate_density_at_zero"],
     )
     @pytest.mark.parametrize("failing", [{1}, {1, 2}])
     def test_lane_error_propagates_and_no_thread_outlives_the_call(self, monkeypatch, call, failing):
@@ -400,7 +346,7 @@ class TestTwoLanes:
 
         monkeypatch.setattr(mc, "_chunk_rng", failing_rng)
         with pytest.raises(ChunkError) as info:
-            sample_xab(_LANE_CASES[0][0], McConfig(seed=68, samples=4 * mc._CHUNK))
+            estimate_xab_moments(_LANE_CASES, McConfig(seed=68, samples=4 * mc._CHUNK))
         assert started.is_set() and failed.is_set()
         assert info.value.args == (min(first, second),)
 

@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from lcmoments.errors import DomainError, NumericalError, QuadratureError
+from lcmoments.errors import DomainError, NumericalError
 from lcmoments.specfun import (
     as_order,
     exp_power_integral,
     gamma,
-    integrate_adaptive,
     shifted_exp_moment,
 )
 
@@ -190,18 +189,3 @@ def test_moment_order_validation():
 def test_non_finite_order_rejected(p):
     with pytest.raises(DomainError):
         as_order(p)
-
-
-def test_integrate_adaptive_breakpoints_and_infinite_range():
-    # kinked integrand, split by a breakpoint, against the closed form
-    val = integrate_adaptive(lambda x: math.exp(-abs(x - 1.0)), -math.inf, math.inf, points=[1.0])
-    assert val == pytest.approx(2.0, rel=1e-10)
-
-
-def test_integrate_adaptive_breakpoint_on_finite_range():
-    assert integrate_adaptive(abs, -1.0, 2.0, points=[0.0]) == pytest.approx(2.5, rel=1e-12)
-
-
-def test_integrate_adaptive_divergent_integral_raises():
-    with pytest.raises(QuadratureError):
-        integrate_adaptive(lambda x: 1.0 / x, 0.0, 1.0)
