@@ -34,7 +34,6 @@ from .expfamily import (
     catalogue,
     centred_gaussian,
     centred_uniform,
-    density_xab,
     family_scale,
     fradelizi_check,
     match_two_sided,

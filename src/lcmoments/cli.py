@@ -70,7 +70,10 @@ def _write_profile_csv(path: str, profile: np.ndarray, columns=("t", "value")) -
 def _parse_weights(text: str) -> list[float]:
     text = text.strip()
     as_json = text.startswith("[")
-    values = json.loads(text) if as_json else [tok for tok in text.split(",") if tok.strip()]
+    try:
+        values = json.loads(text) if as_json else [tok for tok in text.split(",") if tok.strip()]
+    except RecursionError:
+        raise DomainError("weights must be a flat array, got one nested too deeply to parse") from None
     if not isinstance(values, list) or not values:
         raise DomainError("weights must be a nonempty JSON array or comma-separated list")
     try:

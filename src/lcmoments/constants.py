@@ -11,10 +11,8 @@ tie routine, ``_tie``: Brent's method (``search.bisect_root``) on
 ``_member_gap``, the signed gap between the p-th moments of E_s and E_t,
 each divided by the p-th power of a norm of the member (``family_scale``
 for L_1, hypot(1, u) for L_2).  It locates p0, the 1.68 transition and
-``crossings.matching_order`` in 12 to 14 gap evaluations each, where
-halving down to adjacent floats took 50 to 54, and never takes much more
-than three times halving's count.  ``find_p0`` takes a median of 0.11 to
-0.12 ms against 0.32 to 0.37 ms by halving (2-core Xeon VM, Python 3.11).
+``crossings.matching_order`` in 12 to 14 gap evaluations each, and never
+takes much more than three times plain bisection's count.
 """
 
 from __future__ import annotations

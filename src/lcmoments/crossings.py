@@ -3,17 +3,15 @@
 The comparison inequalities reduce to integrals of (density gap) * (power
 gap), pointwise one-signed once alpha + beta*x + gamma*x^q is pinned at the
 density gap's three crossings.  Between breakpoints each gap is a sum of at
-most four exponentials (``expfamily._abs_ebar_terms``), whose zeros Rolle
-recursion isolates exactly, the constructive proof of Laguerre's rule of
-signs (Polya-Szego, Problems and Theorems in Analysis II, Part V).  Each
+most four exponentials (``_abs_ebar_terms``), whose zeros Rolle recursion
+isolates exactly, the constructive proof of Laguerre's rule of signs
+(Polya-Szego, Problems and Theorems in Analysis II, Part V).  Each
 monotone run's root comes from ``search.bisect_root``, Brent's method down
 to adjacent floats (never much more than three times plain bisection's
 evaluations), run on the sum's value alone; its rounding bound is taken
 only at run ends and stationary points, where the certificate reads a sign.
-A certificate takes about 79 evaluations of the sums where halving took 357
-(the mean over 99 values of t in [0.01, 0.99]), and a median of 0.42 to
-0.69 ms against 0.59 to 1.06 ms by halving, about two thirds of the time
-(2-core Xeon VM, Python 3.11).  A sign change across a breakpoint (the
+A certificate takes about 79 evaluations of the sums (the mean over 99
+values of t in [0.01, 0.99]).  A sign change across a breakpoint (the
 t = 0 jump at e/2) is a crossing there.
 
 By Descartes' rule of signs for real exponents (same source; G. J. O.
@@ -39,11 +37,7 @@ import numpy as np
 
 from .constants import _tie, find_p0
 from .errors import CrossingPatternError, DomainError, NumericalError
-from .expfamily import (
-    _abs_ebar_terms,
-    _term_rate,
-    family_scale,
-)
+from .expfamily import family_scale
 from .search import bisect_root
 from .specfun import as_order
 
@@ -58,6 +52,36 @@ __all__ = [
 
 # a sign is trusted when the sum exceeds this multiple of the rounding of its terms
 _SIGN_MARGIN = 64.0 * sys.float_info.epsilon
+
+_TWO_OVER_E = 2.0 / math.e
+
+
+def _term_rate(sign: float, rho: float) -> float:
+    """The rate sign * (2/e) * e^rho of an exponential term; 2/e = scale(0)."""
+    return sign * _TWO_OVER_E * math.exp(rho)
+
+
+def _abs_ebar_terms(t: float):
+    """The density of |E_t|/scale(t) as two exponential sums: (kink, head, tail).
+
+    A term (c, sign, rho) is c * exp(_term_rate(sign, rho) * (x - anchor)),
+    anchored at 0 on the head [0, kink] and at the kink on the tail.  With
+    mu = scale(t) = (2/e) e^rho, rho = t - log1p(t), the head is
+    mu^2/2 (e^(mu x) + e^(-mu x)) and the tail mu^2 e^(t-1)/2 e^(-mu (x-kink))
+    + mu/(1+t) e^(-(mu/t)(x-kink)), whose second term t = 0 lacks (a jump at
+    e/2).  Log-rates give accurate rate differences through expm1, and the
+    anchors keep e^(1/t) from forming.
+    """
+    mu = family_scale(t)
+    rho = t - math.log1p(t)
+    half = 0.5 * mu * mu
+    head = ((half, 1.0, rho), (half, -1.0, rho))
+    tail = ((half * math.exp(t - 1.0), -1.0, rho),)
+    # for subnormal t the rate mu/t overflows; the term then vanishes at every
+    # float past the kink, and the head owns the kink itself
+    if t >= sys.float_info.min:
+        tail += ((mu / (1.0 + t), -1.0, rho - math.log(t)),)
+    return (1.0 - t) / mu, head, tail
 
 
 @dataclass(frozen=True)

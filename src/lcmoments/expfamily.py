@@ -21,8 +21,8 @@ log-concave X there is a unique (a, b) with matching P(X > 0) and E|X|,
 and moments of convex powers can only grow when X is swapped for X(a, b).
 Fradelizi's comparison bounds them too, by the moments of the Laplace
 density f(0) e^{-2 f(0) |x|}, which are closed-form.  Each catalogue
-density carries its E|X|^p and P(X > 0) in closed form as well, so no
-check in this module integrates.
+density carries its f(0), E|X|^p and P(X > 0) in closed form as well, so
+no check in this module integrates.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ import sys
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
 from scipy import special
 
 from .errors import DomainError, NumericalError
@@ -44,7 +43,6 @@ __all__ = [
     "LogConcaveTestDensity",
     "ComparisonCheck",
     "family_scale",
-    "density_xab",
     "prob_positive",
     "match_two_sided",
     "moment_et",
@@ -60,7 +58,6 @@ __all__ = [
 ]
 
 _INV_E = 1.0 / math.e
-_TWO_OVER_E = 2.0 * _INV_E
 
 # relative slack of the comparison checks.  Both sides are closed forms, so it
 # covers rounding and the matched (a, b): u -> e^(u-1)/(1+u) is flat at u = 0,
@@ -84,39 +81,12 @@ class TwoSidedExpParams:
         if self.a + self.b <= 0.0:
             raise DomainError("at least one branch scale must be positive")
 
-    @property
-    def breakpoint(self) -> float:
-        """Abscissa where the density formula switches branch."""
-        return self.b - self.a
-
 
 def family_scale(t: float) -> float:
     """E|E_t| = (2/e) e^t / (1+t); strictly increasing from 2/e to 1 on [0,1]."""
     if not 0.0 <= t <= 1.0:
         raise DomainError(f"family parameter t must lie in [0, 1], got {t}")
     return 2.0 * math.exp(t - 1.0) / (1.0 + t)
-
-
-def density_xab(params: TwoSidedExpParams, x):
-    """Density of X(a, b); accepts scalars or arrays.
-
-    When a = 0 (or b = 0) the right (or left) branch is identically zero.
-    """
-    a, b = params.a, params.b
-    xs = np.asarray(x, dtype=float)
-    scalar = xs.ndim == 0
-    xs = np.atleast_1d(xs)
-    out = np.zeros_like(xs)
-    m = b - a
-    right = xs >= m
-    # a subnormal scale overflows the exponent to -inf, whose exp is the right 0
-    with np.errstate(over="ignore"):
-        if a > 0.0:
-            out[right] = np.exp(-(xs[right] + a - b) / a)
-        if b > 0.0:
-            out[~right] = np.exp((xs[~right] + a - b) / b)
-    out /= a + b
-    return float(out[0]) if scalar else out
 
 
 def prob_positive(params: TwoSidedExpParams) -> float:
@@ -134,9 +104,8 @@ def match_two_sided(alpha: float, l1: float) -> TwoSidedExpParams:
 
     Inverts the strictly increasing map u -> e^(u-1)/(1+u) on [0, 1] by
     Brent's method (``search.bisect_root``, never much more than three times
-    plain bisection's evaluations; a median of 8 to 13 us per call against
-    14 to 26 us by halving, 2-core Xeon VM); the first moment constraint
-    then fixes a = l1 / (2 alpha).
+    plain bisection's evaluations); the first moment constraint then fixes
+    a = l1 / (2 alpha).
     """
     if not _INV_E - 1e-12 <= alpha <= 0.5 + 1e-12:
         raise DomainError(f"alpha must lie in [1/e, 1/2], got {alpha}")
@@ -177,34 +146,6 @@ def norm_ebar(p, t: float) -> float:
     return _member_norm(as_order(p), t) / family_scale(t)
 
 
-def _term_rate(sign: float, rho: float) -> float:
-    """The rate sign * (2/e) * e^rho of an exponential term; 2/e = scale(0)."""
-    return sign * _TWO_OVER_E * math.exp(rho)
-
-
-def _abs_ebar_terms(t: float):
-    """The density of |E_t|/scale(t) as two exponential sums: (kink, head, tail).
-
-    A term (c, sign, rho) is c * exp(_term_rate(sign, rho) * (x - anchor)),
-    anchored at 0 on the head [0, kink] and at the kink on the tail.  With
-    mu = scale(t) = (2/e) e^rho, rho = t - log1p(t), the head is
-    mu^2/2 (e^(mu x) + e^(-mu x)) and the tail mu^2 e^(t-1)/2 e^(-mu (x-kink))
-    + mu/(1+t) e^(-(mu/t)(x-kink)), whose second term t = 0 lacks (a jump at
-    e/2).  Log-rates give accurate rate differences through expm1, and the
-    anchors keep e^(1/t) from forming.
-    """
-    mu = family_scale(t)
-    rho = t - math.log1p(t)
-    half = 0.5 * mu * mu
-    head = ((half, 1.0, rho), (half, -1.0, rho))
-    tail = ((half * math.exp(t - 1.0), -1.0, rho),)
-    # for subnormal t the rate mu/t overflows; the term then vanishes at every
-    # float past the kink, and the head owns the kink itself
-    if t >= sys.float_info.min:
-        tail += ((mu / (1.0 + t), -1.0, rho - math.log(t)),)
-    return (1.0 - t) / mu, head, tail
-
-
 def _normal_power(x: float, p: float = 1.0) -> float:
     """x**p for x > 0, if it is a positive normal float.  Past the largest
     float, or rounded to a subnormal or 0, it has lost its digits: NumericalError."""
@@ -224,11 +165,12 @@ def _normal_power(x: float, p: float = 1.0) -> float:
 
 @dataclass(frozen=True)
 class LogConcaveTestDensity:
-    """A mean-zero log-concave density with its absolute moments
-    ``moment(p) = E|X|^p`` (p > -1) and P(X > 0), both in closed form."""
+    """A mean-zero log-concave density with its value ``f0`` at zero, its
+    absolute moments ``moment(p) = E|X|^p`` (p > -1) and P(X > 0), all in
+    closed form."""
 
     name: str
-    pdf: Callable
+    f0: float
     moment: Callable[[float], float]
     prob_positive: float
 
@@ -237,9 +179,11 @@ def two_sided_exponential_density(a: float, b: float) -> LogConcaveTestDensity:
     params = TwoSidedExpParams(a, b)
     # |X(a, b)| is distributed as big * |E_u| with u = small / big
     big, small = max(a, b), min(a, b)
+    # the density at 0 lies on the branch of the larger scale
+    f0 = math.exp(-(a - b) / a) if a >= b else math.exp((a - b) / b)
     return LogConcaveTestDensity(
         name=f"two-sided-exponential({a:g},{b:g})",
-        pdf=lambda x: density_xab(params, x),
+        f0=f0 / (a + b),
         moment=lambda p: _normal_power(big, p) * moment_et(p, small / big),
         prob_positive=prob_positive(params),
     )
@@ -249,29 +193,20 @@ def centred_uniform(half_width: float) -> LogConcaveTestDensity:
     if not 0.0 < half_width < math.inf:
         raise DomainError(f"half_width must be finite and positive, got {half_width}")
     c = float(half_width)
-    height = 1.0 / (2.0 * c)
-
-    def pdf(x):
-        xs = np.asarray(x, dtype=float)
-        return np.where(np.abs(xs) <= c, height, 0.0)
-
-    return LogConcaveTestDensity(f"centred-uniform({c:g})", pdf, lambda p: _normal_power(c, p) / (p + 1.0), 0.5)
+    return LogConcaveTestDensity(
+        f"centred-uniform({c:g})", 1.0 / (2.0 * c), lambda p: _normal_power(c, p) / (p + 1.0), 0.5
+    )
 
 
 def centred_gaussian(sigma: float) -> LogConcaveTestDensity:
     if not 0.0 < sigma < math.inf:
         raise DomainError(f"sigma must be finite and positive, got {sigma}")
     s = float(sigma)
-    norm = 1.0 / (s * math.sqrt(2.0 * math.pi))
-
-    def pdf(x):
-        xs = np.asarray(x, dtype=float)
-        return norm * np.exp(-0.5 * (xs / s) ** 2)
 
     def moment(p):
         return _normal_power(s, p) * 2.0 ** (p / 2.0) * gamma((p + 1.0) / 2.0) / math.sqrt(math.pi)
 
-    return LogConcaveTestDensity(f"centred-gaussian({s:g})", pdf, moment, 0.5)
+    return LogConcaveTestDensity(f"centred-gaussian({s:g})", 1.0 / (s * math.sqrt(2.0 * math.pi)), moment, 0.5)
 
 
 def _truncated_exponential_mean(cut: float) -> float:
@@ -296,11 +231,6 @@ def truncated_exponential(cut: float) -> LogConcaveTestDensity:
     z = -math.expm1(-cut)
     mean = _truncated_exponential_mean(cut)
 
-    def pdf(x):
-        xs = np.asarray(x, dtype=float)
-        inside = (xs >= -mean) & (xs <= cut - mean)
-        return np.where(inside, np.exp(-(xs + mean)) / z, 0.0)
-
     def moment(p):
         # X + mean has density e^-y / z on [0, cut]; below the mean this leaves
         # e^-mean int_0^mean x^p e^x dx, above it e^-mean Gamma(p+1) P(p+1, cut-mean)
@@ -309,7 +239,7 @@ def truncated_exponential(cut: float) -> LogConcaveTestDensity:
 
     # (e^-mean - e^-cut) / z, without the cancellation of the two exponentials
     positive = -math.exp(-mean) * math.expm1(mean - cut) / z
-    return LogConcaveTestDensity(f"truncated-exponential({cut:g})", pdf, moment, positive)
+    return LogConcaveTestDensity(f"truncated-exponential({cut:g})", math.exp(-mean) / z, moment, positive)
 
 
 def catalogue() -> list[LogConcaveTestDensity]:
@@ -375,16 +305,16 @@ def fradelizi_check(density: LogConcaveTestDensity, exponent: float) -> Comparis
     """E|X|^r <= int |x|^r f(0) e^{-2 f(0) |x|} dx for r >= 1 and mean-zero f.
 
     The left side is ``abs_moment``; the right side is the Laplace integral
-    in closed form, Gamma(r + 1) / (2 f(0))^r.  NumericalError where a side
-    leaves the positive normal floats.
+    in closed form, Gamma(r + 1) / (2 f(0))^r.  Both sides scale as c^r
+    when X is scaled by c, so the slack is relative.  NumericalError where a
+    side leaves the positive normal floats.
     """
     exponent = float(exponent)
     if not 1.0 <= exponent < math.inf:
         raise DomainError(f"convex powers need a finite exponent >= 1, got {exponent}")
-    f0 = float(density.pdf(0.0))
-    if not f0 > 0.0:
+    if not density.f0 > 0.0:
         raise DomainError("comparison density requires f(0) > 0")
     lhs = abs_moment(density, exponent)
-    rhs = _normal_power(gamma(exponent + 1.0) / _normal_power(2.0 * f0, exponent))
-    holds = lhs <= rhs + COMPARISON_SLACK * max(1.0, abs(rhs))
+    rhs = _normal_power(gamma(exponent + 1.0) / _normal_power(2.0 * density.f0, exponent))
+    holds = lhs <= rhs * (1.0 + COMPARISON_SLACK)
     return ComparisonCheck(lhs, rhs, holds)

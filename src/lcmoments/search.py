@@ -6,13 +6,11 @@ a bisection step whenever two steps in a row have not halved the bracket.
 So every three evaluations at least halve the bracket, and it never takes
 much more than three times plain bisection's evaluations (the tests bound
 it by three times plus four).  On the package's gaps it takes about 12
-evaluations per root where halving took about 55: a median of 18 to 32 us
-per root in ``crossings.verify_3crossings``, against 48 to 90 us, about
-0.37 of the time (2-core Xeon VM, Python 3.11).  The loop stops once the
-bracket's midpoint rounds to one of its ends, so the contract is
-bisection's: the result is an exact zero or one end of a bracket of
-adjacent floats.  (A bracket across a binade edge one ulp of its larger end
-wide holds one float, which only the midpoint step reaches.)
+evaluations per root.  The loop stops once the bracket's midpoint rounds to
+one of its ends, so the contract is bisection's: the result is an exact
+zero or one end of a bracket of adjacent floats.  (A bracket across a
+binade edge one ulp of its larger end wide holds one float, which only the
+midpoint step reaches.)
 """
 
 from __future__ import annotations

@@ -9,7 +9,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
 
 from lcmoments.constants import (
     branch_gap,
@@ -25,7 +24,6 @@ from lcmoments.expfamily import (
     TwoSidedExpParams,
     abs_moment,
     catalogue,
-    density_xab,
     family_scale,
     fradelizi_check,
     moment_et,
@@ -35,7 +33,7 @@ from lcmoments.expfamily import (
 from lcmoments.mc import McConfig, estimate_density_at_zero, estimate_xab_moments
 from lcmoments.simplex import WeightVector, density_at_zero, maximize_section
 from lcmoments.specfun import gamma
-from mc_oracles import serial_sample_xab
+from oracles import half_moments, serial_sample_xab, two_sided_oracle
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -84,52 +82,15 @@ def test_criterion_2_maximal_sections():
                 assert float(ordered[2:].max()) < 1e-4
 
 
-def _density_moment_oracle(p: float, t: float) -> float:
-    """E|Ebar_t|^p by direct quadrature of the |Ebar_t| density, folded from
-    the density of E_t = X(1, t): mu (f(mu x) + f(-mu x)) with mu = scale(t)."""
-    mu = family_scale(t)
-    params = TwoSidedExpParams(1.0, t)
-
-    def folded(x):
-        return mu * float(density_xab(params, mu * np.array([x, -x])).sum())
-
-    breaks = [(1.0 - t) / mu]
-    if t == 0.0:
-        breaks.append(1.0 / mu)
-    hi = 60.0 / mu
-    if p < 0.0:
-        s = 1.0 / (1.0 + p)
-        pts = sorted(b ** (1.0 + p) for b in breaks)
-        val, _ = integrate.quad(
-            lambda u: s * folded(u**s),
-            0.0,
-            hi ** (1.0 + p),
-            points=pts,
-            limit=500,
-            epsabs=1e-14,
-            epsrel=1e-12,
-        )
-        return val
-    val, _ = integrate.quad(
-        lambda x: x**p * folded(x),
-        0.0,
-        hi,
-        points=sorted(breaks),
-        limit=500,
-        epsabs=1e-14,
-        epsrel=1e-12,
-    )
-    return val
-
-
 def test_criterion_3_moment_closed_forms():
     with _Criterion(3, "explicit moments match density quadrature and polynomials"):
         ps = np.linspace(-0.9, 6.0, 20)
         ts = np.linspace(0.0, 1.0, 20)
         for p, t in itertools.product(ps, ts):
-            normalized = moment_et(p, t) / family_scale(t) ** p
-            oracle = _density_moment_oracle(p, t)
-            assert normalized == pytest.approx(oracle, rel=1e-8)
+            # the moment of Ebar_t = X(1/mu, t/mu), mu = scale(t), by density quadrature
+            mu = family_scale(t)
+            normalized = moment_et(p, t) / mu**p
+            assert normalized == pytest.approx(sum(half_moments(two_sided_oracle(1.0 / mu, t / mu), p)), rel=1e-8)
         for t in ts:
             assert moment_et(2.0, t) == pytest.approx(1.0 + t * t, rel=1e-10)
             assert moment_et(4.0, t) == pytest.approx(

@@ -250,10 +250,11 @@ def _config(tmp_path, text):
         (lambda tmp: ["slice", "--weights", "1,x,-1"], False),
         (lambda tmp: ["slice", "--weights", "[[1,2],[3]]"], False),
         (lambda tmp: ["slice", "--weights", '[1,"a"]'], False),
+        (lambda tmp: ["slice", "--weights", "[" * 20000 + "]" * 20000], False),
         (lambda tmp: ["--tol", "1e-9", "verify", "--suite", "fradelizi"], True),
         (lambda tmp: ["--config", _config(tmp, "rel_tol = 1e-9\n"), "verify", "--suite", "fradelizi"], True),
     ],
-    ids=["weights-token", "weights-nested", "weights-string", "removed-tol", "removed-config"],
+    ids=["weights-token", "weights-nested", "weights-string", "weights-too-deep", "removed-tol", "removed-config"],
 )
 def test_malformed_input_exits_2(tmp_path, capsys, argv, usage_error):
     assert main(argv(tmp_path)) == 2

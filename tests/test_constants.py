@@ -23,17 +23,13 @@ from lcmoments.crossings import matching_order
 from lcmoments.errors import DomainError
 from lcmoments.expfamily import norm_ebar
 from lcmoments.specfun import gamma
-
-
-def _mp_one_sided_moment(p):
-    """E|E-1|^p at the working precision of mpmath."""
-    return mpmath.exp(-1) * (mpmath.hyp1f1(p + 1, p + 2, 1) / (p + 1) + mpmath.gamma(p + 1))
+from oracles import mp_moment_et
 
 
 def test_p0_matches_mpmath_root():
     with mpmath.workdps(40):
         root = mpmath.findroot(
-            lambda p: mpmath.gamma(p + 1) - (mpmath.e / 2) ** p * _mp_one_sided_moment(p), 2.94
+            lambda p: mpmath.gamma(p + 1) - (mpmath.e / 2) ** p * mp_moment_et(p, 0), 2.94
         )
     assert abs(find_p0() - float(root)) <= 1e-14
 
@@ -41,7 +37,7 @@ def test_p0_matches_mpmath_root():
 def test_l2_transition_matches_mpmath_root():
     with mpmath.workdps(40):
         root = mpmath.findroot(
-            lambda p: mpmath.gamma(p + 1) ** (1 / p) / mpmath.sqrt(2) - _mp_one_sided_moment(p) ** (1 / p),
+            lambda p: mpmath.gamma(p + 1) ** (1 / p) / mpmath.sqrt(2) - mp_moment_et(p, 0) ** (1 / p),
             1.68,
         )
     assert abs(find_l2_transition() - float(root)) <= 1e-14

@@ -12,6 +12,7 @@ from lcmoments.constants import find_p0
 from lcmoments.crossings import (
     SignChangeReport,
     _decomposition_regime,
+    _term_rate,
     _exp_sum_bounded,
     _exp_sum_value,
     _exp_sum_zeros,
@@ -23,15 +24,8 @@ from lcmoments.crossings import (
     verify_3crossings,
 )
 from lcmoments.errors import BracketError, CrossingPatternError, DomainError, NumericalError
-from lcmoments.expfamily import TwoSidedExpParams, _term_rate, density_xab, family_scale, moment_et
-
-
-def _folded_density(t, x):
-    """The density of |E_t| / scale(t) at x >= 0 (scalar or array), folded from
-    the density of E_t = X(1, t): mu (f(mu x) + f(-mu x)) with mu = scale(t)."""
-    mu = family_scale(t)
-    params = TwoSidedExpParams(1.0, t)
-    return mu * (density_xab(params, mu * x) + density_xab(params, -mu * x))
+from lcmoments.expfamily import family_scale, moment_et
+from oracles import folded_density, mp_moment_et
 
 
 def _term(c, rate):
@@ -96,7 +90,7 @@ class TestGapPieces:
             top = min(hi, lo + 10.0)
             for x in np.linspace(lo, top, 7)[1:-1]:
                 value = sum(c * math.exp(_term_rate(sign, rho) * (x - lo)) for c, sign, rho in terms)
-                assert value == pytest.approx(_folded_density(s, x) - _folded_density(t, x), abs=1e-14)
+                assert value == pytest.approx(folded_density(s, x) - folded_density(t, x), abs=1e-14)
 
     def test_family_density_gap(self):
         crossings, pattern, certified = _gap_crossings(1.0, 0.5)
@@ -301,14 +295,8 @@ def test_outside_the_band_certified_or_numerical_error(t):
 
 
 def _mp_normalized_moment(q, u):
-    """E|E_u|^q / scale(u)^q by the three-term formula, at mpmath's precision."""
-    c = 1 - u
-    head = c ** (q + 1) / (q + 1) * mpmath.hyp1f1(q + 1, q + 2, c) + mpmath.gamma(q + 1)
-    total = mpmath.exp(u - 1) / (1 + u) * head
-    if u > 0:
-        w = (1 - u) / u
-        total += u / (1 + u) * u**q * mpmath.exp(w) * mpmath.gammainc(q + 1, w)
-    return total / (2 * mpmath.exp(u - 1) / (1 + u)) ** q
+    """E|E_u|^q / scale(u)^q at mpmath's precision."""
+    return mp_moment_et(q, u) / (2 * mpmath.exp(u - 1) / (1 + u)) ** q
 
 
 def _mp_matching_order(q, t, baseline, bracket):
@@ -541,7 +529,7 @@ def _sampled_product(t, p):
     alpha, beta, gamma_q = vandermonde_coeffs(p, q, *nodes)
     extra = [(1.0 - t) / family_scale(t), (1.0 - baseline) / family_scale(baseline), *nodes]
     xs = np.unique(np.concatenate([np.linspace(0.0, 48.0, 10_002)[1:-1], [x for x in extra if 0.0 < x < 48.0]]))
-    density_gap = _folded_density(baseline, xs) - _folded_density(t, xs)
+    density_gap = folded_density(baseline, xs) - folded_density(t, xs)
     product = density_gap * (xs**p - (alpha + beta * xs + gamma_q * xs**q))
     return -product if flip else product
 

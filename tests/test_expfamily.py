@@ -1,6 +1,6 @@
+import dataclasses
 import math
 import warnings
-from itertools import pairwise
 
 import mpmath
 import numpy as np
@@ -9,17 +9,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from lcmoments.crossings import _abs_ebar_terms, _term_rate
 from lcmoments.errors import DomainError, NumericalError
 from lcmoments.expfamily import (
     TwoSidedExpParams,
-    _abs_ebar_terms,
-    _term_rate,
     _truncated_exponential_mean,
     abs_moment,
     catalogue,
     centred_gaussian,
     centred_uniform,
-    density_xab,
     family_scale,
     fradelizi_check,
     match_two_sided,
@@ -30,17 +28,8 @@ from lcmoments.expfamily import (
     truncated_exponential,
     two_sided_exponential_density,
 )
-from lcmoments.specfun import as_order, gamma
-
-
-def _quad_density(params, lo=-80.0, hi=80.0, weight=None):
-    f = (lambda x: density_xab(params, x)) if weight is None else (
-        lambda x: weight(x) * density_xab(params, x)
-    )
-    val, _ = integrate.quad(
-        f, lo, hi, points=[params.breakpoint, 0.0], limit=400, epsabs=1e-13, epsrel=1e-12
-    )
-    return val
+from lcmoments.specfun import gamma
+from oracles import CATALOGUE_ORACLES, case, density_xab, folded_density, half_moments, mp_moment_et, two_sided_oracle
 
 
 class TestDensityXab:
@@ -51,15 +40,15 @@ class TestDensityXab:
         assert density_xab(TwoSidedExpParams(1.0, 1.0), 0.0) == pytest.approx(0.5, rel=1e-14)
 
     def test_integrates_to_one(self):
-        assert _quad_density(TwoSidedExpParams(1.0, 0.5)) == pytest.approx(1.0, abs=1e-10)
+        assert sum(half_moments(two_sided_oracle(1.0, 0.5), 0.0)) == pytest.approx(1.0, abs=1e-10)
 
     def test_random_parameters_normalised_and_centred(self):
         rng = np.random.default_rng(1234)
         for _ in range(50):
-            a, b = rng.uniform(0.05, 3.0, size=2)
-            params = TwoSidedExpParams(a, b)
-            assert _quad_density(params) == pytest.approx(1.0, abs=1e-8)
-            assert _quad_density(params, weight=lambda x: x) == pytest.approx(0.0, abs=1e-8)
+            oracle = two_sided_oracle(*rng.uniform(0.05, 3.0, size=2))
+            assert sum(half_moments(oracle, 0.0)) == pytest.approx(1.0, abs=1e-8)
+            left, right = half_moments(oracle, 1.0)
+            assert right - left == pytest.approx(0.0, abs=1e-8)
 
     def test_zero_branch_convention(self):
         one_sided = TwoSidedExpParams(1.0, 0.0)
@@ -74,9 +63,8 @@ class TestDensityXab:
         with warnings.catch_warnings(), np.errstate(over="warn"):
             warnings.simplefilter("error")
             assert density_xab(params, x) == 0.0
-            assert two_sided_exponential_density(a, b).pdf(x) == 0.0
             # half a unit into the other branch, the density is unchanged
-            inner = params.breakpoint + (0.5 if a > b else -0.5)
+            inner = b - a + (0.5 if a > b else -0.5)
             assert density_xab(params, [x, inner]) == pytest.approx([0.0, math.exp(-0.5) / (a + b)], rel=1e-15)
 
     def test_invalid_params(self):
@@ -128,11 +116,8 @@ class TestProbPositive:
         assert prob_positive(TwoSidedExpParams(1.0, 0.0)) == pytest.approx(1.0 / math.e, rel=1e-14)
 
     def test_against_quadrature(self):
-        params = TwoSidedExpParams(1.0, 0.3)
-        oracle, _ = integrate.quad(
-            lambda x: density_xab(params, x), 0.0, 80.0, epsabs=1e-13, epsrel=1e-12, limit=300
-        )
-        assert prob_positive(params) == pytest.approx(oracle, abs=1e-10)
+        oracle = half_moments(two_sided_oracle(1.0, 0.3), 0.0)[1]
+        assert prob_positive(TwoSidedExpParams(1.0, 0.3)) == pytest.approx(oracle, abs=1e-10)
 
     def test_range_when_a_dominates(self):
         for b in np.linspace(0.0, 1.0, 21):
@@ -159,12 +144,7 @@ class TestMatchTwoSided:
     def test_round_trip(self):
         params = match_two_sided(0.45, 1.0)
         assert prob_positive(params) == pytest.approx(0.45, abs=1e-10)
-        # E|X| = 2 a P(X > 0) for the matched two-sided exponential
-        l1, _ = integrate.quad(
-            lambda x: abs(x) * density_xab(params, x), -60.0, 60.0,
-            points=[params.breakpoint, 0.0], limit=300, epsabs=1e-13, epsrel=1e-12,
-        )
-        assert l1 == pytest.approx(1.0, abs=1e-10)
+        assert sum(half_moments(two_sided_oracle(params.a, params.b), 1.0)) == pytest.approx(1.0, abs=1e-10)
 
     def test_round_trip_grid(self):
         for alpha in np.linspace(1.0 / math.e, 0.5, 9):
@@ -279,12 +259,10 @@ class TestDensityAbsEbar:
         kink = (1.0 - t) / mu
         # at t = 0 the density jumps at the kink, which each route rounds its own way
         assume(t > 0.0 or abs(x - kink) > 1e-12)
-        params = TwoSidedExpParams(1.0, t)
-        folded = mu * (density_xab(params, mu * x) + density_xab(params, -mu * x))
         # past the kink the log-density falls at rate mu/t, which turns the rounding
         # of x and of the kink into up to about 2e-16 x/t of the value in either route
         rel = max(1e-12, 5e-16 * x / t) if t > 0.0 else 1e-12
-        assert _abs_ebar_density(t, x) == pytest.approx(folded, rel=rel)
+        assert _abs_ebar_density(t, x) == pytest.approx(folded_density(t, x), rel=rel)
 
 
 @pytest.mark.parametrize("t", [0.0, 0.5, 1.0])
@@ -304,20 +282,6 @@ def test_moment_et_overflow_is_a_numerical_error():
         moment_et(200.0, 0.5)
 
 
-def _mp_moment_et(p: float, t: float, root: bool = False) -> float:
-    """E|E_t|^p at 40 digits from the three-term formula, each term by mpmath;
-    with ``root``, its power 1/p."""
-    with mpmath.workdps(40):
-        p, t = mpmath.mpf(p), mpmath.mpf(t)
-        c = 1 - t
-        head = c ** (p + 1) / (p + 1) * mpmath.hyp1f1(p + 1, p + 2, c) + mpmath.gamma(p + 1)
-        total = mpmath.exp(t - 1) / (1 + t) * head
-        if t > 0:
-            u = (1 - t) / t
-            total += t / (1 + t) * t**p * mpmath.exp(u) * mpmath.gammainc(p + 1, u)
-        return float(total ** (1 / p) if root else total)
-
-
 # t = 0 and t = 1, the whole interval, the range t < 1/201 where the shifted
 # moment leaves the incomplete-gamma branch, and tiny t down to 1e-300
 _family_t = st.one_of(
@@ -331,7 +295,9 @@ _family_t = st.one_of(
 @settings(max_examples=300, deadline=None)
 @given(p=st.floats(-1.0, 15.0, exclude_min=True), t=_family_t)
 def test_moment_et_matches_mpmath(p, t):
-    assert moment_et(p, t) == pytest.approx(_mp_moment_et(p, t), rel=1e-13, abs=0.0)
+    with mpmath.workdps(40):
+        expected = float(mp_moment_et(p, t))
+    assert moment_et(p, t) == pytest.approx(expected, rel=1e-13, abs=0.0)
 
 
 @settings(max_examples=100, deadline=None)
@@ -340,7 +306,8 @@ def test_norm_ebar_near_order_zero_matches_mpmath(magnitude, negative, t):
     """1e-8 relative down to |p| = 1e-6, below which norm_ebar raises: the
     power 1/p lifts the moment's rounding, up to 2e-15, by 1/|p|."""
     p = -(10.0**magnitude) if negative else 10.0**magnitude
-    expected = _mp_moment_et(p, t, root=True) / family_scale(t)
+    with mpmath.workdps(40):
+        expected = float(mp_moment_et(p, t) ** (1 / mpmath.mpf(p))) / family_scale(t)
     assert norm_ebar(p, t) == pytest.approx(expected, rel=1e-8, abs=0.0)
 
 
@@ -361,62 +328,40 @@ class TestFamilyPoint:
             family_scale(1.5)
 
 
-# the support and the kinks of each catalogue constructor's density, which
-# only the quadrature oracle reads
-_GEOMETRY = {
-    two_sided_exponential_density: lambda a, b: (
-        (-math.inf if b > 0.0 else b - a, math.inf if a > 0.0 else b - a), (b - a,)
-    ),
-    centred_uniform: lambda c: ((-c, c), ()),
-    centred_gaussian: lambda s: ((-math.inf, math.inf), ()),
-    truncated_exponential: lambda cut: (
-        (-_truncated_exponential_mean(cut), cut - _truncated_exponential_mean(cut)), ()
-    ),
-}
-
-
-def _case(constructor, *args):
-    """(density, (support, kinks)) of a catalogue constructor's density."""
-    return constructor(*args), _GEOMETRY[constructor](*args)
-
-
-# (support, kinks) of each density in catalogue(), by name
-_CATALOGUE_GEOMETRY = {
-    density.name: geometry
-    for density, geometry in (
-        _case(two_sided_exponential_density, 1.0, 1.0),
-        _case(two_sided_exponential_density, 1.0, 0.5),
-        _case(two_sided_exponential_density, 1.0, 0.0),
-        _case(centred_uniform, 1.0),
-        _case(centred_gaussian, 1.0),
-        _case(truncated_exponential, 2.0),
-    )
-}
-
-
 class TestCatalogue:
     @pytest.mark.parametrize("density", catalogue(), ids=lambda d: d.name)
     def test_normalised_centred_logconcave(self, density):
-        (lo, hi), kinks = _CATALOGUE_GEOMETRY[density.name]
-        lo_c, hi_c = max(lo, -80.0), min(hi, 80.0)
-        pts = [b for b in (*kinks, 0.0) if lo_c < b < hi_c]
-        mass, _ = integrate.quad(
-            lambda x: float(density.pdf(x)), lo_c, hi_c, points=pts, limit=400,
-            epsabs=1e-13, epsrel=1e-12,
-        )
-        mean, _ = integrate.quad(
-            lambda x: x * float(density.pdf(x)), lo_c, hi_c, points=pts, limit=400,
-            epsabs=1e-13, epsrel=1e-12,
-        )
-        assert mass == pytest.approx(1.0, abs=1e-8)
-        assert mean == pytest.approx(0.0, abs=1e-8)
+        oracle = CATALOGUE_ORACLES[density.name]
+        left, right = half_moments(oracle, 1.0)
+        assert sum(half_moments(oracle, 0.0)) == pytest.approx(1.0, abs=1e-8)
+        assert right - left == pytest.approx(0.0, abs=1e-8)
         # discrete log-concavity on the interior of the support
-        xs = np.linspace(lo_c + 1e-6, hi_c - 1e-6, 201)
-        vals = np.asarray(density.pdf(xs), dtype=float)
+        xs = np.linspace(max(oracle.support[0], -80.0) + 1e-6, min(oracle.support[1], 80.0) - 1e-6, 201)
+        vals = np.asarray(oracle.pdf(xs), dtype=float)
         inside = vals > 0.0
         logs = np.log(vals[inside])
         second = logs[:-2] - 2.0 * logs[1:-1] + logs[2:]
         assert np.all(second <= 1e-8)
+
+
+# scales across the normal floats; branch scales (a, b) in either order, one
+# of them possibly 0 or subnormal
+_scale = st.floats(1e-300, 1e300)
+_branch_scales = st.tuples(_scale, st.one_of(st.just(0.0), st.floats(0.0, 2.2e-308), _scale)).flatmap(st.permutations)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    pair=st.one_of(
+        _branch_scales.map(lambda ab: case(two_sided_exponential_density, *ab)),
+        _scale.map(lambda c: case(centred_uniform, c)),
+        _scale.map(lambda s: case(centred_gaussian, s)),
+        _scale.map(lambda cut: case(truncated_exponential, cut)),
+    )
+)
+def test_f0_is_the_oracle_density_at_zero(pair):
+    density, oracle = pair
+    assert density.f0 == pytest.approx(float(oracle.pdf(0.0)), rel=1e-15, abs=0.0)
 
 
 class TestReductionCheck:
@@ -472,7 +417,7 @@ class TestFradeliziCheck:
     @pytest.mark.parametrize("exponent", [1.0, 2.0, 2.5, 3.0])
     def test_comparison_side_matches_laplace_quadrature(self, exponent):
         for density in catalogue():
-            rate = 2.0 * float(density.pdf(0.0))
+            rate = 2.0 * density.f0
             laplace, _ = integrate.quad(
                 lambda x: x**exponent * rate * math.exp(-rate * x), 0.0, math.inf, epsabs=0.0, epsrel=1e-13
             )
@@ -483,72 +428,30 @@ class TestFradeliziCheck:
         with pytest.raises(DomainError):
             fradelizi_check(centred_uniform(1.0), exponent)
 
-
-# ---------------------------------------------------------------------------
-# quadrature oracle for the closed-form catalogue moments
-# ---------------------------------------------------------------------------
-
-
-def _quad_split(f, lo, hi, breakpoints):
-    """int_lo^hi f by scipy's adaptive quad (absolute 1e-12, relative 1e-10),
-    summed over the pieces between the breakpoints inside (lo, hi): quad
-    takes ``points`` only on finite ranges.  A piece that does not converge
-    fails the test."""
-    pts = sorted({float(x) for x in breakpoints if lo < x < hi})
-
-    def piece(a, b):
-        value, _, _, *message = integrate.quad(f, a, b, epsabs=1e-12, epsrel=1e-10, limit=200, full_output=1)
-        # quad appends a message only when its error code is nonzero
-        if message:
-            pytest.fail(f"quadrature on [{a}, {b}] did not converge: {message[0]}")
-        return value
-
-    return sum(piece(a, b) for a, b in pairwise([lo, *pts, hi]))
-
-
-def _one_sided_abs_moment(pdf, upper, p, breakpoints):
-    """int_0^upper x^p pdf(x) dx.  For p < 0 the singular x^p is integrated
-    exactly against pdf(0) on [0, min(upper, 1)], and the quadrature there
-    sees only x^p (pdf(x) - pdf(0)), bounded since a log-concave density is
-    Lipschitz at the interior point 0."""
-    if p >= 0.0:
-        return _quad_split(lambda x: x**p * float(pdf(x)), 0.0, upper, breakpoints)
-    head, f0 = min(upper, 1.0), float(pdf(0.0))
-    near = f0 * head ** (1.0 + p) / (1.0 + p)
-    near += _quad_split(lambda x: x**p * (float(pdf(x)) - f0), 0.0, head, breakpoints)
-    if upper <= 1.0:
-        return near
-    return near + _quad_split(lambda x: x**p * float(pdf(x)), 1.0, upper, breakpoints)
-
-
-def quadrature_abs_moment(density, geometry, p) -> float:
-    """E|X|^p for a catalogue density, by quadrature split at 0 and all kinks."""
-    p = as_order(p)
-    (lo, hi), kinks = geometry
-    right = _one_sided_abs_moment(density.pdf, hi, p, [b for b in kinks if b > 0.0])
-    left = _one_sided_abs_moment(lambda x: density.pdf(-x), -lo, p, [-b for b in kinks if b < 0.0])
-    return left + right
-
-
-def quadrature_prob_positive(density, geometry) -> float:
-    """P(X > 0) as the order-0 moment of the positive half."""
-    (_, hi), kinks = geometry
-    return _one_sided_abs_moment(density.pdf, hi, 0.0, [b for b in kinks if b > 0.0])
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    def test_twice_the_laplace_side_fails_at_every_scale(self, scale):
+        """Both sides scale as c^3, so the slack must too: the Laplace density
+        stays tight, and a moment twice the Laplace side fails at every scale."""
+        assert fradelizi_check(two_sided_exponential_density(scale, scale), 3.0).holds
+        uniform = centred_uniform(scale)
+        doubled = dataclasses.replace(uniform, moment=lambda p: 2.0 * gamma(p + 1.0) / (2.0 * uniform.f0) ** p)
+        check = fradelizi_check(doubled, 3.0)
+        assert check.lhs == pytest.approx(2.0 * check.rhs, rel=1e-12)
+        assert not check.holds
 
 
 def test_abs_moment_matches_family_closed_form():
-    density, geometry = _case(two_sided_exponential_density, 1.0, 0.5)
+    density, oracle = case(two_sided_exponential_density, 1.0, 0.5)
     for p in (-0.5, 0.5, 2.0):
-        assert abs_moment(density, p) == pytest.approx(quadrature_abs_moment(density, geometry, p), rel=1e-9)
+        assert abs_moment(density, p) == pytest.approx(sum(half_moments(oracle, p)), rel=1e-9)
 
 
 @pytest.mark.parametrize("p", [-0.999, -0.9999])
 def test_abs_moment_near_minus_one_matches_closed_forms(p):
-    cases = [_case(two_sided_exponential_density, 1.0, b) for b in (1.0, 0.5, 0.0)]
-    cases += [_case(centred_uniform, 1.0), _case(centred_gaussian, 1.0)]
-    for density, geometry in cases:
-        oracle = quadrature_abs_moment(density, geometry, p)
-        assert abs_moment(density, p) == pytest.approx(oracle, rel=1e-8), density.name
+    cases = [case(two_sided_exponential_density, 1.0, b) for b in (1.0, 0.5, 0.0)]
+    cases += [case(centred_uniform, 1.0), case(centred_gaussian, 1.0)]
+    for density, oracle in cases:
+        assert abs_moment(density, p) == pytest.approx(sum(half_moments(oracle, p)), rel=1e-8), density.name
     for density in catalogue():
         assert reduction_check(density, p).holds, density.name
 
@@ -556,34 +459,35 @@ def test_abs_moment_near_minus_one_matches_closed_forms(p):
 @pytest.mark.parametrize("density", catalogue(), ids=lambda d: d.name)
 @pytest.mark.parametrize("p", [-0.999, -0.9, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 6.0])
 def test_catalogue_closed_forms_match_quadrature(density, p):
-    geometry = _CATALOGUE_GEOMETRY[density.name]
-    assert abs_moment(density, p) == pytest.approx(quadrature_abs_moment(density, geometry, p), rel=1e-12, abs=0.0)
-    assert density.prob_positive == pytest.approx(quadrature_prob_positive(density, geometry), rel=0.0, abs=1e-15)
+    oracle = CATALOGUE_ORACLES[density.name]
+    left, right = half_moments(oracle, p)
+    assert abs_moment(density, p) == pytest.approx(left + right, rel=1e-12, abs=0.0)
+    assert density.prob_positive == pytest.approx(half_moments(oracle, 0.0)[1], rel=0.0, abs=1e-15)
 
 
 _constructor_scale = st.floats(0.1, 20.0)
 _test_cases = st.one_of(
-    _constructor_scale.map(lambda a: _case(two_sided_exponential_density, a, 0.0)),
+    _constructor_scale.map(lambda a: case(two_sided_exponential_density, a, 0.0)),
     st.tuples(_constructor_scale, _constructor_scale).map(sorted).map(
-        lambda ab: _case(two_sided_exponential_density, *ab)
+        lambda ab: case(two_sided_exponential_density, *ab)
     ),
-    _constructor_scale.map(lambda c: _case(centred_uniform, c)),
-    _constructor_scale.map(lambda s: _case(centred_gaussian, s)),
-    _constructor_scale.map(lambda cut: _case(truncated_exponential, cut)),
+    _constructor_scale.map(lambda c: case(centred_uniform, c)),
+    _constructor_scale.map(lambda s: case(centred_gaussian, s)),
+    _constructor_scale.map(lambda cut: case(truncated_exponential, cut)),
 )
 
 
 @settings(max_examples=200, deadline=None)
-@given(case=_test_cases, p=st.floats(-0.95, 6.0, exclude_min=True))
-def test_closed_forms_match_quadrature_over_parameters(case, p):
+@given(pair=_test_cases, p=st.floats(-0.95, 6.0, exclude_min=True))
+def test_closed_forms_match_quadrature_over_parameters(pair, p):
     """The closed forms against the quadrature oracle, at the tolerances the
-    oracle requests (relative 1e-10, absolute 1e-12), and pdf(0) against the
+    oracle requests (relative 1e-10, absolute 1e-12), and f(0) against the
     closed-form moment through 2 f(0) = lim_{p -> -1} (p + 1) E|X|^p."""
-    density, geometry = case
-    assert abs_moment(density, p) == pytest.approx(quadrature_abs_moment(density, geometry, p), rel=1e-10, abs=1e-12)
-    assert density.prob_positive == pytest.approx(quadrature_prob_positive(density, geometry), rel=1e-10, abs=1e-12)
+    density, oracle = pair
+    assert abs_moment(density, p) == pytest.approx(sum(half_moments(oracle, p)), rel=1e-10, abs=1e-12)
+    assert density.prob_positive == pytest.approx(half_moments(oracle, 0.0)[1], rel=1e-10, abs=1e-12)
     near = -1.0 + 1e-9
-    assert 2.0 * float(density.pdf(0.0)) == pytest.approx((near + 1.0) * density.moment(near), rel=1e-7)
+    assert 2.0 * density.f0 == pytest.approx((near + 1.0) * density.moment(near), rel=1e-7)
 
 
 def _mp_truncated_exponential(cut):

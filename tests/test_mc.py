@@ -12,7 +12,7 @@ from lcmoments.errors import DomainError, NumericalError
 from lcmoments.expfamily import TwoSidedExpParams, family_scale, moment_et
 from lcmoments.mc import McConfig, McEstimate, estimate_density_at_zero, estimate_xab_moments
 from lcmoments.simplex import WeightVector
-from mc_oracles import array_abs_moment, serial_sample_xab, serial_xab_moments
+from oracles import array_abs_moment, serial_sample_xab, serial_xab_moments
 
 
 def one_shot_density_at_zero(weights, cfg):
