@@ -86,7 +86,7 @@ def _parse_weights(text: str) -> list[float]:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each returns (records, exit_code)
+# subcommand handlers: each returns its records
 # ---------------------------------------------------------------------------
 
 
@@ -104,7 +104,7 @@ def _cmd_constant(args):
         value = constants.sharp_constant(args.p)
     else:
         value = constants.lp_lq_ratio(args.p, _LOWER_CONSTANT_Q[which])
-    return [OutputRecord("constant", inputs, {"value": value})], 0
+    return [OutputRecord("constant", inputs, {"value": value})]
 
 
 def _cmd_p0(args):
@@ -117,7 +117,7 @@ def _cmd_p0(args):
         tolerances={"residual": 1e-12},
         status="ok" if abs(residual) < 1e-12 else "violated",
     )
-    return [record], 0 if record.status == "ok" else 1
+    return [record]
 
 
 # subcommand -> (scanner's name in constants, read at each call; output key of the extremiser; CSV column)
@@ -134,7 +134,7 @@ def _cmd_scan(args):
     if args.csv:
         _write_profile_csv(args.csv, result.profile, columns=(column, "value"))
         outputs["csv"] = args.csv
-    return [OutputRecord(args.subcommand, {"p": args.p, "grid": args.grid}, outputs)], 0
+    return [OutputRecord(args.subcommand, {"p": args.p, "grid": args.grid}, outputs)]
 
 
 def _cmd_moment(args):
@@ -148,7 +148,7 @@ def _cmd_moment(args):
             raise NumericalError(f"normalized moment of order {args.p} overflows")
         outputs["scale"] = scale
     inputs = {"p": args.p, "t": args.t, "normalized": bool(args.normalized)}
-    return [OutputRecord("moment", inputs, outputs)], 0
+    return [OutputRecord("moment", inputs, outputs)]
 
 
 def _cmd_slice(args):
@@ -158,7 +158,7 @@ def _cmd_slice(args):
     if args.volume:
         outputs["volume"] = simplex.section_volume(weights)
     inputs = {"weights": list(weights.a), "n": len(values) - 1, "project": bool(args.project)}
-    return [OutputRecord("slice", inputs, outputs)], 0
+    return [OutputRecord("slice", inputs, outputs)]
 
 
 def _cmd_max_section(args):
@@ -171,7 +171,7 @@ def _cmd_max_section(args):
         "evaluations": result.evaluations,
     }
     inputs = {"n": args.n, "restarts": args.restarts, "seed": seed}
-    return [OutputRecord("max-section", inputs, outputs)], 0
+    return [OutputRecord("max-section", inputs, outputs)]
 
 
 def _cmd_crossings(args):
@@ -179,12 +179,12 @@ def _cmd_crossings(args):
         result = crossings.verify_3crossings(args.t)
     except CrossingPatternError as exc:
         outputs = {"message": str(exc), "reports": [r.as_dict() for r in exc.reports]}
-        return [OutputRecord("crossings", {"t": args.t}, outputs, status="violated")], 1
+        return [OutputRecord("crossings", {"t": args.t}, outputs, status="violated")]
     outputs = {
         "report_upper": result.report_upper.as_dict(),
         "report_lower": result.report_lower.as_dict(),
     }
-    return [OutputRecord("crossings", {"t": args.t}, outputs)], 0
+    return [OutputRecord("crossings", {"t": args.t}, outputs)]
 
 
 # ---------------------------------------------------------------------------
@@ -307,13 +307,10 @@ _SUITES = {
 def _cmd_verify(args):
     if args.suite == "mc":
         seed = args.seed if args.seed is not None else _default_seed()
-        records = _suite_mc(seed, args.samples if args.samples is not None else _MC_SAMPLES)
-    elif args.samples is not None or args.seed is not None:
+        return _suite_mc(seed, args.samples if args.samples is not None else _MC_SAMPLES)
+    if args.samples is not None or args.seed is not None:
         raise DomainError(f"--samples and --seed apply only to the mc suite, not {args.suite}")
-    else:
-        records = _SUITES[args.suite]()
-    code = 0 if all(r.status == "ok" for r in records) else 1
-    return records, code
+    return _SUITES[args.suite]()
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +397,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        records, code = args.handler(args)
+        records = args.handler(args)
     except (DomainError, OSError, json.JSONDecodeError, BracketError, NumericalError) as exc:
         print(json.dumps({"status": "error", "message": str(exc)}), file=sys.stderr)
         return 2
@@ -408,7 +405,7 @@ def main(argv=None) -> int:
         print(records[0].to_json())
     else:
         print(json.dumps([r._as_dict() for r in records], sort_keys=True))
-    return code
+    return 1 if any(r.status == "violated" for r in records) else 0
 
 
 if __name__ == "__main__":

@@ -10,15 +10,18 @@ monotone run's root comes from ``search.bisect_root``, Brent's method down
 to adjacent floats (never much more than three times plain bisection's
 evaluations), run on the sum's value alone; its rounding bound is taken
 only at run ends and stationary points, where the certificate reads a sign.
-A certificate takes about 79 evaluations of the sums (the mean over 99
-values of t in [0.01, 0.99]).  A sign change across a breakpoint (the
-t = 0 jump at e/2) is a crossing there.
+A certificate holds or raises: a sign within that bound raises
+NumericalError, naming the gap and the point, so every report returned is
+certified.  A certificate takes about 79 evaluations of the sums (the mean
+over 99 values of t in [0.01, 0.99]).  A sign change across a breakpoint
+(the t = 0 jump at e/2) is a crossing there.
 
 By Descartes' rule of signs for real exponents (same source; G. J. O.
 Jameson, Math. Gazette 90, 2006) the power gap x^p - alpha - beta*x -
 gamma*x^q has no more positive zeros than its four coefficients, ordered by
 exponent, have sign changes.  With three, the crossings are its only zeros
 and simple, so the product has the sign of both factors past the last one.
+The decomposition check certifies only the density gap it reads.
 
 The interpolation exponent q is the matching order, where the baseline
 member's normalized q-th moment equals E_t's; it comes from the tie
@@ -86,17 +89,16 @@ def _abs_ebar_terms(t: float):
 
 @dataclass(frozen=True)
 class SignChangeReport:
-    """The sign changes of a density gap on (0, inf).
+    """The sign changes of a density gap on (0, inf), certified.
 
     ``pattern`` starts with the sign before the first crossing, e.g. "+-+-"
-    for three crossings starting positive.  ``certified`` is False when a
-    sign the isolation relied on lay within rounding of zero;
-    ``verify_3crossings`` raises NumericalError rather than return that.
+    for three crossings starting positive.  A report exists only once every
+    sign the isolation read cleared its rounding bound; otherwise the
+    isolation raised NumericalError.
     """
 
     crossings: tuple[float, ...]
     pattern: str
-    certified: bool
 
     def __post_init__(self):
         if any(b <= a for a, b in pairwise(self.crossings)):
@@ -107,7 +109,8 @@ class SignChangeReport:
             raise DomainError("pattern signs must alternate")
 
     def as_dict(self) -> dict:
-        return {"crossings": list(self.crossings), "pattern": self.pattern, "certified": self.certified}
+        # "certified" is part of the record format: a report that exists is certified
+        return {"crossings": list(self.crossings), "pattern": self.pattern, "certified": True}
 
 
 def _normalized(coef: dict[int, float]) -> dict[int, float]:
@@ -130,12 +133,13 @@ def _exp_sum_bounded(pairs, lo: float, x: float) -> tuple[float, float]:
     return math.fsum(parts), bound
 
 
-def _exp_sum_zeros(terms, lo: float, hi: float):
+def _exp_sum_zeros(terms, lo: float, hi: float, gap: str = "g"):
     """The zeros of g(x) = sum c * exp(rate * (x - lo)) on (lo, hi); hi may be inf.
 
     ``terms`` are (c, sign, rho) with rate ``_term_rate(sign, rho)``.  Returns
-    (zeros, sign of g at lo, certified); certified is False if a piece end or
-    a stationary value lay within the rounding bound of zero.
+    (zeros, sign of g at lo).  Raises NumericalError, naming ``gap`` and the
+    point, if a piece end or a stationary value lies within the rounding
+    bound of zero, or g vanishes identically.
     """
     merged: dict[tuple[float, float], float] = {}
     for c, sign, rho in terms:
@@ -143,7 +147,7 @@ def _exp_sum_zeros(terms, lo: float, hi: float):
     # ordered by rate: negative rates first, then by sign * rho
     keys = sorted((k for k, c in merged.items() if c != 0.0), key=lambda k: (k[0], k[0] * k[1]))
     if not keys:
-        return (), "+", False
+        raise NumericalError(f"{gap} vanishes identically on ({lo!r}, {hi!r})")
     rates = [_term_rate(*k) for k in keys]
     # rate differences, from expm1 of the log-rates where the signs agree
     diff = [
@@ -156,21 +160,22 @@ def _exp_sum_zeros(terms, lo: float, hi: float):
         median rate (which keeps the shifted rates moderate), cut (lo, hi)
         into monotone runs, each with a root if its ends differ in sign."""
         if len(coef) < 2:
-            return [], True
+            return []
         k = list(coef)[len(coef) // 2]
-        stationary, certified = zeros(_normalized({i: c * diff[i][k] for i, c in coef.items() if i != k}))
+        stationary = zeros(_normalized({i: c * diff[i][k] for i, c in coef.items() if i != k}))
         # (c, rate) pairs in the frame of the fastest-growing term
         top = max(coef)
         pairs = [(c, diff[i][top]) for i, c in coef.items()]
         edges = [lo, *stationary, hi]
         values = [_exp_sum_bounded(pairs, lo, x) for x in edges]
-        certified = certified and all(abs(v) > bound for v, bound in values)
-        found = [
+        for x, (v, bound) in zip(edges, values):
+            if not abs(v) > bound:
+                raise NumericalError(f"{gap}: the sign at x={x!r} lies within rounding of zero")
+        return [
             bisect_root(partial(_exp_sum_value, pairs, lo), a, b)
             for (a, (va, _)), (b, (vb, _)) in pairwise(zip(edges, values))
             if (va < 0.0) != (vb < 0.0)
         ]
-        return found, certified
 
     coef = _normalized({i: merged[k] for i, k in enumerate(keys)})
     if math.isinf(hi):
@@ -178,8 +183,7 @@ def _exp_sum_zeros(terms, lo: float, hi: float):
         top = len(keys) - 1
         logs = [math.log(len(keys) * abs(c)) - math.log(abs(coef[top])) for c in coef.values()]
         hi = lo + max([0.0, *(logs[i] / -diff[i][top] for i in range(top))])
-    found, certified = zeros(coef)
-    return tuple(found), "+" if math.fsum(coef.values()) > 0.0 else "-", certified
+    return tuple(zeros(coef)), "+" if math.fsum(coef.values()) > 0.0 else "-"
 
 
 def _gap_pieces(s: float, t: float):
@@ -198,11 +202,11 @@ def _gap_pieces(s: float, t: float):
 
 
 def _gap_crossings(s: float, t: float):
-    """Crossings, sign pattern and certified flag of density(|Ebar_s|) - density(|Ebar_t|)."""
-    crossings, pattern, certified = [], "", True
+    """Crossings and sign pattern of density(|Ebar_s|) - density(|Ebar_t|);
+    raises NumericalError where a sign it reads is within rounding of zero."""
+    crossings, pattern = [], ""
     for lo, hi, terms in _gap_pieces(s, t):
-        found, first, ok = _exp_sum_zeros(terms, lo, hi)
-        certified = certified and ok
+        found, first = _exp_sum_zeros(terms, lo, hi, f"density gap E_{s!r} against E_{t!r}")
         if not pattern:
             pattern = first
         elif first != pattern[-1]:
@@ -211,7 +215,7 @@ def _gap_crossings(s: float, t: float):
         for x in found:
             crossings.append(x)
             pattern += "-" if pattern[-1] == "+" else "+"
-    return tuple(crossings), pattern, certified
+    return tuple(crossings), pattern
 
 
 def vandermonde_coeffs(p: float, q: float, x1: float, x2: float, x3: float) -> tuple[float, float, float]:
@@ -266,12 +270,7 @@ def verify_3crossings(t: float) -> ThreeCrossingsResult:
     """
     if not 0.0 < t < 1.0:
         raise DomainError(f"t must lie strictly inside (0, 1), got {t}")
-    reports = []
-    for label, (s, u) in (("upper", (1.0, t)), ("lower", (t, 0.0))):
-        crossings, pattern, certified = _gap_crossings(s, u)
-        if not certified:
-            raise NumericalError(f"{label} comparison at t={t}: a sign lies within rounding of zero")
-        reports.append(SignChangeReport(crossings, pattern, certified))
+    reports = [SignChangeReport(*_gap_crossings(1.0, t)), SignChangeReport(*_gap_crossings(t, 0.0))]
     for label, report in zip(("upper", "lower"), reports):
         if len(report.crossings) != 3 or report.pattern != "+-+-":
             raise CrossingPatternError(
@@ -329,27 +328,29 @@ def nonneg_decomposition_check(t: float, p) -> bool:
     """Certify by Descartes' rule (module docstring) that (density gap) *
     (power gap) is nonnegative on (0, inf), nonpositive for p in (0, 1).
 
-    Returns False if the product's one sign is the wrong one.  Raises
-    NumericalError if a solved coefficient is within rounding of zero, by
-    the interpolation system's condition number, or the coefficients do not
-    change sign three times.  t must lie where ``matching_order`` and
-    ``verify_3crossings`` resolve, about [1e-5, 1 - 1e-5]; the exponent q
-    carries ``matching_order``'s error, up to about 6e-6 relative at those ends.
+    Only the gap the product reads, density(|Ebar_baseline|) -
+    density(|Ebar_t|), is certified.  Returns False if the product's one
+    sign is the wrong one.  Raises CrossingPatternError if that gap does not
+    cross three times, and NumericalError if a sign it reads or a solved
+    coefficient (by the interpolation system's condition number) is within
+    rounding of zero, or the coefficients do not change sign three times.
+    t must lie where ``matching_order`` and the crossings resolve, about
+    [1e-5, 1 - 1e-5]; the exponent q carries ``matching_order``'s error, up
+    to about 6e-6 relative at those ends.
     """
     p = as_order(p)
     if not 0.0 < t < 1.0:
         raise DomainError(f"t must lie strictly inside (0, 1), got {t}")
     baseline, bracket, flip = _decomposition_regime(p, find_p0())
     q = matching_order(t, bracket, baseline_t=baseline)
-    certificates = verify_3crossings(t)
-    # the gap is density(baseline) - density(t): report_upper's orientation,
-    # report_lower's negated
-    report = certificates.report_upper if baseline == 1.0 else certificates.report_lower
-    gap_ends_positive = (report.pattern[-1] == "+") == (baseline == 1.0)
-    coeffs = vandermonde_coeffs(p, q, *report.crossings)
+    nodes, pattern = _gap_crossings(baseline, t)
+    if len(nodes) != 3:
+        message = f"density gap E_{baseline!r} against E_{t!r}: {len(nodes)} crossings ({pattern}), not 3"
+        raise CrossingPatternError(message, [SignChangeReport(nodes, pattern)])
+    coeffs = vandermonde_coeffs(p, q, *nodes)
 
-    nodes = np.asarray(report.crossings)
-    cond = np.linalg.cond(np.column_stack([np.ones(3), nodes, nodes**q]))
+    x = np.asarray(nodes)
+    cond = np.linalg.cond(np.column_stack([np.ones(3), x, x**q]))
     if min(map(abs, coeffs)) <= _SIGN_MARGIN * cond * max(map(abs, coeffs)):
         raise NumericalError(f"interpolation coefficients {coeffs} have a sign within rounding (t={t}, p={p})")
     # ordered by exponent; the coefficient of x^p is exactly 1
@@ -359,4 +360,4 @@ def nonneg_decomposition_check(t: float, p) -> bool:
     if changes != 3:
         raise NumericalError(f"power gap coefficients change sign {changes} times, not 3 (t={t}, p={p})")
     # the product's one sign is that of both factors past the last crossing
-    return (gap_ends_positive == signs[-1]) != flip
+    return ((pattern[-1] == "+") == signs[-1]) != flip

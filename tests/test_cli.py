@@ -9,9 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lcmoments import constants
+from lcmoments import constants, crossings
 from lcmoments.cli import OutputRecord, build_parser, main
 from lcmoments.constants import _MAX_GRID
+from lcmoments.errors import CrossingPatternError
 
 
 def _run(capsys, argv):
@@ -181,6 +182,19 @@ def test_crossings_command_near_the_ends(capsys, t):
     assert code == 0
     for report in (payload["outputs"]["report_upper"], payload["outputs"]["report_lower"]):
         assert report["pattern"] == "+-+-" and report["certified"]
+
+
+@pytest.mark.parametrize("argv", [["crossings", "--t", "0.5"], ["verify", "--suite", "crossings"]], ids=" ".join)
+def test_a_violated_record_exits_1(capsys, monkeypatch, argv):
+    # the exit code is read from the records' statuses
+    def crossing_pattern_error(t):
+        raise CrossingPatternError(f"forced at t={t}")
+
+    monkeypatch.setattr(crossings, "verify_3crossings", crossing_pattern_error)
+    assert main(argv) == 1
+    payload = json.loads(capsys.readouterr().out)
+    statuses = [r["status"] for r in payload] if isinstance(payload, list) else [payload["status"]]
+    assert "violated" in statuses
 
 
 def test_crossings_uncertified_exits_2(capsys):
@@ -375,9 +389,9 @@ def test_stdout_is_the_records_through_dataclasses_asdict(capsys, argv):
     out = capsys.readouterr().out
     # the top parser's two-level parse and dataclasses.asdict are the oracle
     args = build_parser().parse_args(argv)
-    records, expected_code = args.handler(args)
+    records = args.handler(args)
     dicts = [dataclasses.asdict(r) for r in records]
-    assert code == expected_code
+    assert code == (1 if any(r.status == "violated" for r in records) else 0)
     assert out == json.dumps(dicts[0] if len(dicts) == 1 else dicts, sort_keys=True) + "\n"
 
 

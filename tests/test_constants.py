@@ -23,6 +23,7 @@ from lcmoments.crossings import matching_order
 from lcmoments.errors import DomainError
 from lcmoments.expfamily import norm_ebar
 from lcmoments.specfun import gamma
+import enclosures
 from oracles import mp_moment_et
 
 
@@ -41,6 +42,18 @@ def test_l2_transition_matches_mpmath_root():
             1.68,
         )
     assert abs(find_l2_transition() - float(root)) <= 1e-14
+
+
+# 50-digit interval enclosures prove each gap's sign 1e-14 to either side of
+# the computed root, so the exact root lies within 1e-14 of it
+def test_p0_enclosed_within_1e_14():
+    p0 = find_p0()
+    assert enclosures.branch_gap(p0 - 1e-14).a > 0 > enclosures.branch_gap(p0 + 1e-14).b
+
+
+def test_l2_transition_enclosed_within_1e_14():
+    p = find_l2_transition()
+    assert enclosures.l2_gap(p - 1e-14).b < 0 < enclosures.l2_gap(p + 1e-14).a
 
 
 class TestSharpConstant:

@@ -57,17 +57,22 @@ class TestExpSumZeros:
         coeffs = np.poly(np.exp(lead * np.array(roots)))  # highest power of y first
         m = len(roots)
         terms = [_term(c, -lead * (m + 1 - k)) for k, c in zip(range(m, -1, -1), coeffs)]
-        zeros, first, certified = _exp_sum_zeros(terms, 0.0, math.inf)
-        assert certified
+        zeros, first = _exp_sum_zeros(terms, 0.0, math.inf)
         assert zeros == pytest.approx(sorted(roots), rel=1e-9)
         assert first == ("+" if m % 2 == 0 else "-")
 
     def test_single_term_never_vanishes(self):
-        assert _exp_sum_zeros([_term(-2.0, 0.5)], 0.0, math.inf) == ((), "-", True)
+        assert _exp_sum_zeros([_term(-2.0, 0.5)], 0.0, math.inf) == ((), "-")
 
     def test_cancelling_terms_are_not_certified(self):
         terms = [_term(1.0, -1.0), _term(-1.0, -1.0)]
-        assert not _exp_sum_zeros(terms, 0.0, 1.0)[2]
+        with pytest.raises(NumericalError, match="vanishes identically"):
+            _exp_sum_zeros(terms, 0.0, 1.0)
+
+    def test_untrusted_sign_names_the_gap_and_the_point(self):
+        # at t = 1e-8 the lower gap lies within rounding of zero at x = 0
+        with pytest.raises(NumericalError, match=r"density gap E_1e-08 against E_0\.0: the sign at x=0\.0 "):
+            _gap_crossings(1e-8, 0.0)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -93,8 +98,7 @@ class TestGapPieces:
                 assert value == pytest.approx(folded_density(s, x) - folded_density(t, x), abs=1e-14)
 
     def test_family_density_gap(self):
-        crossings, pattern, certified = _gap_crossings(1.0, 0.5)
-        assert certified
+        crossings, pattern = _gap_crossings(1.0, 0.5)
         assert len(crossings) == 3
         assert pattern == "+-+-"
 
@@ -102,15 +106,15 @@ class TestGapPieces:
 class TestSignChangeReport:
     def test_pattern_must_alternate(self):
         with pytest.raises(DomainError):
-            SignChangeReport((1.0, 2.0), "++-", True)
+            SignChangeReport((1.0, 2.0), "++-")
 
     def test_lengths_must_match(self):
         with pytest.raises(DomainError):
-            SignChangeReport((1.0,), "+-+", True)
+            SignChangeReport((1.0,), "+-+")
 
     def test_crossings_must_increase_strictly(self):
         with pytest.raises(DomainError):
-            SignChangeReport((1.0, 1.0), "+-+", True)
+            SignChangeReport((1.0, 1.0), "+-+")
 
 
 class TestVandermondeCoeffs:
@@ -260,7 +264,6 @@ def test_certificates_match_mpmath_and_laguerre(t):
     result = verify_3crossings(t)
     rel = max(1e-10, 1e-14 / min(t, 1.0 - t) ** 2)
     for (s, u), report in (((1.0, t), result.report_upper), ((t, 0.0), result.report_lower)):
-        assert report.certified
         assert len(report.crossings) == 3
         assert report.pattern == "+-+-"
         # each crossing sits within rel of a sign change of the 40-digit gap;
@@ -289,7 +292,6 @@ def test_outside_the_band_certified_or_numerical_error(t):
     except NumericalError:
         return
     for report in (result.report_upper, result.report_lower):
-        assert report.certified
         assert len(report.crossings) == 3
         assert report.pattern == "+-+-"
 
@@ -403,8 +405,7 @@ class TestSingleCrossingFirstMoment:
             first, _ = integrate.quad(lambda x: x * h(x), 0.0, 200.0, limit=300, epsabs=1e-13)
             assert abs(mass) < 1e-9
             assert first > 1e-6
-            zeros, first, certified = _exp_sum_zeros([_term(lam, -lam), _term(-nu, -nu)], 0.0, math.inf)
-            assert certified
+            zeros, first = _exp_sum_zeros([_term(lam, -lam), _term(-nu, -nu)], 0.0, math.inf)
             assert len(zeros) == 1
             assert first == "-"
 
@@ -500,18 +501,23 @@ def test_decomposition_near_the_ends_true_or_typed_error(t, p):
 
 
 def _interpolation(t, p):
-    """The regime's baseline, matching order and crossing nodes, as the check picks them."""
+    """The regime's baseline, matching order and crossing nodes, and whether
+    density(baseline) - density(t) ends positive: selected and re-oriented
+    from both ``verify_3crossings`` reports, the check's former route."""
     baseline, bracket, flip = _decomposition_regime(p, _P0)
     q = matching_order(t, bracket, baseline_t=baseline)
     certificates = verify_3crossings(t)
+    # the gap is density(baseline) - density(t): report_upper's orientation,
+    # report_lower's negated
     report = certificates.report_upper if baseline == 1.0 else certificates.report_lower
-    return baseline, flip, q, report.crossings
+    ends_positive = (report.pattern[-1] == "+") == (baseline == 1.0)
+    return baseline, flip, q, report.crossings, ends_positive
 
 
 @settings(max_examples=40, deadline=None)
 @given(t=st.floats(1e-4, 1.0 - 1e-4), p=_regime_p)
 def test_coefficient_signs_match_mpmath(t, p):
-    _, _, q, nodes = _interpolation(t, p)
+    _, _, q, nodes, _ = _interpolation(t, p)
     coeffs = vandermonde_coeffs(p, q, *nodes)
     with mpmath.workdps(40):
         xs = [mpmath.mpf(x) for x in nodes]
@@ -525,7 +531,7 @@ def test_coefficient_signs_match_mpmath(t, p):
 def _sampled_product(t, p):
     """(density gap) * (power gap), negated for p in (0, 1), on 10 000 points
     of (0, 48) plus the breakpoints and nodes: the check's former route."""
-    baseline, flip, q, nodes = _interpolation(t, p)
+    baseline, flip, q, nodes, _ = _interpolation(t, p)
     alpha, beta, gamma_q = vandermonde_coeffs(p, q, *nodes)
     extra = [(1.0 - t) / family_scale(t), (1.0 - baseline) / family_scale(baseline), *nodes]
     xs = np.unique(np.concatenate([np.linspace(0.0, 48.0, 10_002)[1:-1], [x for x in extra if 0.0 < x < 48.0]]))
@@ -534,8 +540,12 @@ def _sampled_product(t, p):
     return -product if flip else product
 
 
-@pytest.mark.parametrize("t", [0.05, 0.3, 0.5, 0.7, 0.95])
-@pytest.mark.parametrize("p", [-0.9, -0.3, 0.2, 0.8, 1.2, 2.0, 2.8, 3.0, 4.5, 6.0])
+_GRID_T = [0.05, 0.3, 0.5, 0.7, 0.95]
+_GRID_P = [-0.9, -0.3, 0.2, 0.8, 1.2, 2.0, 2.8, 3.0, 4.5, 6.0]
+
+
+@pytest.mark.parametrize("t", _GRID_T)
+@pytest.mark.parametrize("p", _GRID_P)
 def test_decomposition_agrees_with_the_sampled_product(t, p):
     # the slack absorbs rounding at the nodes, where the product vanishes;
     # rounding outgrows it at large p, where the coefficients grow like x^p
@@ -543,3 +553,40 @@ def test_decomposition_agrees_with_the_sampled_product(t, p):
     assert nonneg_decomposition_check(t, p) is bool(product.min() >= -1e-9)
     # the opposite sign would fail the oracle
     assert product.max() > 1e-6
+
+
+@pytest.mark.parametrize("t", _GRID_T)
+@pytest.mark.parametrize("p", _GRID_P)
+def test_decomposition_agrees_with_the_two_report_selection(t, p):
+    # the check certifies only the gap it reads; the verdict and the nodes
+    # match those read from both reports of verify_3crossings
+    baseline, flip, q, nodes, ends_positive = _interpolation(t, p)
+    assert _gap_crossings(baseline, t)[0] == nodes
+    alpha, beta, gamma_q = vandermonde_coeffs(p, q, *nodes)
+    signs = [c > 0.0 for _, c in sorted([(p, 1.0), (0.0, -alpha), (1.0, -beta), (q, -gamma_q)])]
+    assert nonneg_decomposition_check(t, p) is ((ends_positive == signs[-1]) != flip)
+
+
+@settings(max_examples=150, deadline=None)
+@given(t=_band_t)
+def test_one_sided_gap_is_the_negated_lower_gap(t):
+    # density(0) - density(t) is verify_3crossings' lower gap negated term by
+    # term, so its crossings agree to the bit and its signs are opposite
+    crossings_a, pattern_a = _gap_crossings(0.0, t)
+    crossings_b, pattern_b = _gap_crossings(t, 0.0)
+    assert [x.hex() for x in crossings_a] == [x.hex() for x in crossings_b]
+    assert pattern_a == pattern_b.translate(str.maketrans("+-", "-+"))
+
+
+@pytest.mark.parametrize("p", [-0.5, 2.0, 3.5])
+def test_decomposition_certifies_one_gap(monkeypatch, p):
+    calls = []
+
+    def counted(s, t):
+        calls.append((s, t))
+        return _gap_crossings(s, t)
+
+    monkeypatch.setattr(crossings, "_gap_crossings", counted)
+    monkeypatch.setattr(crossings, "verify_3crossings", None)
+    assert nonneg_decomposition_check(0.5, p) is True
+    assert calls == [(_decomposition_regime(p, _P0)[0], 0.5)]
