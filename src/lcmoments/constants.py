@@ -10,7 +10,7 @@ Every order at which two family members compare equally comes from one
 tie routine, ``_tie``: Brent's method (``search.bisect_root``) on
 ``_member_gap``, the signed gap between the p-th moments of E_s and E_t,
 each divided by the p-th power of a norm of the member (``family_scale``
-for L_1, hypot(1, u) for L_2).  It locates p0, the 1.68 transition and
+for L_1, ``_L2_NORM`` for L_2).  It locates p0, the 1.68 transition and
 ``crossings.matching_order`` in 12 to 14 gap evaluations each, and never
 takes much more than three times plain bisection's count.
 """
@@ -18,7 +18,6 @@ takes much more than three times plain bisection's count.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cache, partial
 
@@ -28,7 +27,7 @@ from scipy import special
 from .errors import BracketError, DomainError, NumericalError
 from .expfamily import _member_norm, family_scale, moment_et, norm_ebar
 from .search import bisect_root, golden_section_min
-from .specfun import as_order, gamma
+from .specfun import _is_integer, as_order, gamma
 
 __all__ = [
     "sharp_constant",
@@ -53,6 +52,9 @@ _MAX_GRID = 10**7
 # stay below 1e-20 for |p| < _SERIES_ORDER
 _LOG_GAMMA_SERIES = [(-1.0) ** k * float(special.zeta(k)) / k for k in range(32, 1, -1)]
 _SERIES_ORDER = 0.25
+
+# ||E_u||_2 = hypot(1, u), the L_2 norm of the family member E_u = (E - 1) - u(E' - 1)
+_L2_NORM = partial(math.hypot, 1.0)
 
 
 def _member_gap(p: float, s: float, t: float, norm) -> float:
@@ -141,7 +143,7 @@ def _grid_then_refine(objective, grid_size: int, maximize: bool, snap) -> ScanRe
     is within _ENDPOINT_SNAP of the refined optimum is reported instead,
     the first such candidate winning.
     """
-    if not isinstance(grid_size, numbers.Integral):
+    if not _is_integer(grid_size):
         raise DomainError(f"grid_size must be an integer, got {grid_size!r}")
     if grid_size < 100:
         raise DomainError(f"grid_size must be at least 100, got {grid_size}")
@@ -175,33 +177,28 @@ def scan_family_extrema(p, grid_size: int = 1000) -> ScanResult:
     return _grid_then_refine(lambda t: norm_ebar(p, t), grid_size, p > 1.0, (1.0, 0.0))
 
 
-def l2_ratio(p, s: float) -> float:
-    """||Z_s||_p / ||Z_s||_2 for Z_s = s(E-1) - (1-s)(E'-1), s in [0, 1].
-
-    By homogeneity and the swap symmetry s <-> 1-s this only depends on
-    u = min(s, 1-s)/max(s, 1-s), reducing to the normalized family moments.
-    """
-    p = as_order(p)
-    if not 0.0 <= s <= 1.0:
-        raise DomainError(f"s must lie in [0, 1], got {s}")
-    big = max(s, 1.0 - s)
-    u = min(s, 1.0 - s) / big
-    return _member_norm(p, u) / math.sqrt(1.0 + u * u)
-
-
 def scan_l2_ratio(p, grid_size: int = 1000) -> ScanResult:
-    """Extremise ||Z_s||_p / ||Z_s||_2 over s in [0, 1].
+    """Extremise ||Z_s||_p / ||Z_s||_2 over s in [0, 1], Z_s = s(E-1) - (1-s)(E'-1).
 
     The open problem behind this scan minimises the ratio for 1 < p < 2 and
     maximises it for p > 2 (at p = 2 the ratio is identically one, hence the
     exclusion).  The extremiser flips from the symmetric exponential
-    (s = 1/2) to a one-sided exponential (s in {0, 1}) at the transition
-    order near 1.68.
+    (s = 1/2) to a one-sided exponential (s = 0) at the transition order
+    near 1.68.
+
+    By homogeneity and the symmetry s <-> 1-s the ratio depends only on the
+    branch ratio u = s/(1-s) of s in [0, 1/2], where |Z_s| / (1-s) has the
+    law of |E_u|: it is E_u's ratio, under the norm ``_L2_NORM``.  The scan
+    runs over u in [0, 1] and reports s = u/(1+u), so the profile covers s
+    in [0, 1/2].
     """
     p = float(p)
     if p <= 1.0 or p == 2.0:
         raise DomainError(f"the ratio scan needs p > 1, p != 2, got {p}")
-    return _grid_then_refine(lambda s: l2_ratio(p, s), grid_size, p > 2.0, (0.0, 1.0, 0.5))
+    scan = _grid_then_refine(lambda u: _member_norm(p, u) / _L2_NORM(u), grid_size, p > 2.0, (0.0, 1.0))
+    u = scan.profile[:, 0]
+    profile = np.column_stack([u / (1.0 + u), scan.profile[:, 1]])
+    return ScanResult(argopt_t=scan.argopt_t / (1.0 + scan.argopt_t), opt_value=scan.opt_value, profile=profile)
 
 
 def find_l2_transition() -> float:
@@ -209,10 +206,10 @@ def find_l2_transition() -> float:
 
     Below it the symmetric exponential has the smaller ratio, above it the
     one-sided one does; this is the scan's extremiser switch point.  By
-    l2_ratio's reduction, Z_(1/2) and Z_0 are E_1 and E_0 under the norm
-    hypot(1, u), and the ratios tie where their p-th powers do.
+    ``scan_l2_ratio``'s reduction, Z_(1/2) and Z_0 are E_1 and E_0 under the
+    norm ``_L2_NORM``, and the ratios tie where their p-th powers do.
     """
-    return _tie(1.0, 0.0, 1.05, 1.95, partial(math.hypot, 1.0))
+    return _tie(1.0, 0.0, 1.05, 1.95, _L2_NORM)
 
 
 def small_t_bound_coefficient() -> float:

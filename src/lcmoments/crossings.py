@@ -333,7 +333,9 @@ def nonneg_decomposition_check(t: float, p) -> bool:
     sign is the wrong one.  Raises CrossingPatternError if that gap does not
     cross three times, and NumericalError if a sign it reads or a solved
     coefficient (by the interpolation system's condition number) is within
-    rounding of zero, or the coefficients do not change sign three times.
+    rounding of zero, the coefficients do not change sign three times, or
+    the matching order q lies within 1e-12 of p, where the interpolation
+    exponents coincide.
     t must lie where ``matching_order`` and the crossings resolve, about
     [1e-5, 1 - 1e-5]; the exponent q carries ``matching_order``'s error, up
     to about 6e-6 relative at those ends.
@@ -347,6 +349,9 @@ def nonneg_decomposition_check(t: float, p) -> bool:
     if len(nodes) != 3:
         message = f"density gap E_{baseline!r} against E_{t!r}: {len(nodes)} crossings ({pattern}), not 3"
         raise CrossingPatternError(message, [SignChangeReport(nodes, pattern)])
+    if abs(q - p) <= 1e-12:
+        # a tie this close to p comes from the rounding of a cancelling gap near the ends of t
+        raise NumericalError(f"matching order q={q!r} lies within 1e-12 of p={p!r} at t={t!r}")
     coeffs = vandermonde_coeffs(p, q, *nodes)
 
     x = np.asarray(nodes)

@@ -29,7 +29,8 @@ import numpy as np
 
 from .errors import DomainError, NumericalError
 from .expfamily import TwoSidedExpParams
-from .specfun import as_order
+from .simplex import _weight_array
+from .specfun import _as_seed, _is_integer, as_order
 
 __all__ = [
     "McConfig",
@@ -46,17 +47,6 @@ _JACKKNIFE_BLOCKS = 100
 
 # half-width of the window around zero in the density estimator
 _DENSITY_WINDOW = 0.01
-
-
-def _is_integer(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def _as_seed(seed) -> int:
-    """Validate a generator seed: a nonnegative integer, not a bool."""
-    if not _is_integer(seed) or seed < 0:
-        raise DomainError(f"seed must be a nonnegative integer, got {seed!r}")
-    return int(seed)
 
 
 @dataclass(frozen=True)
@@ -219,11 +209,7 @@ def estimate_density_at_zero(weights, cfg: McConfig) -> McEstimate:
     and sample sizes used here.  Each chunk's draws come in blocks of rows
     that continue one stream, so memory does not grow with the dimension.
     """
-    w = np.asarray(weights.a if hasattr(weights, "a") else weights, dtype=float)
-    if w.ndim != 1 or w.size < 2:
-        raise DomainError("weight vector needs at least two coordinates")
-    if not np.all(np.isfinite(w)):
-        raise DomainError(f"weights must be finite, got {w}")
+    w = _weight_array(weights.a if hasattr(weights, "a") else weights)
     half = _DENSITY_WINDOW
     # rows per block of draws: about one chunk of doubles
     rows = max(1, _CHUNK // w.size)

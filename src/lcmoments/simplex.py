@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSectionError, DomainError, NumericalError
-from .mc import _as_seed, _is_integer
+from .specfun import _as_seed, _is_integer
 
 __all__ = [
     "WeightVector",
@@ -45,6 +45,17 @@ _CEILING = (1.0 + 1e-12) / math.sqrt(2.0)
 _TINY = np.finfo(float).tiny
 
 
+def _weight_array(values) -> np.ndarray:
+    """``values`` as a new float array, checked to be one-dimensional with at
+    least two coordinates, all finite."""
+    arr = np.array(values, dtype=float)
+    if arr.ndim != 1 or arr.size < 2:
+        raise DomainError("weight vector needs at least two coordinates")
+    if not np.all(np.isfinite(arr)):
+        raise DomainError("weight vector must be finite")
+    return arr
+
+
 @dataclass(frozen=True)
 class WeightVector:
     """A unit vector with zero coordinate sum, the outer normal of a section."""
@@ -52,11 +63,7 @@ class WeightVector:
     a: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.a, dtype=float)
-        if arr.ndim != 1 or arr.size < 2:
-            raise DomainError("weight vector needs at least two coordinates")
-        if not np.all(np.isfinite(arr)):
-            raise DomainError("weight vector must be finite")
+        arr = _weight_array(self.a)
         if abs(float(arr.sum())) > 1e-12:
             raise DomainError(f"coordinates must sum to zero, got sum {arr.sum():.3e}")
         if abs(float(np.linalg.norm(arr)) - 1.0) > 1e-12:
@@ -68,20 +75,16 @@ class WeightVector:
     def from_raw(cls, values, project: bool = False) -> "WeightVector":
         """Build from raw coordinates; ``project`` recentres and renormalises
         instead of validating strictly."""
-        arr = np.array(values, dtype=float)
-        if project:
-            if arr.ndim != 1 or arr.size < 2:
-                raise DomainError("weight vector needs at least two coordinates")
-            if not np.all(np.isfinite(arr)):
-                raise DomainError("weight vector must be finite")
-            # an exact power-of-two scale: 1e300 centres and 1e-20 clears the cutoff
-            arr = np.ldexp(arr, -np.frexp(np.max(np.abs(arr)))[1])
-            arr = arr - arr.mean()
-            norm = float(np.linalg.norm(arr))
-            if norm <= 1e-14:
-                raise DomainError("cannot normalise a vector with no zero-sum component")
-            arr = arr / norm
-        return cls(arr)
+        if not project:
+            return cls(values)
+        arr = _weight_array(values)
+        # an exact power-of-two scale: 1e300 centres and 1e-20 clears the cutoff
+        arr = np.ldexp(arr, -np.frexp(np.max(np.abs(arr)))[1])
+        arr = arr - arr.mean()
+        norm = float(np.linalg.norm(arr))
+        if norm <= 1e-14:
+            raise DomainError("cannot normalise a vector with no zero-sum component")
+        return cls(arr / norm)
 
     def __len__(self) -> int:
         return int(self.a.size)
@@ -289,18 +292,6 @@ def _renormalise(V: np.ndarray) -> np.ndarray:
     return V / np.sqrt(_row_dot(V, V))
 
 
-def _restart_start(dim: int, seed: int, r: int) -> np.ndarray:
-    rng = np.random.default_rng((seed, r))
-    start = rng.standard_normal(dim)
-    start -= start.mean()
-    norm = float(np.linalg.norm(start))
-    if norm <= 1e-12:
-        start = np.zeros(dim)
-        start[0], start[1] = 1.0, -1.0
-        norm = math.sqrt(2.0)
-    return start / norm
-
-
 def _ascend(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, float]:
     """Projected gradient ascent from each row of ``A`` (unit zero-sum
     normals), all rows in lockstep, each with its own step size, line search
@@ -354,7 +345,8 @@ def maximize_section(n: int, restarts: int = 20, seed: int = 0) -> MaxSectionRes
         raise DomainError(f"need an integer number of restarts >= 20, got {restarts!r}")
     seed = _as_seed(seed)
 
-    starts = np.array([_restart_start(n + 1, seed, r) for r in range(restarts)])
+    rngs = (np.random.default_rng((seed, r)) for r in range(restarts))
+    starts = np.array([WeightVector.from_raw(rng.standard_normal(n + 1), project=True).a for rng in rngs])
     A, vals, evaluations, max_evaluated = _ascend(starts)
     best = int(np.argmax(vals))  # the first restart among equal maxima
     return MaxSectionResult(

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 from scipy import special
 
 from .errors import DomainError, NumericalError
@@ -51,6 +52,17 @@ def as_order(p) -> float:
     if not -1.0 < value < math.inf:
         raise DomainError(f"moment order must be finite and exceed -1, got {value}")
     return value
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _as_seed(seed) -> int:
+    """Validate a generator seed: a nonnegative integer, not a bool."""
+    if not _is_integer(seed) or seed < 0:
+        raise DomainError(f"seed must be a nonnegative integer, got {seed!r}")
+    return int(seed)
 
 
 def gamma(x: float) -> float:
@@ -107,7 +119,7 @@ def shifted_exp_moment(p, t: float) -> float:
         return gamma(p + 1.0)
     u = (1.0 - t) / t
     if u <= 200.0:
-        return math.exp(u) * t**p * gamma(p + 1.0) * special.gammaincc(p + 1.0, u)
+        return math.exp(u) * t**p * gamma(p + 1.0) * float(special.gammaincc(p + 1.0, u))
     u = min(u, _HYPERU_CAP)
     value = (1.0 - t) ** p * u * float(special.hyperu(1.0, p + 2.0, u))
     if not math.isfinite(value):

@@ -1,4 +1,5 @@
-"""Interval enclosures of the gaps whose zeros are p0 and the 1.68 transition.
+"""Interval enclosures of the gaps whose zeros are p0 and the 1.68 transition,
+and of the sharp constants.
 
 Each gap is evaluated in ``mpmath.iv`` interval arithmetic at 50 digits, so a
 returned interval contains the exact value; an interval that excludes 0
@@ -40,3 +41,25 @@ def l2_gap(p: float):
     """An enclosure of Gamma(p+1) 2^(-p/2) - E|E-1|^p, the L_2 ratio gap."""
     x = iv.mpf(p)
     return iv.gamma(x + 1) * iv.exp(-x / 2 * iv.log(2)) - _one_sided_moment(x)
+
+
+def _norm(moment, p):
+    """An enclosure of moment^(1/p), the L_p norm of a p-th moment's enclosure."""
+    return iv.exp(iv.log(moment) / p)
+
+
+def sharp_constant(p: float):
+    """An enclosure of max(Gamma(p+1)^(1/p), (e/2) ||E-1||_p), the sharp L_p-L_1
+    constant for p >= 1."""
+    x = iv.mpf(p)
+    symmetric = _norm(iv.gamma(x + 1), x)
+    one_sided = iv.e / 2 * _norm(_one_sided_moment(x), x)
+    # the maximum of two intervals, end by end
+    return iv.mpf([max(symmetric.a, one_sided.a), max(symmetric.b, one_sided.b)])
+
+
+def lp_lq_ratio(p: float, q: float):
+    """An enclosure of Gamma(p+1)^(1/p) / Gamma(q+1)^(1/q), the sharp lower
+    L_p-L_q constant."""
+    x, y = iv.mpf(p), iv.mpf(q)
+    return _norm(iv.gamma(x + 1), x) / _norm(iv.gamma(y + 1), y)

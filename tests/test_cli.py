@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
@@ -8,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lcmoments import constants, crossings
 from lcmoments.cli import OutputRecord, build_parser, main
@@ -195,6 +199,25 @@ def test_a_violated_record_exits_1(capsys, monkeypatch, argv):
     payload = json.loads(capsys.readouterr().out)
     statuses = [r["status"] for r in payload] if isinstance(payload, list) else [payload["status"]]
     assert "violated" in statuses
+
+
+def test_a_decomposition_gap_off_pattern_is_a_violated_record(capsys, monkeypatch):
+    # it escaped main as a CrossingPatternError traceback
+    gap_crossings = crossings._gap_crossings
+
+    def one_dropped(s, t):
+        found, pattern = gap_crossings(s, t)
+        return found[:-1], pattern[:-1]
+
+    monkeypatch.setattr(crossings, "_gap_crossings", one_dropped)
+    assert main(["verify", "--suite", "crossings"]) == 1
+    records = json.loads(capsys.readouterr().out)
+    decomposition = [r for r in records if r["command"] == "verify/decomposition"]
+    assert [r["inputs"]["p"] for r in decomposition] == [-0.5, 2.0, 3.5]
+    for record in decomposition:
+        assert record["status"] == "violated"
+        assert list(record["outputs"]) == ["message"]
+        assert "2 crossings" in record["outputs"]["message"]
 
 
 def test_crossings_uncertified_exits_2(capsys):
@@ -449,3 +472,57 @@ def test_scan_calls_the_scanner_bound_on_constants_at_call_time(capsys, monkeypa
     code, record = _run(capsys, [subcommand, "--p", p, "--grid", "100"])
     assert code == 0 and record["command"] == subcommand
     assert calls == [(float(p), 100)]
+
+
+# option values: finite and non-finite numbers, in plain and exponent notation,
+# and text that is no number at all.  A one_of nested in another joins its
+# branches, so the mapping keeps the odd values to a third of the draws.
+_NUMBERS = st.floats(allow_nan=True, allow_infinity=True)
+_VALUES = st.one_of(
+    st.floats(-1.5, 8.0).map(repr),
+    st.floats(0.0, 1.0).map(repr),
+    st.one_of(
+        _NUMBERS.map(repr),
+        _NUMBERS.map(lambda x: f"{x:e}"),
+        st.floats(-2.0, 200.0).map(lambda x: f"{x:e}"),
+        st.sampled_from(["nan", "-inf", "1e999", "-1e-320", "0x10", "1e", "--p", "", " "]),
+        st.text(max_size=6),
+    ).map(str),
+)
+_WEIGHTS = st.one_of(
+    st.lists(st.one_of(_NUMBERS, st.floats(-1.0, 1.0)), min_size=1, max_size=8).map(
+        lambda ws: ",".join(map(repr, ws))
+    ),
+    st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=8).map(json.dumps),
+    st.text(max_size=12),
+)
+
+
+_ARGV = st.one_of(
+    st.just(["p0"]),
+    st.tuples(st.sampled_from(["lp-l1-lower", "lp-l1-upper", "lp-l2-lower", "lp-l3"]), _VALUES).map(
+        lambda c: ["constant", "--which", c[0], "--p", c[1]]
+    ),
+    st.tuples(_VALUES, st.one_of(st.just([]), _VALUES.map(lambda q: ["--q", q]))).map(
+        lambda c: ["constant", "--which", "lp-lq", "--p", c[0], *c[1]]
+    ),
+    st.tuples(_VALUES, _VALUES, st.booleans()).map(
+        lambda c: ["moment", "--p", c[0], "--t", c[1]] + ["--normalized"] * c[2]
+    ),
+    st.tuples(st.sampled_from(["scan", "scan-l2"]), _VALUES, st.integers(100, 300)).map(
+        lambda c: [c[0], "--p", c[1], "--grid", str(c[2])]
+    ),
+    st.tuples(_WEIGHTS, st.booleans(), st.booleans()).map(
+        lambda c: ["slice", "--weights", c[0]] + ["--project"] * c[1] + ["--volume"] * c[2]
+    ),
+    _VALUES.map(lambda t: ["crossings", "--t", t]),
+    st.sampled_from(["reduction", "fradelizi", "crossings", "constants"]).map(lambda s: ["verify", "--suite", s]),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(argv=_ARGV)
+def test_main_returns_an_exit_code_and_never_raises(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 1, 2)

@@ -10,7 +10,6 @@ from lcmoments.constants import (
     branch_gap,
     find_l2_transition,
     find_p0,
-    l2_ratio,
     lp_lq_ratio,
     scan_family_extrema,
     scan_l2_ratio,
@@ -18,10 +17,10 @@ from lcmoments.constants import (
     small_t_bound_coefficient,
 )
 from lcmoments import constants
-from lcmoments.constants import _MAX_GRID, _member_gap
+from lcmoments.constants import _MAX_GRID, _grid_then_refine, _member_gap
 from lcmoments.crossings import matching_order
 from lcmoments.errors import DomainError
-from lcmoments.expfamily import norm_ebar
+from lcmoments.expfamily import _member_norm, norm_ebar
 from lcmoments.specfun import gamma
 import enclosures
 from oracles import mp_moment_et
@@ -54,6 +53,24 @@ def test_p0_enclosed_within_1e_14():
 def test_l2_transition_enclosed_within_1e_14():
     p = find_l2_transition()
     assert enclosures.l2_gap(p - 1e-14).b < 0 < enclosures.l2_gap(p + 1e-14).a
+
+
+def _relative_distance(value, interval):
+    """The distance from a float to an interval, relative to the float."""
+    outside = max(interval.a - value, value - interval.b, 0)
+    return float(outside) / abs(value)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 2.5, 2.94, 2.95, 3.0, 4.0, 6.0, 8.0, 20.0])
+def test_sharp_constant_within_its_enclosure(p):
+    assert _relative_distance(sharp_constant(p), enclosures.sharp_constant(p)) <= 1e-15
+
+
+# the orders straddle the series switch at |p| = 0.25 in lp_lq_ratio
+@pytest.mark.parametrize("q", [1.0, 2.0, 2.9])
+@pytest.mark.parametrize("p", [-0.9, -0.5, -1e-3, 1e-3, 0.1, 0.24, 0.26, 0.5, 1.0])
+def test_lp_lq_ratio_within_its_enclosure(p, q):
+    assert _relative_distance(lp_lq_ratio(p, q), enclosures.lp_lq_ratio(p, q)) <= 1e-15
 
 
 class TestSharpConstant:
@@ -236,6 +253,17 @@ def test_small_t_slope_coefficient():
     assert abs(small_t_bound_coefficient() - 4.39) < 0.01
 
 
+def _s_grid_l2_scan(p, grid_size):
+    """The L_p/L_2 scan on a grid over all of s in [0, 1]: each s < 1/2 and
+    its mirror 1 - s evaluate the same branch ratio u = min(s, 1-s)/max(s, 1-s)."""
+
+    def ratio(s):
+        u = min(s, 1.0 - s) / max(s, 1.0 - s)
+        return _member_norm(p, u) / math.sqrt(1.0 + u * u)
+
+    return _grid_then_refine(ratio, grid_size, p > 2.0, (0.0, 1.0, 0.5))
+
+
 class TestScanL2Ratio:
     def test_below_transition_symmetric(self):
         result = scan_l2_ratio(1.5, grid_size=200)
@@ -258,13 +286,28 @@ class TestScanL2Ratio:
     @pytest.mark.parametrize("p", [0.0, 1e-17, -1e-17, 1e-8, 9.9e-7, -9.9e-7])
     def test_orders_within_a_millionth_of_zero_rejected(self, p):
         # the power 1/p would lift the moment's rounding past 1e-8 relative
-        for call in (lambda: norm_ebar(p, 0.3), lambda: l2_ratio(p, 0.3), lambda: scan_family_extrema(p, 100)):
+        for call in (lambda: norm_ebar(p, 0.3), lambda: scan_family_extrema(p, 100)):
             with pytest.raises(DomainError, match="geometric mean"):
                 call()
 
-    def test_ratio_symmetric_in_s(self):
-        for p in (1.5, 3.0):
-            assert l2_ratio(p, 0.3) == pytest.approx(l2_ratio(p, 0.7), rel=1e-12)
+    def test_profile_covers_the_half_range_of_s(self):
+        result = scan_l2_ratio(3.0, grid_size=150)
+        u = np.linspace(0.0, 1.0, 150)
+        assert np.array_equal(result.profile[:, 0], u / (1.0 + u))
+        assert result.profile[-1, 0] == 0.5
+
+    @settings(max_examples=40, deadline=None)
+    @given(p=st.floats(1.0, 6.0, exclude_min=True), grid_size=st.integers(100, 400))
+    @example(p=1.5, grid_size=1000)
+    @example(p=6.0, grid_size=400)
+    def test_matches_the_s_grid_scan(self, p, grid_size):
+        # away from p = 2, where the ratio is one, and from the transition,
+        # where the endpoints tie: elsewhere both scans snap to the same member
+        assume(abs(p - 2.0) > 0.01 and abs(p - find_l2_transition()) > 0.01)
+        result = scan_l2_ratio(p, grid_size)
+        oracle = _s_grid_l2_scan(p, grid_size)
+        assert result.argopt_t == oracle.argopt_t
+        assert result.opt_value == oracle.opt_value
 
 
 def test_l2_transition_near_published_estimate():

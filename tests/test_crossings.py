@@ -455,6 +455,15 @@ class TestNonnegDecomposition:
                 continue
             assert isinstance(result, bool)
 
+    @pytest.mark.parametrize("t", [1e-7, 4.4e-7])
+    def test_a_matching_order_at_p_is_a_numerical_error(self, t):
+        # at p = p0 and t near 0 the tie came back within 1e-12 of p, and the
+        # interpolation rejected the (t, p) as out of its domain
+        p = find_p0()
+        with pytest.raises(NumericalError, match=f"within 1e-12 of p={p!r} at t={t!r}") as exc:
+            nonneg_decomposition_check(t, p)
+        assert "matching order q=" in str(exc.value)
+
     @pytest.mark.parametrize("p", [1e-11, -1e-11, 1.0 - 1e-11, 1.0 + 1e-11])
     def test_coalescing_exponents_fail_loudly(self, p):
         # x^p nearly coincides with x^0 or x^1, so a solved coefficient lies

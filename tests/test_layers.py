@@ -1,0 +1,58 @@
+"""The package's import graph keeps its layers: the special functions and the
+root finder sit on the errors alone, the simplex on the special functions,
+and only the package itself imports the command line."""
+
+import ast
+from pathlib import Path
+
+import lcmoments
+
+PACKAGE = Path(lcmoments.__file__).parent
+
+
+def _imports(path: Path) -> set[str]:
+    """The package modules a source file imports, relative or absolute."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 1 and node.module is None:
+                found.update(alias.name for alias in node.names)  # from . import cli
+            elif node.level == 1:
+                found.add(node.module.split(".")[0])
+            elif node.module and node.module.split(".")[0] == "lcmoments":
+                parts = node.module.split(".")
+                found.update(parts[1:2] or [alias.name for alias in node.names])
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "lcmoments" and len(parts) > 1:
+                    found.add(parts[1])
+    return found
+
+
+GRAPH = {path.stem: _imports(path) for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def test_every_import_names_a_module_of_the_package():
+    for module, imported in GRAPH.items():
+        assert imported <= set(GRAPH), (module, imported - set(GRAPH))
+
+
+def test_the_lowest_layers():
+    assert GRAPH["errors"] == set()
+    assert GRAPH["search"] <= {"errors"}
+    assert GRAPH["specfun"] <= {"errors"}
+
+
+def test_simplex_sits_on_the_special_functions_alone():
+    # the Monte-Carlo oracle may check its weights through simplex, not the reverse
+    assert GRAPH["simplex"] <= {"errors", "specfun"}
+
+
+def test_crossings_sit_above_the_constants():
+    assert "constants" in GRAPH["crossings"]
+    assert "crossings" not in GRAPH["constants"]
+
+
+def test_only_the_package_imports_the_command_line():
+    assert {module for module, imported in GRAPH.items() if "cli" in imported} <= {"__init__"}

@@ -371,7 +371,9 @@ class TestMaximizeSection:
             assert abs(density_at_zero(result.a_star) - simplex._density(best_a)) <= 1e-12
 
     def test_each_row_ascends_as_if_alone(self):
-        starts = np.array([simplex._restart_start(6, 4, r) for r in range(20)])
+        starts = np.array(
+            [WeightVector.from_raw(np.random.default_rng((4, r)).standard_normal(6), project=True).a for r in range(20)]
+        )
         finals, vals, evaluations, max_evaluated = simplex._ascend(starts)
         alone = [simplex._ascend(start[None, :]) for start in starts]
         for i, (a, val, _, _) in enumerate(alone):
@@ -421,7 +423,7 @@ class TestMaximizeSection:
         def fail(*args):
             raise AssertionError("a restart was seeded")
 
-        monkeypatch.setattr(simplex, "_restart_start", fail)
+        monkeypatch.setattr(np.random, "default_rng", fail)
         with pytest.raises(DomainError):
             maximize_section(2, restarts=restarts, seed=0)
 

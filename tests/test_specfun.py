@@ -6,6 +6,7 @@ import pytest
 from scipy import integrate
 
 from lcmoments.errors import DomainError, NumericalError
+from lcmoments.expfamily import moment_et
 from lcmoments.specfun import (
     as_order,
     exp_power_integral,
@@ -163,6 +164,16 @@ def test_shifted_exp_moment_large_u_matches_mpmath(p, u):
 def test_shifted_exp_moment_tiny_t_is_one(p, t):
     # t^p u^(p+1) U(1, p+2, u) would overflow here, and hyperu is nan past u ~ 1e154
     assert shifted_exp_moment(p, t) == pytest.approx(1.0, abs=1e-15)
+
+
+# t = 0 and 1, Tricomi's U past u = 200 (t < 1/201) and at its cap, and the
+# incomplete gamma function from u = 200 down
+@pytest.mark.parametrize("t", [0.0, 1e-300, 0.003, 1.0 / 201.0, 0.4, 0.999, 1.0])
+@pytest.mark.parametrize("p", [-0.5, 3.0])
+def test_moments_are_python_floats_on_every_branch(p, t):
+    # the incomplete gamma branch returned numpy.float64
+    assert type(shifted_exp_moment(p, t)) is float
+    assert type(moment_et(p, t)) is float
 
 
 def test_shifted_exp_moment_continuity_in_t():
