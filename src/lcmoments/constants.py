@@ -22,12 +22,11 @@ from dataclasses import dataclass
 from functools import cache, partial
 
 import numpy as np
-from scipy import special
 
 from .errors import BracketError, DomainError, NumericalError
-from .expfamily import _member_norm, family_scale, moment_et, norm_ebar
+from .expfamily import _member_norms, family_scale, moment_et, norm_ebar
 from .search import bisect_root, golden_section_min
-from .specfun import _is_integer, as_order, gamma
+from .specfun import _SMALL_ORDER, _is_integer, _log_gamma1p_over, as_order, gamma
 
 __all__ = [
     "sharp_constant",
@@ -46,12 +45,6 @@ _ENDPOINT_SNAP = 1e-8
 
 # the largest grid a scan accepts: ten million objective evaluations take over a minute
 _MAX_GRID = 10**7
-
-# log Gamma(1+p) / p = -euler_gamma + p * sum_{k>=2} (-1)^k zeta(k) p^(k-2) / k
-# (DLMF 5.7.3): the sum's coefficients from k = 32 down, past which the terms
-# stay below 1e-20 for |p| < _SERIES_ORDER
-_LOG_GAMMA_SERIES = [(-1.0) ** k * float(special.zeta(k)) / k for k in range(32, 1, -1)]
-_SERIES_ORDER = 0.25
 
 # ||E_u||_2 = hypot(1, u), the L_2 norm of the family member E_u = (E - 1) - u(E' - 1)
 _L2_NORM = partial(math.hypot, 1.0)
@@ -120,11 +113,10 @@ def lp_lq_ratio(p, q) -> float:
         raise DomainError(f"the lower L_p-L_q constant needs p in (-1, 0) u (0, 1], got {p}")
     if not 1.0 <= q <= find_p0() + 1e-12:
         raise DomainError(f"the lower L_p-L_q constant needs q in [1, p0], got {q}")
-    if abs(p) >= _SERIES_ORDER:
+    if abs(p) >= _SMALL_ORDER:
         lower = gamma(p + 1.0) ** (1.0 / p)
     else:
-        # the power 1/p would lift the rounding of Gamma(1+p) = 1 + O(p) by 1/p
-        lower = math.exp(p * float(np.polyval(_LOG_GAMMA_SERIES, p)) - np.euler_gamma)
+        lower = math.exp(_log_gamma1p_over(p))
     return lower / gamma(q + 1.0) ** (1.0 / q)
 
 
@@ -149,7 +141,7 @@ def _grid_then_refine(objective, grid_size: int, maximize: bool, snap) -> ScanRe
         raise DomainError(f"grid_size must be at least 100, got {grid_size}")
     if grid_size > _MAX_GRID:
         raise DomainError(f"grid_size must be at most {_MAX_GRID}, got {grid_size}")
-    xs = np.linspace(0.0, 1.0, grid_size)
+    xs = np.linspace(0.0, 1.0, grid_size).tolist()  # objectives run 2-3 times faster on Python floats
     vals = np.array([objective(x) for x in xs])
     profile = np.column_stack([xs, vals])
 
@@ -173,8 +165,8 @@ def scan_family_extrema(p, grid_size: int = 1000) -> ScanResult:
     Minimises for p <= 1, maximises for p >= 1.  Ties within 1e-8 of an
     endpoint report the endpoint.
     """
-    p = as_order(p)
-    return _grid_then_refine(lambda t: norm_ebar(p, t), grid_size, p > 1.0, (1.0, 0.0))
+    norms = _member_norms(p)
+    return _grid_then_refine(lambda t: norms(t) / family_scale(t), grid_size, as_order(p) > 1.0, (1.0, 0.0))
 
 
 def scan_l2_ratio(p, grid_size: int = 1000) -> ScanResult:
@@ -195,7 +187,8 @@ def scan_l2_ratio(p, grid_size: int = 1000) -> ScanResult:
     p = float(p)
     if p <= 1.0 or p == 2.0:
         raise DomainError(f"the ratio scan needs p > 1, p != 2, got {p}")
-    scan = _grid_then_refine(lambda u: _member_norm(p, u) / _L2_NORM(u), grid_size, p > 2.0, (0.0, 1.0))
+    norms = _member_norms(p)
+    scan = _grid_then_refine(lambda u: norms(u) / _L2_NORM(u), grid_size, p > 2.0, (0.0, 1.0))
     u = scan.profile[:, 0]
     profile = np.column_stack([u / (1.0 + u), scan.profile[:, 1]])
     return ScanResult(argopt_t=scan.argopt_t / (1.0 + scan.argopt_t), opt_value=scan.opt_value, profile=profile)

@@ -32,11 +32,10 @@ import sys
 from dataclasses import dataclass
 from typing import Callable
 
-from scipy import special
-
 from .errors import DomainError, NumericalError
 from .search import bisect_root
-from .specfun import as_order, exp_power_integral, gamma, shifted_exp_moment
+from .specfun import _finite, _gamma1p, _lower_gamma, _lower_series, _shifted_exp_moment
+from .specfun import as_order, exp_power_integral, gamma
 
 __all__ = [
     "TwoSidedExpParams",
@@ -129,21 +128,31 @@ def moment_et(p, t: float) -> float:
     p = as_order(p)
     if not 0.0 <= t <= 1.0:
         raise DomainError(f"family parameter t must lie in [0, 1], got {t}")
-    head = math.exp(t - 1.0) / (1.0 + t) * (exp_power_integral(p, 1.0 - t) + gamma(p + 1.0))
-    return head + t / (1.0 + t) * shifted_exp_moment(p, t)
+    return _moment_et(p, t, _finite(_gamma1p(p), "gamma({} + 1)", p))
 
 
-def _member_norm(p: float, t: float) -> float:
-    """(E|E_t|^p)^(1/p).  The power 1/p lifts the moment's rounding, up to 2e-15
-    relative near t = 0.47, by 1/|p|; orders within _MIN_ORDER of 0 raise DomainError."""
+def _moment_et(p: float, t: float, gamma_a: float) -> float:
+    """moment_et, unchecked, given gamma_a = Gamma(p+1).  Kummer's transformation gives
+    e^-c int_0^c x^p e^x dx = c^(p+1) S(p+1, -c), c = 1-t, a series whose terms fall."""
+    c = 1.0 - t
+    below = c**p * c * _lower_series(p + 1.0, -c) if c else 0.0
+    return (below + math.exp(-c) * gamma_a) / (1.0 + t) + t / (1.0 + t) * _shifted_exp_moment(p, t, gamma_a)
+
+
+def _member_norms(p):
+    """t -> (E|E_t|^p)^(1/p) on [0, 1], with the order checked and Gamma(p+1) formed once.
+    The power 1/p lifts the moment's rounding, up to 2e-15 near t = 0.47, by 1/|p|."""
+    p = as_order(p)
     if abs(p) < _MIN_ORDER:
         raise DomainError(f"the L_p norm needs |p| >= {_MIN_ORDER:g} (p = 0 is the geometric mean), got {p!r}")
-    return moment_et(p, t) ** (1.0 / p)
+    gamma_a = _finite(_gamma1p(p), "gamma({} + 1)", p)
+    return lambda t: _moment_et(p, t, gamma_a) ** (1.0 / p)
 
 
 def norm_ebar(p, t: float) -> float:
     """L_p norm of the normalized family member, (E|E_t|^p)^(1/p) / scale(t)."""
-    return _member_norm(as_order(p), t) / family_scale(t)
+    scale = family_scale(t)
+    return _member_norms(p)(t) / scale
 
 
 def _normal_power(x: float, p: float = 1.0) -> float:
@@ -233,9 +242,8 @@ def truncated_exponential(cut: float) -> LogConcaveTestDensity:
 
     def moment(p):
         # X + mean has density e^-y / z on [0, cut]; below the mean this leaves
-        # e^-mean int_0^mean x^p e^x dx, above it e^-mean Gamma(p+1) P(p+1, cut-mean)
-        lower = gamma(p + 1.0) * float(special.gammainc(p + 1.0, cut - mean))
-        return math.exp(-mean) * (exp_power_integral(p, mean) + lower) / z
+        # e^-mean int_0^mean x^p e^x dx, above it e^-mean gamma(p+1, cut-mean)
+        return math.exp(-mean) * (exp_power_integral(p, mean) + _lower_gamma(as_order(p), cut - mean)) / z
 
     # (e^-mean - e^-cut) / z, without the cancellation of the two exponentials
     positive = -math.exp(-mean) * math.expm1(mean - cut) / z

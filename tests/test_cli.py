@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from lcmoments import constants, crossings
 from lcmoments.cli import OutputRecord, build_parser, main
 from lcmoments.constants import _MAX_GRID
 from lcmoments.errors import CrossingPatternError
+from oracles import mp_moment_et
 
 
 def _run(capsys, argv):
@@ -103,6 +105,15 @@ def test_moment_command_normalized(capsys):
     assert code == 0
     scale = payload["outputs"]["scale"]
     assert payload["outputs"]["moment"] == pytest.approx(1.25 / scale**2, rel=1e-10)
+
+
+def test_large_order_moment_below_one_over_201(capsys):
+    # the shifted moment's continued fraction at u = 316, p = 150.5
+    code, payload = _run(capsys, ["moment", "--p", "150.5", "--t", "0.0031519"])
+    assert code == 0
+    with mpmath.workdps(40):
+        oracle = float(mp_moment_et(150.5, 0.0031519))
+    assert payload["outputs"]["moment"] == pytest.approx(oracle, rel=1e-12, abs=0.0)
 
 
 def test_slice_requires_n_at_least_two_for_volume(capsys):

@@ -1,5 +1,6 @@
-"""A fresh interpreter runs every subcommand and suite without loading
-scipy.integrate, and no thread outlives the import or a subcommand."""
+"""A fresh interpreter imports the package and runs every subcommand and
+suite without loading scipy, and no thread outlives the import or a
+subcommand."""
 
 import os
 import subprocess
@@ -16,6 +17,10 @@ _SCRIPT = textwrap.dedent(
     import lcmoments
     from lcmoments import cli
 
+    def scipy_modules():
+        return sorted(name for name in sys.modules if name == "scipy" or name.startswith("scipy."))
+
+    assert scipy_modules() == [], scipy_modules()
     assert threading.active_count() == 1
 
     commands = [
@@ -24,6 +29,8 @@ _SCRIPT = textwrap.dedent(
         ["scan", "--p", "4", "--grid", "100"],
         ["scan-l2", "--p", "1.5", "--grid", "100"],
         ["moment", "--p", "3", "--t", "0.2", "--normalized"],
+        ["moment", "--p", "150.5", "--t", "0.0049"],
+        ["constant", "--which", "lp-l1-lower", "--p", "0.1"],
         ["slice", "--weights", "1,0,-1", "--project", "--volume"],
         ["max-section", "--n", "3", "--seed", "1"],
         ["crossings", "--t", "0.5"],
@@ -36,7 +43,7 @@ _SCRIPT = textwrap.dedent(
     with contextlib.redirect_stdout(io.StringIO()):
         for argv in commands:
             assert cli.main(argv) == 0, argv
-            assert "scipy.integrate" not in sys.modules, argv
+            assert scipy_modules() == [], (argv, scipy_modules())
             assert threading.active_count() == 1, argv
 
     import scipy.integrate

@@ -20,7 +20,7 @@ from lcmoments import constants
 from lcmoments.constants import _MAX_GRID, _grid_then_refine, _member_gap
 from lcmoments.crossings import matching_order
 from lcmoments.errors import DomainError
-from lcmoments.expfamily import _member_norm, norm_ebar
+from lcmoments.expfamily import _member_norms, norm_ebar
 from lcmoments.specfun import gamma
 import enclosures
 from oracles import mp_moment_et
@@ -259,7 +259,7 @@ def _s_grid_l2_scan(p, grid_size):
 
     def ratio(s):
         u = min(s, 1.0 - s) / max(s, 1.0 - s)
-        return _member_norm(p, u) / math.sqrt(1.0 + u * u)
+        return _member_norms(p)(u) / math.sqrt(1.0 + u * u)
 
     return _grid_then_refine(ratio, grid_size, p > 2.0, (0.0, 1.0, 0.5))
 

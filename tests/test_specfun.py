@@ -1,13 +1,20 @@
 import math
+import sys
+import time
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
+from lcmoments import specfun
 from lcmoments.errors import DomainError, NumericalError
-from lcmoments.expfamily import moment_et
+from lcmoments.expfamily import abs_moment, moment_et, truncated_exponential
 from lcmoments.specfun import (
+    _LOG_GAMMA_SERIES,
+    _lower_gamma,
     as_order,
     exp_power_integral,
     gamma,
@@ -85,7 +92,7 @@ def test_exp_power_integral_matches_series(p, c):
 
 
 def test_exp_power_integral_small_upper_limit_matches_mpmath():
-    # quadrature lost 8.8e-9 (relative) here; the 1F1 form is exact to rounding
+    # quadrature lost 8.8e-9 (relative) here; the series is exact to rounding
     p, c = 1.47, 1e-3
     with mpmath.workdps(40):
         a, x = mpmath.mpf(p) + 1, mpmath.mpf(c)
@@ -104,17 +111,17 @@ def test_exp_power_integral_domain_errors():
 @pytest.mark.parametrize(
     "call, error",
     [
-        # scipy's 1F1 does not return at c = inf
+        # the integral diverges at c = inf
         (lambda: exp_power_integral(2.0, math.inf), DomainError),
         (lambda: exp_power_integral(2.0, math.nan), DomainError),
         # c^(p+1) overflows
         (lambda: exp_power_integral(2.0, 1e308), NumericalError),
-        # 1F1 overflows
+        # the series overflows
         (lambda: exp_power_integral(2.0, 800.0), NumericalError),
         (lambda: gamma(math.inf), DomainError),
         (lambda: gamma(math.nan), DomainError),
         (lambda: gamma(172.0), NumericalError),
-        # Tricomi's U overflows (moment_et would stop at Gamma(p+1) first)
+        # Gamma(p+1) overflows on the series side of u = p+2 (so would moment_et)
         (lambda: shifted_exp_moment(1e4, 1e-3), NumericalError),
     ],
     ids=["epi-inf", "epi-nan", "epi-1e308", "epi-800", "gamma-inf", "gamma-nan", "gamma-172", "sem-1e4"],
@@ -162,12 +169,11 @@ def test_shifted_exp_moment_large_u_matches_mpmath(p, u):
 @pytest.mark.parametrize("p", [-0.9, 1.0, 15.0])
 @pytest.mark.parametrize("t", [1e-155, 1e-300, 5e-324])
 def test_shifted_exp_moment_tiny_t_is_one(p, t):
-    # t^p u^(p+1) U(1, p+2, u) would overflow here, and hyperu is nan past u ~ 1e154
+    # t^p e^u Gamma(p+1, u) would overflow here; u = (1-t)/t is inf at t = 5e-324
     assert shifted_exp_moment(p, t) == pytest.approx(1.0, abs=1e-15)
 
 
-# t = 0 and 1, Tricomi's U past u = 200 (t < 1/201) and at its cap, and the
-# incomplete gamma function from u = 200 down
+# t = 0 and 1, the continued fraction at t < 1/(p+3) and the series above it
 @pytest.mark.parametrize("t", [0.0, 1e-300, 0.003, 1.0 / 201.0, 0.4, 0.999, 1.0])
 @pytest.mark.parametrize("p", [-0.5, 3.0])
 def test_moments_are_python_floats_on_every_branch(p, t):
@@ -195,3 +201,142 @@ def test_moment_order_validation():
 def test_non_finite_order_rejected(p):
     with pytest.raises(DomainError):
         as_order(p)
+
+
+_MAX_FLOAT = sys.float_info.max
+
+
+def _mp_exp_power_integral(p, c):
+    with mpmath.workdps(40):
+        a, x = mpmath.mpf(p) + 1, mpmath.mpf(c)
+        return x**a / a * mpmath.hyp1f1(a, a + 1, x)
+
+
+def _tolerance(p):
+    return 5e-14 if p <= 100.0 else 1e-12
+
+
+# orders past 110 with t below 1/201, the continued fraction's side of u = p+2
+@pytest.mark.parametrize("p, t", [(150.5, 0.0049), (150.5, 0.003), (111.5, 0.0049), (170.5, 0.00387)])
+def test_large_order_shifted_moments_match_mpmath(p, t):
+    with mpmath.workdps(40):
+        oracle = float(mp_shifted_exp_moment(mpmath.mpf(p), mpmath.mpf(t)))
+    assert shifted_exp_moment(p, t) == pytest.approx(oracle, rel=1e-12, abs=0.0)
+
+
+_t_values = st.one_of(
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 1.0 / 201.0),
+    st.floats(0.0, 1e-300),  # subnormal t, where u = (1-t)/t overflows
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=st.floats(-1.0, 170.6, exclude_min=True), t=_t_values)
+@example(p=-0.9999, t=0.5)
+@example(p=99.95437288476207, t=0.009888622855567634)
+@example(p=170.6, t=1.0 / 173.6)
+@example(p=0.5, t=5e-324)
+def test_shifted_exp_moment_matches_mpmath(p, t):
+    """Relative 5e-14 up to p = 100 and 1e-12 above, against 40-digit mpmath;
+    NumericalError only where the value exceeds the largest float."""
+    with mpmath.workdps(40):
+        oracle = mp_shifted_exp_moment(mpmath.mpf(p), mpmath.mpf(t)) if t > 0.0 else mpmath.mpf(1)
+    try:
+        value = shifted_exp_moment(p, t)
+    except NumericalError:
+        assert oracle > _MAX_FLOAT
+        return
+    assert value == pytest.approx(float(oracle), rel=_tolerance(p), abs=0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=st.floats(-1.0, 170.6, exclude_min=True), c=st.floats(0.0, 700.0))
+@example(p=-0.9999, c=700.0)
+@example(p=170.6, c=1e-3)
+def test_exp_power_integral_matches_mpmath(p, c):
+    """Relative 5e-14 up to p = 100 and 1e-12 above, against 40-digit mpmath
+    (absolute 1e-300 where the value underflows); NumericalError only past
+    the largest float."""
+    oracle = _mp_exp_power_integral(p, c)
+    try:
+        value = exp_power_integral(p, c)
+    except NumericalError:
+        assert oracle > _MAX_FLOAT
+        return
+    assert value == pytest.approx(float(oracle), rel=_tolerance(p), abs=1e-300)
+
+
+def _mp_truncated_exponential_moment(cut, p):
+    """E|X|^p of truncated_exponential(cut) at 40 digits: e^-m (int_0^m x^p e^x dx
+    + gamma(p+1, cut-m)) / (1 - e^-cut) with m the mean."""
+    with mpmath.workdps(40):
+        c, a = mpmath.mpf(cut), mpmath.mpf(p) + 1
+        m = 1 - c / mpmath.expm1(c)
+        below = m**a / a * mpmath.hyp1f1(a, a + 1, m)
+        above = mpmath.gammainc(a, 0, c - m, regularized=True) * mpmath.gamma(a)
+        return float(mpmath.exp(-m) * (below + above) / -mpmath.expm1(-c))
+
+
+@settings(max_examples=150, deadline=None)
+@given(cut=st.floats(math.log(1e-6), math.log(200.0)).map(math.exp), p=st.floats(-1.0, 20.0, exclude_min=True))
+@example(cut=0.0374386888149167, p=19.9)  # gamma(p+1) P(p+1, x) underflowed in P here
+def test_truncated_exponential_moments_match_mpmath(cut, p):
+    oracle = _mp_truncated_exponential_moment(cut, p)
+    assert truncated_exponential(cut).moment(p) == pytest.approx(oracle, rel=5e-14, abs=0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    p=st.floats(-1.0, exclude_min=True, allow_infinity=False),
+    t=st.floats(0.0, 1.0),
+    c=st.floats(0.0, allow_infinity=False),
+)
+@example(p=1e4, t=5e-324, c=1e308)
+@example(p=1e4, t=1e-3, c=5.0)
+@example(p=1e300, t=1e-310, c=1e308)
+@example(p=-0.99, t=5e-324, c=5e-324)
+def test_every_finite_input_returns_or_raises_a_typed_error(p, t, c):
+    """Each special function, the family moment and the truncated exponential's
+    moment return a finite float or raise DomainError or NumericalError, within
+    a second."""
+    calls = [
+        lambda: shifted_exp_moment(p, t),
+        lambda: exp_power_integral(p, c),
+        lambda: moment_et(p, t),
+        lambda: abs_moment(truncated_exponential(c), p),
+    ]
+    for call in calls:
+        start = time.perf_counter()
+        try:
+            value = call()
+        except (DomainError, NumericalError):
+            pass
+        else:
+            assert type(value) is float and 0.0 <= value < math.inf
+        assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: exp_power_integral(2.5, 1.0),
+        lambda: shifted_exp_moment(2.5, 0.01),  # the continued fraction
+        lambda: shifted_exp_moment(2.5, 0.5),  # the lower series
+        lambda: shifted_exp_moment(-0.9, 0.5),  # Gautschi's small-order form
+        lambda: _lower_gamma(2.5, 10.0),
+    ],
+    ids=["power-integral", "fraction", "series", "small-order", "lower-gamma"],
+)
+def test_each_series_and_fraction_stops_at_its_term_cap(monkeypatch, call):
+    monkeypatch.setattr(specfun, "_MAX_TERMS", 3)
+    with pytest.raises(NumericalError, match="did not converge"):
+        call()
+
+
+@pytest.mark.parametrize("k", range(2, 33))
+def test_log_gamma_series_coefficients_match_mpmath_zeta(k):
+    """The coefficient (-1)^k zeta(k) / k of log Gamma(1+x) / x, within 2 ulp."""
+    with mpmath.workdps(40):
+        oracle = float((-1) ** k * mpmath.zeta(k) / k)
+    assert abs(_LOG_GAMMA_SERIES[32 - k] - oracle) <= 2 * math.ulp(oracle)
