@@ -10,15 +10,12 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import functools
 import json
 import math
 import os
 import re
 import sys
-
-import numpy as np
 
 from . import constants, crossings, expfamily, mc, simplex
 from .errors import BracketError, CrossingPatternError, DomainError, NumericalError
@@ -36,20 +33,10 @@ _LOWER_CONSTANT_Q = {"lp-l1-lower": 1.0, "lp-l2-lower": 2.0}
 _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
-@dataclasses.dataclass
-class OutputRecord:
-    command: str
-    inputs: dict
-    outputs: dict
-    tolerances: dict = dataclasses.field(default_factory=dict)
-    status: str = "ok"
-
-    def _as_dict(self) -> dict:
-        # the five fields, uncopied: dataclasses.asdict deep-copies every value first
-        return vars(self)
-
-    def to_json(self) -> str:
-        return json.dumps(self._as_dict(), sort_keys=True)
+def _record(command, inputs, outputs, tolerances=None, ok=True) -> dict:
+    """One JSON record, as printed; a record whose check failed has status "violated"."""
+    status = "ok" if ok else "violated"
+    return {"command": command, "inputs": inputs, "outputs": outputs, "tolerances": tolerances or {}, "status": status}
 
 
 def _default_seed() -> int:
@@ -59,7 +46,7 @@ def _default_seed() -> int:
         raise DomainError(f"{SEED_ENV_VAR} must be an integer") from None
 
 
-def _write_profile_csv(path: str, profile: np.ndarray, columns=("t", "value")) -> None:
+def _write_profile_csv(path: str, profile, columns=("t", "value")) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
@@ -104,20 +91,14 @@ def _cmd_constant(args):
         value = constants.sharp_constant(args.p)
     else:
         value = constants.lp_lq_ratio(args.p, _LOWER_CONSTANT_Q[which])
-    return [OutputRecord("constant", inputs, {"value": value})]
+    return [_record("constant", inputs, {"value": value})]
 
 
 def _cmd_p0(args):
     p0 = constants.find_p0()
     residual = constants.branch_gap(p0)
-    record = OutputRecord(
-        "p0",
-        {},
-        {"p0": p0, "residual": residual},
-        tolerances={"residual": 1e-12},
-        status="ok" if abs(residual) < 1e-12 else "violated",
-    )
-    return [record]
+    outputs = {"p0": p0, "residual": residual}
+    return [_record("p0", {}, outputs, tolerances={"residual": 1e-12}, ok=abs(residual) < 1e-12)]
 
 
 # subcommand -> (scanner's name in constants, read at each call; output key of the extremiser; CSV column)
@@ -134,7 +115,7 @@ def _cmd_scan(args):
     if args.csv:
         _write_profile_csv(args.csv, result.profile, columns=(column, "value"))
         outputs["csv"] = args.csv
-    return [OutputRecord(args.subcommand, {"p": args.p, "grid": args.grid}, outputs)]
+    return [_record(args.subcommand, {"p": args.p, "grid": args.grid}, outputs)]
 
 
 def _cmd_moment(args):
@@ -147,7 +128,7 @@ def _cmd_moment(args):
             raise NumericalError(f"normalized moment of order {args.p} overflows")
         outputs["scale"] = scale
     inputs = {"p": args.p, "t": args.t, "normalized": bool(args.normalized)}
-    return [OutputRecord("moment", inputs, outputs)]
+    return [_record("moment", inputs, outputs)]
 
 
 def _cmd_slice(args):
@@ -157,7 +138,7 @@ def _cmd_slice(args):
     if args.volume:
         outputs["volume"] = simplex.section_volume(weights)
     inputs = {"weights": list(weights.a), "n": len(values) - 1, "project": bool(args.project)}
-    return [OutputRecord("slice", inputs, outputs)]
+    return [_record("slice", inputs, outputs)]
 
 
 def _cmd_max_section(args):
@@ -170,7 +151,7 @@ def _cmd_max_section(args):
         "evaluations": result.evaluations,
     }
     inputs = {"n": args.n, "restarts": args.restarts, "seed": seed}
-    return [OutputRecord("max-section", inputs, outputs)]
+    return [_record("max-section", inputs, outputs)]
 
 
 def _cmd_crossings(args):
@@ -178,12 +159,12 @@ def _cmd_crossings(args):
         result = crossings.verify_3crossings(args.t)
     except CrossingPatternError as exc:
         outputs = {"message": str(exc), "reports": [r.as_dict() for r in exc.reports]}
-        return [OutputRecord("crossings", {"t": args.t}, outputs, status="violated")]
+        return [_record("crossings", {"t": args.t}, outputs, ok=False)]
     outputs = {
         "report_upper": result.report_upper.as_dict(),
         "report_lower": result.report_lower.as_dict(),
     }
-    return [OutputRecord("crossings", {"t": args.t}, outputs)]
+    return [_record("crossings", {"t": args.t}, outputs)]
 
 
 # ---------------------------------------------------------------------------
@@ -198,12 +179,12 @@ def _suite_comparison(name, check, orders, label):
         for order in orders:
             result = check(density, order)
             records.append(
-                OutputRecord(
+                _record(
                     f"verify/{name}",
                     {"density": density.name, **label(order)},
                     {"lhs": result.lhs, "rhs": result.rhs},
                     tolerances={"slack": expfamily.COMPARISON_SLACK},
-                    status="ok" if result.holds else "violated",
+                    ok=result.holds,
                 )
             )
     return records
@@ -215,22 +196,21 @@ def _suite_crossings():
         try:
             result = crossings.verify_3crossings(t)
             upper, lower = result.report_upper.crossings, result.report_lower.crossings
-            outputs, status = {"upper_crossings": list(upper), "lower_crossings": list(lower)}, "ok"
+            outputs, ok = {"upper_crossings": list(upper), "lower_crossings": list(lower)}, True
         except CrossingPatternError as exc:
-            outputs, status = {"message": str(exc)}, "violated"
-        records.append(OutputRecord("verify/crossings", {"t": t}, outputs, status=status))
+            outputs, ok = {"message": str(exc)}, False
+        records.append(_record("verify/crossings", {"t": t}, outputs, ok=ok))
     for p in (-0.5, 2.0, 3.5):
         try:
-            ok = crossings.nonneg_decomposition_check(0.5, p)
-            outputs, status = {"nonnegative": bool(ok)}, "ok" if ok else "violated"
+            ok = bool(crossings.nonneg_decomposition_check(0.5, p))
+            outputs = {"nonnegative": ok}
         except CrossingPatternError as exc:
-            outputs, status = {"message": str(exc)}, "violated"
-        records.append(OutputRecord("verify/decomposition", {"t": 0.5, "p": p}, outputs, status=status))
+            outputs, ok = {"message": str(exc)}, False
+        records.append(_record("verify/decomposition", {"t": 0.5, "p": p}, outputs, ok=ok))
     return records
 
 
 def _suite_constants():
-    records = []
     p0 = constants.find_p0()
     checks = [
         ("p0_bracket", 2.9414 < p0 < 2.9415, {"p0": p0}),
@@ -243,13 +223,7 @@ def _suite_constants():
         checks.append(
             (f"scan_p{p:g}", abs(scan.opt_value - target) < 1e-8, {"opt": scan.opt_value})
         )
-    for name, ok, extra in checks:
-        records.append(
-            OutputRecord(
-                "verify/constants", {"check": name}, extra, status="ok" if ok else "violated"
-            )
-        )
-    return records
+    return [_record("verify/constants", {"check": name}, extra, ok=ok) for name, ok, extra in checks]
 
 
 def _suite_mc(seed, samples):
@@ -266,12 +240,12 @@ def _suite_mc(seed, samples):
     for ((a, b), p, target), est in zip(cases, estimates):
         ok = abs(est.estimate - target) <= 3.0 * est.standard_error
         records.append(
-            OutputRecord(
+            _record(
                 "verify/mc",
                 {"a": a, "b": b, "p": p, "seed": seed},
                 {"estimate": est.estimate, "se": est.standard_error, "target": target},
                 tolerances={"confidence": "3 standard errors"},
-                status="ok" if ok else "violated",
+                ok=ok,
             )
         )
     return records
@@ -387,11 +361,8 @@ def main(argv=None) -> int:
     except (DomainError, OSError, json.JSONDecodeError, BracketError, NumericalError) as exc:
         print(json.dumps({"status": "error", "message": str(exc)}), file=sys.stderr)
         return 2
-    if len(records) == 1:
-        print(records[0].to_json())
-    else:
-        print(json.dumps([r._as_dict() for r in records], sort_keys=True))
-    return 1 if any(r.status == "violated" for r in records) else 0
+    print(json.dumps(records[0] if len(records) == 1 else records, sort_keys=True))
+    return 1 if any(r["status"] == "violated" for r in records) else 0
 
 
 if __name__ == "__main__":

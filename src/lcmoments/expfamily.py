@@ -213,7 +213,7 @@ def centred_gaussian(sigma: float) -> LogConcaveTestDensity:
     s = float(sigma)
 
     def moment(p):
-        return _normal_power(s, p) * 2.0 ** (p / 2.0) * gamma((p + 1.0) / 2.0) / math.sqrt(math.pi)
+        return _normal_power(s, p) * _normal_power(2.0, p / 2.0) * gamma((p + 1.0) / 2.0) / math.sqrt(math.pi)
 
     return LogConcaveTestDensity(f"centred-gaussian({s:g})", 1.0 / (s * math.sqrt(2.0 * math.pi)), moment, 0.5)
 

@@ -11,8 +11,7 @@ terms raises NumericalError.  No route of the package integrates.
 from __future__ import annotations
 
 import math
-
-import numpy as np
+import numbers
 
 from .errors import DomainError, NumericalError
 
@@ -50,7 +49,7 @@ def as_order(p) -> float:
 
 
 def _is_integer(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _as_seed(seed) -> int:
@@ -166,11 +165,13 @@ def exp_power_integral(p, c: float) -> float:
     p = as_order(p)
     if not 0.0 <= c < math.inf:
         raise DomainError(f"upper limit must be finite and nonnegative, got {c}")
+    if not c:
+        return 0.0
     try:  # c^(p+1) as c^p c, without the rounding of p + 1
-        value = c**p * c * (1.0 / (p + 1.0) + _power_exp_tail(p + 1.0, c)) if c else 0.0
-    except OverflowError:
-        value = math.inf
-    return _finite(value, "int_0^{} x^{} e^x dx", c, p)
+        power = c**p * c
+    except OverflowError:  # c^p overflows for subnormal c and p near -1, where p + 1 is exact and c^(p+1) < 1
+        power = c ** (p + 1.0) if c < 1.0 else math.inf
+    return _finite(power * (1.0 / (p + 1.0) + _power_exp_tail(p + 1.0, c)), "int_0^{} x^{} e^x dx", c, p)
 
 
 def _shifted_exp_moment(p: float, t: float, gamma_a: float) -> float:
@@ -186,10 +187,18 @@ def _shifted_exp_moment(p: float, t: float, gamma_a: float) -> float:
         # Gautschi's form of Gamma(a, u), free of the cancellation of Gamma(a) against u^a / a
         head = math.expm1(a * _log_gamma1p_over(a)) - math.expm1(a * math.log(u))
         value = t**p * math.exp(u) * (head / a - u**a * _power_exp_tail(a, -u))
-    else:
+    elif gamma_a < math.inf:
         # t^p e^u (Gamma(a) - gamma(a, u)); t^p in halves, as it underflows where Gamma(a) e^u overflows
-        half, gamma_a = t ** (0.5 * p), _finite(gamma_a, "gamma({} + 1)", p)
+        half = t ** (0.5 * p)
         value = (half * gamma_a) * (half * math.exp(u)) - lead * u * _lower_series(a, u)
+    else:
+        # past p = 170.6, t^p e^u Gamma(a) Q(a, u) in logs, with 1 - Q = u^a e^-u S(a, u) / Gamma(a)
+        try:
+            log_gamma_a = math.lgamma(a)
+            log_q = math.log(-math.expm1(a * math.log(u) - u + math.log(_lower_series(a, u)) - log_gamma_a))
+            value = math.exp(p * math.log(t) + u + log_gamma_a + log_q)
+        except OverflowError:
+            value = math.inf
     return _finite(value, "E (t*E + 1-t)^p at p={}, t={}", p, t)
 
 
@@ -198,8 +207,9 @@ def shifted_exp_moment(p, t: float) -> float:
 
     This is t^p e^u Gamma(p+1, u), u = (1-t)/t: for u > p+2 (1-t)^p over Legendre's
     fraction, scaled so that e^u never forms; else Gamma(p+1) less the lower series,
-    or Gautschi's form for p < -0.75 (ACM TOMS 5, 1979).  NumericalError past the
-    largest float, and for u <= p+2 past p = 170.6, where Gamma(p+1) overflows.
+    or Gautschi's form for p < -0.75 (ACM TOMS 5, 1979); past p = 170.6, where
+    Gamma(p+1) overflows, the latter in logs, whose rounding grows with p (relative
+    5e-13 at p = 1000, 1e-11 at p = 1e4).  NumericalError past the largest float.
     """
     p = as_order(p)
     if not 0.0 <= t <= 1.0:

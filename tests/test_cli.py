@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import io
 import json
 import math
@@ -15,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lcmoments import constants, crossings
-from lcmoments.cli import OutputRecord, build_parser, main
+from lcmoments.cli import build_parser, main
 from lcmoments.constants import _MAX_GRID
 from lcmoments.errors import CrossingPatternError
 from oracles import mp_moment_et
@@ -27,15 +26,14 @@ def _run(capsys, argv):
     return code, json.loads(out) if out else None
 
 
-def test_output_record_round_trip():
-    record = OutputRecord(
-        command="scan",
-        inputs={"p": 4.0, "grid": 100},
-        outputs={"argopt_t": 0.0, "opt_value": 2.354},
-        tolerances={"value": 1e-8},
-        status="ok",
-    )
-    assert OutputRecord(**json.loads(record.to_json())) == record
+_RECORD_KEYS = {"command", "inputs", "outputs", "tolerances", "status"}
+
+
+def _assert_records(records):
+    """Each record holds exactly the five keys, and its status is ok or violated."""
+    for record in records:
+        assert set(record) == _RECORD_KEYS
+        assert record["status"] in ("ok", "violated")
 
 
 def test_p0_command(capsys):
@@ -419,14 +417,15 @@ _EVERY_COMMAND = [
 
 @pytest.mark.parametrize("argv", _EVERY_COMMAND, ids=" ".join)
 def test_stdout_is_the_records_through_dataclasses_asdict(capsys, argv):
+    # the name predates plain-dict records; the test checks the printed bytes and each record's shape
     code = main(argv)
     out = capsys.readouterr().out
-    # the top parser's two-level parse and dataclasses.asdict are the oracle
+    # the records of the top parser's two-level parse are the oracle of the fast path
     args = build_parser().parse_args(argv)
     records = args.handler(args)
-    dicts = [dataclasses.asdict(r) for r in records]
-    assert code == (1 if any(r.status == "violated" for r in records) else 0)
-    assert out == json.dumps(dicts[0] if len(dicts) == 1 else dicts, sort_keys=True) + "\n"
+    _assert_records(records)
+    assert code == (1 if any(r["status"] == "violated" for r in records) else 0)
+    assert out == json.dumps(records[0] if len(records) == 1 else records, sort_keys=True) + "\n"
 
 
 @pytest.mark.parametrize(
@@ -534,6 +533,10 @@ _ARGV = st.one_of(
 @settings(max_examples=120, deadline=None)
 @given(argv=_ARGV)
 def test_main_returns_an_exit_code_and_never_raises(argv):
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
     assert code in (0, 1, 2)
+    if out.getvalue():
+        payload = json.loads(out.getvalue())
+        _assert_records(payload if isinstance(payload, list) else [payload])

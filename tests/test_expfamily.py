@@ -555,3 +555,11 @@ def test_truncated_exponential_past_the_overflow_of_e_cut(cut):
 def test_out_of_range_scales_raise_numerical_error(call):
     with pytest.raises(NumericalError):
         call()
+
+
+@pytest.mark.parametrize("check", [abs_moment, reduction_check, fradelizi_check])
+@pytest.mark.parametrize("p", [2049.0, 3000.0, 1e300])
+def test_gaussian_orders_past_2048_raise_numerical_error(check, p):
+    # 2^(p/2) passes the largest float before Gamma((p+1)/2) is formed
+    with pytest.raises(NumericalError):
+        check(centred_gaussian(1.0), p)

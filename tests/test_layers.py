@@ -1,9 +1,12 @@
 """The package's import graph keeps its layers: the special functions and the
 root finder sit on the errors alone, the simplex on the special functions,
-and only the package itself imports the command line."""
+only the package itself imports the command line, and the family layer
+imports no numpy."""
 
 import ast
 from pathlib import Path
+
+import pytest
 
 import lcmoments
 
@@ -30,6 +33,17 @@ def _imports(path: Path) -> set[str]:
     return found
 
 
+def _top_level_imports(path: Path) -> set[str]:
+    """The first names of the absolute imports of a source file, at any depth in it."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+        elif isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+    return found
+
+
 GRAPH = {path.stem: _imports(path) for path in sorted(PACKAGE.glob("*.py"))}
 
 
@@ -42,6 +56,11 @@ def test_the_lowest_layers():
     assert GRAPH["errors"] == set()
     assert GRAPH["search"] <= {"errors"}
     assert GRAPH["specfun"] <= {"errors"}
+
+
+@pytest.mark.parametrize("module", ["errors", "search", "specfun", "expfamily"])
+def test_the_family_layer_imports_no_numpy(module):
+    assert "numpy" not in _top_level_imports(PACKAGE / f"{module}.py")
 
 
 def test_simplex_sits_on_the_special_functions_alone():

@@ -121,7 +121,7 @@ def test_exp_power_integral_domain_errors():
         (lambda: gamma(math.inf), DomainError),
         (lambda: gamma(math.nan), DomainError),
         (lambda: gamma(172.0), NumericalError),
-        # Gamma(p+1) overflows on the series side of u = p+2 (so would moment_et)
+        # the moment itself, about e^14030, on the series side of u = p+2
         (lambda: shifted_exp_moment(1e4, 1e-3), NumericalError),
     ],
     ids=["epi-inf", "epi-nan", "epi-1e308", "epi-800", "gamma-inf", "gamma-nan", "gamma-172", "sem-1e4"],
@@ -224,6 +224,19 @@ def test_large_order_shifted_moments_match_mpmath(p, t):
     assert shifted_exp_moment(p, t) == pytest.approx(oracle, rel=1e-12, abs=0.0)
 
 
+# orders past 170.6, where Gamma(p+1) overflows, on the series side of u = p+2; mpf arguments,
+# as t**p of floats underflows to 0.0 in the oracle for the last two
+@pytest.mark.parametrize("p, t", [(171.0, 0.5), (200.0, 1.0 / 203.0), (180.0, 0.01), (400.0, 0.9)])
+def test_shifted_moments_past_the_gamma_overflow_match_mpmath(p, t):
+    with mpmath.workdps(40):
+        oracle = mp_shifted_exp_moment(mpmath.mpf(p), mpmath.mpf(t))
+    if oracle > _MAX_FLOAT:  # about 3.6e850 at (400, 0.9)
+        with pytest.raises(NumericalError):
+            shifted_exp_moment(p, t)
+    else:
+        assert shifted_exp_moment(p, t) == pytest.approx(float(oracle), rel=1e-12, abs=0.0)
+
+
 _t_values = st.one_of(
     st.floats(0.0, 1.0),
     st.floats(0.0, 1.0 / 201.0),
@@ -254,6 +267,7 @@ def test_shifted_exp_moment_matches_mpmath(p, t):
 @given(p=st.floats(-1.0, 170.6, exclude_min=True), c=st.floats(0.0, 700.0))
 @example(p=-0.9999, c=700.0)
 @example(p=170.6, c=1e-3)
+@example(p=-0.96875, c=5e-324)  # c^p overflows, c^(p+1) does not
 def test_exp_power_integral_matches_mpmath(p, c):
     """Relative 5e-14 up to p = 100 and 1e-12 above, against 40-digit mpmath
     (absolute 1e-300 where the value underflows); NumericalError only past
@@ -295,6 +309,7 @@ def test_truncated_exponential_moments_match_mpmath(cut, p):
 @example(p=1e4, t=5e-324, c=1e308)
 @example(p=1e4, t=1e-3, c=5.0)
 @example(p=1e300, t=1e-310, c=1e308)
+@example(p=2.56e305, t=0.5, c=0.0)  # lgamma(p+1) overflows
 @example(p=-0.99, t=5e-324, c=5e-324)
 def test_every_finite_input_returns_or_raises_a_typed_error(p, t, c):
     """Each special function, the family moment and the truncated exponential's
