@@ -17,7 +17,7 @@ import os
 import re
 import sys
 
-from . import constants, crossings, expfamily, mc, simplex
+from . import constants, expfamily  # crossings, mc and simplex need numpy: the handlers import them
 from .errors import BracketError, CrossingPatternError, DomainError, NumericalError
 
 SEED_ENV_VAR = "LCMOMENTS_SEED"
@@ -50,8 +50,7 @@ def _write_profile_csv(path: str, profile, columns=("t", "value")) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
-        for row in profile:
-            writer.writerow([f"{row[0]:.17g}", f"{row[1]:.17g}"])
+        writer.writerows([f"{x:.17g}", f"{value:.17g}"] for x, value in zip(*profile))
 
 
 def _parse_weights(text: str) -> list[float]:
@@ -132,6 +131,7 @@ def _cmd_moment(args):
 
 
 def _cmd_slice(args):
+    from . import simplex
     values = _parse_weights(args.weights)
     weights = simplex.WeightVector.from_raw(values, project=args.project)
     outputs = {"density_at_zero": simplex.density_at_zero(weights)}
@@ -142,6 +142,7 @@ def _cmd_slice(args):
 
 
 def _cmd_max_section(args):
+    from . import simplex
     seed = args.seed if args.seed is not None else _default_seed()
     result = simplex.maximize_section(args.n, args.restarts, seed)
     outputs = {
@@ -155,6 +156,7 @@ def _cmd_max_section(args):
 
 
 def _cmd_crossings(args):
+    from . import crossings
     try:
         result = crossings.verify_3crossings(args.t)
     except CrossingPatternError as exc:
@@ -191,6 +193,7 @@ def _suite_comparison(name, check, orders, label):
 
 
 def _suite_crossings():
+    from . import crossings
     records = []
     for t in (0.1, 0.3, 0.5, 0.7, 0.9):
         try:
@@ -227,6 +230,7 @@ def _suite_constants():
 
 
 def _suite_mc(seed, samples):
+    from . import mc
     config = mc.McConfig(seed=seed, samples=samples)
     cases = [
         ((1.0, 1.0), 2.0, expfamily.moment_et(2.0, 1.0)),

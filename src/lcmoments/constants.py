@@ -21,8 +21,6 @@ import math
 from dataclasses import dataclass
 from functools import cache, partial
 
-import numpy as np
-
 from .errors import BracketError, DomainError, NumericalError
 from .expfamily import _member_norms, family_scale, moment_et, norm_ebar
 from .search import bisect_root, golden_section_min
@@ -124,7 +122,7 @@ def lp_lq_ratio(p, q) -> float:
 class ScanResult:
     argopt_t: float
     opt_value: float
-    profile: np.ndarray  # rows (t, value)
+    profile: tuple[tuple[float, ...], tuple[float, ...]]  # columns: the grid, its values
 
 
 def _grid_then_refine(objective, grid_size: int, maximize: bool, snap) -> ScanResult:
@@ -141,11 +139,11 @@ def _grid_then_refine(objective, grid_size: int, maximize: bool, snap) -> ScanRe
         raise DomainError(f"grid_size must be at least 100, got {grid_size}")
     if grid_size > _MAX_GRID:
         raise DomainError(f"grid_size must be at most {_MAX_GRID}, got {grid_size}")
-    xs = np.linspace(0.0, 1.0, grid_size).tolist()  # objectives run 2-3 times faster on Python floats
-    vals = np.array([objective(x) for x in xs])
-    profile = np.column_stack([xs, vals])
+    step = 1.0 / (grid_size - 1)
+    xs = (*[i * step for i in range(grid_size - 1)], 1.0)  # np.linspace(0, 1, grid_size), bit for bit
+    vals = tuple([objective(x) for x in xs])
 
-    idx = int(np.argmax(vals)) if maximize else int(np.argmin(vals))
+    idx = vals.index(max(vals) if maximize else min(vals))  # the first extremum
     lo = xs[max(idx - 1, 0)]
     hi = xs[min(idx + 1, grid_size - 1)]
     # maximising is minimising the negated objective; the sign flips are exact
@@ -155,8 +153,8 @@ def _grid_then_refine(objective, grid_size: int, maximize: bool, snap) -> ScanRe
     for c in snap:
         vc = objective(c)
         if ((opt - vc) if maximize else (vc - opt)) <= _ENDPOINT_SNAP:
-            return ScanResult(argopt_t=c, opt_value=vc, profile=profile)
-    return ScanResult(argopt_t=argopt, opt_value=opt, profile=profile)
+            return ScanResult(argopt_t=c, opt_value=vc, profile=(xs, vals))
+    return ScanResult(argopt_t=argopt, opt_value=opt, profile=(xs, vals))
 
 
 def scan_family_extrema(p, grid_size: int = 1000) -> ScanResult:
@@ -189,8 +187,8 @@ def scan_l2_ratio(p, grid_size: int = 1000) -> ScanResult:
         raise DomainError(f"the ratio scan needs p > 1, p != 2, got {p}")
     norms = _member_norms(p)
     scan = _grid_then_refine(lambda u: norms(u) / _L2_NORM(u), grid_size, p > 2.0, (0.0, 1.0))
-    u = scan.profile[:, 0]
-    profile = np.column_stack([u / (1.0 + u), scan.profile[:, 1]])
+    us, values = scan.profile
+    profile = (tuple([u / (1.0 + u) for u in us]), values)
     return ScanResult(argopt_t=scan.argopt_t / (1.0 + scan.argopt_t), opt_value=scan.opt_value, profile=profile)
 
 

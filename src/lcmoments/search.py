@@ -25,8 +25,8 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _GOLDEN_TOL = 1e-10  # the bracket width at which golden-section search stops
 
 
-def _value(f: Callable[[float], float], x: float) -> float:
-    fx = float(f(x))
+def _value(f: Callable[[float], float], x: float, known=None) -> float:
+    fx = float(f(x) if known is None else known)
     if not math.isfinite(fx):
         raise NumericalError(f"the function is not finite at {x}: {fx}")
     return fx
@@ -37,18 +37,21 @@ def _finite_bracket(lo: float, hi: float) -> None:
         raise DomainError(f"bracket ends must be finite, got [{lo}, {hi}]")
 
 
-def bisect_root(f: Callable[[float], float], lo: float, hi: float) -> float:
+def bisect_root(f: Callable[[float], float], lo: float, hi: float, *, ends=None) -> float:
     """A root of f on a sign-changing bracket, by Brent's method (module docstring).
 
     Returns an end where f is exactly zero, or a point where it is, or one
     end of a bracket of adjacent floats across which f changes sign.  The
-    ends may come in either order.  Raises DomainError for a non-finite end,
+    ends may come in either order, and ``ends`` may give (f(lo), f(hi)),
+    which f is then not asked for.  Raises DomainError for a non-finite end,
     BracketError when f has one sign at both ends and NumericalError when f
-    is not finite at a point it is evaluated at.
+    is not finite at a point it is evaluated at, or at a given end.
     """
     _finite_bracket(lo, hi)
-    lo, hi = min(lo, hi), max(lo, hi)
-    flo, fhi = _value(f, lo), _value(f, hi)
+    flo, fhi = ends or (None, None)
+    if hi < lo:
+        lo, hi, flo, fhi = hi, lo, fhi, flo
+    flo, fhi = _value(f, lo, flo), _value(f, hi, fhi)
     if flo == 0.0:
         return lo
     if fhi == 0.0:

@@ -1,6 +1,8 @@
-"""A fresh interpreter imports the package and runs every subcommand and
-suite without loading scipy, and no thread outlives the import or a
-subcommand."""
+"""Fresh interpreters: the package imports, and every subcommand and suite
+runs, without loading scipy; the family commands run without loading numpy,
+which the simplex, crossings and Monte-Carlo commands load on first use; no
+thread outlives the import or a subcommand; and the package's public names
+resolve as when it imported all of its modules up front."""
 
 import os
 import subprocess
@@ -17,13 +19,15 @@ _SCRIPT = textwrap.dedent(
     import lcmoments
     from lcmoments import cli
 
-    def scipy_modules():
-        return sorted(name for name in sys.modules if name == "scipy" or name.startswith("scipy."))
+    def loaded(package):
+        return sorted(name for name in sys.modules if name == package or name.startswith(package + "."))
 
-    assert scipy_modules() == [], scipy_modules()
+    assert loaded("scipy") == [], loaded("scipy")
+    assert loaded("numpy") == [], loaded("numpy")
     assert threading.active_count() == 1
 
-    commands = [
+    # the family layer computes in Python floats
+    without_numpy = [
         ["p0"],
         ["constant", "--which", "lp-l1-upper", "--p", "4"],
         ["scan", "--p", "4", "--grid", "100"],
@@ -31,20 +35,23 @@ _SCRIPT = textwrap.dedent(
         ["moment", "--p", "3", "--t", "0.2", "--normalized"],
         ["moment", "--p", "150.5", "--t", "0.0049"],
         ["constant", "--which", "lp-l1-lower", "--p", "0.1"],
+        ["verify", "--suite", "reduction"],
+        ["verify", "--suite", "fradelizi"],
+        ["verify", "--suite", "constants"],
+    ]
+    with_numpy = [
         ["slice", "--weights", "1,0,-1", "--project", "--volume"],
         ["max-section", "--n", "3", "--seed", "1"],
         ["crossings", "--t", "0.5"],
         ["verify", "--suite", "crossings"],
-        ["verify", "--suite", "constants"],
         ["verify", "--suite", "mc", "--samples", "300000"],  # three chunks, so both lanes run
-        ["verify", "--suite", "reduction"],
-        ["verify", "--suite", "fradelizi"],
     ]
     with contextlib.redirect_stdout(io.StringIO()):
-        for argv in commands:
+        for argv in without_numpy + with_numpy:
             assert cli.main(argv) == 0, argv
-            assert scipy_modules() == [], (argv, scipy_modules())
+            assert loaded("scipy") == [], (argv, loaded("scipy"))
             assert threading.active_count() == 1, argv
+            assert (argv in without_numpy) == ("numpy" not in sys.modules), argv
 
     import scipy.integrate
 
@@ -54,12 +61,122 @@ _SCRIPT = textwrap.dedent(
     """
 )
 
+# every public name of the package, by the module that defines it
+_PUBLIC = {
+    "constants": [
+        "ScanResult",
+        "branch_gap",
+        "find_l2_transition",
+        "find_p0",
+        "lp_lq_ratio",
+        "scan_family_extrema",
+        "scan_l2_ratio",
+        "sharp_constant",
+    ],
+    "crossings": [
+        "SignChangeReport",
+        "ThreeCrossingsResult",
+        "matching_order",
+        "nonneg_decomposition_check",
+        "vandermonde_coeffs",
+        "verify_3crossings",
+    ],
+    "errors": ["BracketError", "CrossingPatternError", "DegenerateSectionError", "DomainError", "NumericalError"],
+    "expfamily": [
+        "ComparisonCheck",
+        "LogConcaveTestDensity",
+        "TwoSidedExpParams",
+        "abs_moment",
+        "catalogue",
+        "centred_gaussian",
+        "centred_uniform",
+        "family_scale",
+        "fradelizi_check",
+        "match_two_sided",
+        "moment_et",
+        "norm_ebar",
+        "prob_positive",
+        "reduction_check",
+        "truncated_exponential",
+        "two_sided_exponential_density",
+    ],
+    "mc": ["McConfig", "McEstimate", "estimate_density_at_zero", "estimate_xab_moments"],
+    "search": [],
+    "simplex": [
+        "MaxSectionResult",
+        "WeightVector",
+        "density_at_zero",
+        "geometry_oracle_volume",
+        "maximize_section",
+        "section_volume",
+    ],
+    "specfun": ["exp_power_integral", "gamma", "shifted_exp_moment"],
+}
 
-def test_no_subcommand_imports_scipy_integrate():
+_SURFACE_SCRIPT = textwrap.dedent(
+    """
+    import importlib
+
+    import lcmoments
+
+    PUBLIC = {public!r}
+    for module_name, names in PUBLIC.items():
+        module = importlib.import_module("lcmoments." + module_name)
+        for name in [module_name, *names]:
+            held = module if name == module_name else getattr(module, name)
+            scope = {{}}
+            exec(f"from lcmoments import {{name}} as value", scope)
+            assert getattr(lcmoments, name) is held and scope["value"] is held, name
+            assert name in dir(lcmoments), name
+
+    scope = {{}}
+    exec("from lcmoments import *", scope)
+    expected = {{name for module_name, names in PUBLIC.items() for name in [module_name, *names]}}
+    assert set(scope) - {{"__builtins__"}} == expected, set(scope) ^ expected
+    assert lcmoments.__version__ == "0.1.0"
+
+    try:
+        lcmoments.no_such_name
+    except AttributeError as exc:
+        assert "no_such_name" in str(exc), exc
+    else:
+        raise AssertionError("an unknown name resolved")
+    try:
+        from lcmoments import no_such_name
+    except ImportError:
+        pass
+    else:
+        raise AssertionError("an unknown name imported")
+    print("ok")
+    """
+).format(public=_PUBLIC)
+
+
+def _run(script: str) -> None:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     result = subprocess.run(
-        [sys.executable, "-c", _SCRIPT], cwd=ROOT, env=env, capture_output=True, text=True, timeout=300
+        [sys.executable, "-c", script], cwd=ROOT, env=env, capture_output=True, text=True, timeout=300
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "ok"
+
+
+def test_no_subcommand_imports_scipy_integrate():
+    _run(_SCRIPT)
+
+
+def test_public_names_resolve_to_their_modules_objects():
+    _run(_SURFACE_SCRIPT)
+
+
+def test_a_lazy_name_follows_a_rebinding_in_its_module(monkeypatch):
+    import lcmoments
+    from lcmoments import simplex
+
+    original = simplex.density_at_zero
+    assert lcmoments.density_at_zero is original
+    monkeypatch.setattr(simplex, "density_at_zero", lambda weights: 0.5)
+    assert lcmoments.density_at_zero is simplex.density_at_zero
+    monkeypatch.undo()
+    assert lcmoments.density_at_zero is original

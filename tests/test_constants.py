@@ -215,8 +215,14 @@ class TestScanFamilyExtrema:
 
     def test_profile_shape(self):
         result = scan_family_extrema(2.0, grid_size=150)
-        assert result.profile.shape == (150, 2)
-        assert result.profile[0, 0] == 0.0 and result.profile[-1, 0] == 1.0
+        ts, values = result.profile
+        assert len(result.profile) == 2 and len(ts) == len(values) == 150
+        assert ts[0] == 0.0 and ts[-1] == 1.0
+
+    @pytest.mark.parametrize("grid_size", [100, 101, 150, 257, 1000, 2999, 10**5])
+    def test_grid_is_numpy_linspace_bit_for_bit(self, grid_size):
+        ts, _ = _grid_then_refine(lambda t: 0.0, grid_size, False, ()).profile
+        assert np.array(ts).tobytes() == np.linspace(0.0, 1.0, grid_size).tobytes()
 
     def test_small_grid_rejected(self):
         with pytest.raises(DomainError):
@@ -292,9 +298,11 @@ class TestScanL2Ratio:
 
     def test_profile_covers_the_half_range_of_s(self):
         result = scan_l2_ratio(3.0, grid_size=150)
+        ss, values = result.profile
+        assert len(result.profile) == 2 and len(ss) == len(values) == 150
         u = np.linspace(0.0, 1.0, 150)
-        assert np.array_equal(result.profile[:, 0], u / (1.0 + u))
-        assert result.profile[-1, 0] == 0.5
+        assert np.array(ss).tobytes() == (u / (1.0 + u)).tobytes()
+        assert ss[0] == 0.0 and ss[-1] == 0.5
 
     @settings(max_examples=40, deadline=None)
     @given(p=st.floats(1.0, 6.0, exclude_min=True), grid_size=st.integers(100, 400))

@@ -201,7 +201,7 @@ class TestVerify3Crossings:
 
     def test_evaluations_per_certificate(self, monkeypatch):
         # a count, not a time, so it cannot flake: Brent's method takes about
-        # 79 evaluations of the exponential sums per certificate, halving
+        # 66 evaluations of the exponential sums per certificate, halving
         # down to adjacent floats took 357
         calls = []
 
@@ -214,6 +214,24 @@ class TestVerify3Crossings:
         for t in ts:
             verify_3crossings(float(t))
         assert len(calls) / len(ts) <= 100
+
+    @pytest.mark.parametrize("t", [0.1, 0.5, 0.9])
+    def test_no_run_end_is_summed_twice(self, monkeypatch, t):
+        # the root finder is handed the values the sign checks read at the run ends
+        ends, summed = set(), []
+
+        def bounded(pairs, lo, x):
+            ends.add((tuple(pairs), lo, x))
+            return _exp_sum_bounded(pairs, lo, x)
+
+        def value(pairs, lo, x):
+            summed.append((tuple(pairs), lo, x))
+            return _exp_sum_value(pairs, lo, x)
+
+        monkeypatch.setattr(crossings, "_exp_sum_bounded", bounded)
+        monkeypatch.setattr(crossings, "_exp_sum_value", value)
+        verify_3crossings(t)
+        assert summed and ends.isdisjoint(summed)
 
     def test_lower_report_locates_jump(self):
         # the t = 0 density jumps at e/2; the third-vs-one-sided comparison

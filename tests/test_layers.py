@@ -1,7 +1,7 @@
 """The package's import graph keeps its layers: the special functions and the
 root finder sit on the errors alone, the simplex on the special functions,
-only the package itself imports the command line, and the family layer
-imports no numpy."""
+only the package itself imports the command line, and neither the family
+layer nor the command line imports numpy."""
 
 import ast
 from pathlib import Path
@@ -58,7 +58,7 @@ def test_the_lowest_layers():
     assert GRAPH["specfun"] <= {"errors"}
 
 
-@pytest.mark.parametrize("module", ["errors", "search", "specfun", "expfamily"])
+@pytest.mark.parametrize("module", ["errors", "search", "specfun", "expfamily", "constants", "cli"])
 def test_the_family_layer_imports_no_numpy(module):
     assert "numpy" not in _top_level_imports(PACKAGE / f"{module}.py")
 

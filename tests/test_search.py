@@ -158,6 +158,27 @@ def test_bisect_root_where_the_interpolation_products_underflow(r):
     assert bisect_root(f, 0.0, 1.0) == plain_bisect(f, 0.0, 1.0)[0]
 
 
+@settings(max_examples=100, deadline=None)
+@given(_kinds, _finite, st.floats(1e-6, 1e3), st.floats(1e-6, 1e3), st.booleans())
+def test_bisect_root_given_its_end_values_asks_f_for_neither_end(kind, r, below, above, flip):
+    lo, hi = r - below, r + above
+    assume(lo < r < hi)
+    f = kind(r, 1.0)
+    if flip:
+        lo, hi = hi, lo
+    calls = []
+    root = bisect_root(lambda x: calls.append(x) or f(x), lo, hi, ends=(f(lo), f(hi)))
+    assert root == bisect_root(f, lo, hi)
+    assert lo not in calls and hi not in calls
+
+
+def test_bisect_root_given_end_values_of_one_sign_or_not_finite():
+    with pytest.raises(BracketError):
+        bisect_root(lambda x: x - 0.5, 0.0, 1.0, ends=(1.0, 2.0))
+    with pytest.raises(NumericalError):
+        bisect_root(lambda x: x - 0.5, 0.0, 1.0, ends=(-0.5, math.inf))
+
+
 def test_bisect_root_rejects_a_function_that_is_not_finite():
     with pytest.raises(NumericalError):
         bisect_root(lambda x: math.nan if x > 0.3 else x - 0.5, 0.0, 1.0)
