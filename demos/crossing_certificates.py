@@ -6,14 +6,19 @@ then pinning an interpolant alpha + beta*x + gamma*x^q at those crossings
 so the integrand (density gap) * (power gap) becomes pointwise nonnegative.
 This script reproduces every step numerically; the crossings come from the
 densities' exact exponential-sum pieces, and the power gap's sign from
-Descartes' rule of signs on its four coefficients, not from sampling.
+Descartes' rule of signs on its four coefficients, not from sampling: with
+three zeros they alternate in sign by exponent, so the rank of p among the
+exponents 0, 1, p, q fixes the sign past the last crossing.  The package
+solves for no coefficient; this script solves the 3x3 system with numpy
+only to show the alternation.
 """
+
+import numpy as np
 
 from lcmoments import (
     NumericalError,
     matching_order,
     nonneg_decomposition_check,
-    vandermonde_coeffs,
     verify_3crossings,
 )
 
@@ -38,14 +43,17 @@ q = matching_order(t)
 nodes = verify_3crossings(t).report_upper.crossings
 print(f"matching order q = {q:.8f}, crossing nodes {[f'{x:.5f}' for x in nodes]}")
 print("three sign changes in x^p - alpha - beta x - gamma x^q: the crossings are its only zeros")
+x = np.array(nodes)
 for p in (-0.5, 0.5, 2.0):
-    alpha, beta, gamma_q = vandermonde_coeffs(p, q, *nodes)
+    alpha, beta, gamma_q = np.linalg.solve(np.column_stack([np.ones(3), x, x**q]), x**p)
     terms = sorted([(p, 1.0), (0.0, -alpha), (1.0, -beta), (q, -gamma_q)])
     signs = "".join("+" if c > 0.0 else "-" for _, c in terms)
-    changes = sum(a != b for a, b in zip(signs, signs[1:]))
+    rank = sorted((0.0, 1.0, p, q)).index(p)
+    lead = "+" if (3 - rank) % 2 == 0 else "-"
     print(
         f"p = {p:4.1f}: interpolant ({alpha:+.5f}, {beta:+.5f}, {gamma_q:+.6f}), "
-        f"signs at exponents ({', '.join(f'{e:.3g}' for e, _ in terms)}) {signs}, {changes} changes"
+        f"signs at exponents ({', '.join(f'{e:.3g}' for e, _ in terms)}) {signs}; "
+        f"x^p is exponent {rank} of 0..3, so the rank rule gives the last sign {lead}"
     )
 print()
 

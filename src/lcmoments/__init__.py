@@ -44,14 +44,13 @@ from .specfun import (
     shifted_exp_moment,
 )
 
-# the names of the modules that need numpy, each imported when one of its names is first used
+# the modules the family commands do not need, each imported when one of its names is first used
 _LAZY = {
     "crossings": (
         "SignChangeReport",
         "ThreeCrossingsResult",
         "matching_order",
         "nonneg_decomposition_check",
-        "vandermonde_coeffs",
         "verify_3crossings",
     ),
     "mc": ("McConfig", "McEstimate", "estimate_density_at_zero", "estimate_xab_moments"),

@@ -19,9 +19,12 @@ A sign change across a breakpoint (the t = 0 jump at e/2) is a crossing there.
 By Descartes' rule of signs for real exponents (same source; G. J. O.
 Jameson, Math. Gazette 90, 2006) the power gap x^p - alpha - beta*x -
 gamma*x^q has no more positive zeros than its four coefficients, ordered by
-exponent, have sign changes.  With three, the crossings are its only zeros
-and simple, so the product has the sign of both factors past the last one.
-The decomposition check certifies only the density gap it reads.
+exponent, have sign changes.  It vanishes at the three crossings, so the
+coefficients alternate in sign, the crossings are its only zeros and
+simple, and the product has the sign of both factors past the last one.
+The coefficient of x^p is +1, so p's rank among the exponents 0, 1, p, q
+fixes the leading sign, and no coefficient is solved for.  The
+decomposition check certifies only the density gap it reads.
 
 The interpolation exponent q is the matching order, where the baseline
 member's normalized q-th moment equals E_t's; it comes from the tie
@@ -34,9 +37,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations, pairwise
-
-import numpy as np
+from itertools import pairwise
 
 from .constants import _tie, find_p0
 from .errors import CrossingPatternError, DomainError, NumericalError
@@ -46,7 +47,6 @@ from .specfun import as_order
 
 __all__ = [
     "SignChangeReport",
-    "vandermonde_coeffs",
     "ThreeCrossingsResult",
     "verify_3crossings",
     "matching_order",
@@ -218,36 +218,6 @@ def _gap_crossings(s: float, t: float):
     return tuple(crossings), pattern
 
 
-def vandermonde_coeffs(p: float, q: float, x1: float, x2: float, x3: float) -> tuple[float, float, float]:
-    """Coefficients (alpha, beta, gamma) with alpha + beta*x + gamma*x^q = x^p
-    at the three nodes.
-
-    The system's matrix is of generalized-Vandermonde type, hence invertible
-    for valid inputs; near-singularity is still guarded numerically.
-    """
-    if not (0.0 < x1 < x2 < x3 < math.inf):
-        raise DomainError(f"nodes must be finite and satisfy 0 < x1 < x2 < x3, got {(x1, x2, x3)}")
-    if not (math.isfinite(p) and 2.0 < q < math.inf):
-        raise DomainError(f"need a finite p and a finite interpolation exponent q > 2, got p={p}, q={q}")
-    if min(abs(a - b) for a, b in combinations((0.0, 1.0, p, q), 2)) <= 1e-12:
-        raise DomainError(f"exponents 0, 1, p={p}, q={q} must be pairwise distinct")
-
-    nodes = np.array([x1, x2, x3], dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        system = np.column_stack([np.ones(3), nodes, nodes**q])
-        rhs = nodes**p
-        try:
-            sol = np.linalg.solve(system, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"interpolation system is numerically singular: {exc}") from exc
-        residual = np.max(np.abs(system @ sol - rhs))
-    if not (np.all(np.isfinite(rhs)) and np.all(np.isfinite(sol))):
-        raise NumericalError(f"x^p at the nodes or the coefficients overflow: p={p}, q={q}, coefficients {sol}")
-    if not residual <= 1e-10 * max(1.0, float(np.max(np.abs(rhs)))):
-        raise NumericalError(f"interpolation residual too large: {residual:g}")
-    return float(sol[0]), float(sol[1]), float(sol[2])
-
-
 @dataclass(frozen=True)
 class ThreeCrossingsResult:
     """Certificates for both density-gap comparisons at one family parameter.
@@ -324,6 +294,14 @@ def _decomposition_regime(p: float, p0: float):
     raise DomainError(f"no decomposition regime covers p = {p}")
 
 
+def _power_gap_ends_positive(p: float, q: float) -> bool:
+    """The sign of x^p - alpha - beta*x - gamma*x^q past its last zero, for
+    distinct exponents 0, 1, p, q: its coefficients alternate in sign by
+    exponent (module docstring), and that of x^p is +1."""
+    rank = sorted((0.0, 1.0, p, q)).index(p)
+    return (3 - rank) % 2 == 0
+
+
 def nonneg_decomposition_check(t: float, p) -> bool:
     """Certify by Descartes' rule (module docstring) that (density gap) *
     (power gap) is nonnegative on (0, inf), nonpositive for p in (0, 1).
@@ -331,11 +309,9 @@ def nonneg_decomposition_check(t: float, p) -> bool:
     Only the gap the product reads, density(|Ebar_baseline|) -
     density(|Ebar_t|), is certified.  Returns False if the product's one
     sign is the wrong one.  Raises CrossingPatternError if that gap does not
-    cross three times, and NumericalError if a sign it reads or a solved
-    coefficient (by the interpolation system's condition number) is within
-    rounding of zero, the coefficients do not change sign three times, or
-    the matching order q lies within 1e-12 of p, where the interpolation
-    exponents coincide.
+    cross three times, and NumericalError if a sign it reads is within
+    rounding of zero or the matching order q lies within 1e-12 of p, where
+    the interpolation exponents coincide.
     t must lie where ``matching_order`` and the crossings resolve, about
     [1e-5, 1 - 1e-5]; the exponent q carries ``matching_order``'s error, up
     to about 6e-6 relative at those ends.
@@ -352,17 +328,5 @@ def nonneg_decomposition_check(t: float, p) -> bool:
     if abs(q - p) <= 1e-12:
         # a tie this close to p comes from the rounding of a cancelling gap near the ends of t
         raise NumericalError(f"matching order q={q!r} lies within 1e-12 of p={p!r} at t={t!r}")
-    coeffs = vandermonde_coeffs(p, q, *nodes)
-
-    x = np.asarray(nodes)
-    cond = np.linalg.cond(np.column_stack([np.ones(3), x, x**q]))
-    if min(map(abs, coeffs)) <= _SIGN_MARGIN * cond * max(map(abs, coeffs)):
-        raise NumericalError(f"interpolation coefficients {coeffs} have a sign within rounding (t={t}, p={p})")
-    # ordered by exponent; the coefficient of x^p is exactly 1
-    alpha, beta, gamma_q = coeffs
-    signs = [c > 0.0 for _, c in sorted([(p, 1.0), (0.0, -alpha), (1.0, -beta), (q, -gamma_q)])]
-    changes = sum(a != b for a, b in pairwise(signs))
-    if changes != 3:
-        raise NumericalError(f"power gap coefficients change sign {changes} times, not 3 (t={t}, p={p})")
     # the product's one sign is that of both factors past the last crossing
-    return ((pattern[-1] == "+") == signs[-1]) != flip
+    return ((pattern[-1] == "+") == _power_gap_ends_positive(p, q)) != flip

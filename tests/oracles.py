@@ -1,7 +1,8 @@
 """Independent routes that the tests check the package against: the catalogue
 densities and the quadrature of their moments, the folded |E_t| / scale(t)
-density, the family moment at mpmath's precision, and the Monte-Carlo
-estimators drawn serially (equal bit for bit) or summed as one array."""
+density, the family moment, that density and the decomposition's
+interpolant at mpmath's precision, and the Monte-Carlo estimators drawn
+serially (equal bit for bit) or summed as one array."""
 
 import math
 from dataclasses import dataclass
@@ -166,6 +167,28 @@ def mp_moment_et(p, t):
     head = c ** (p + 1) / (p + 1) * mpmath.hyp1f1(p + 1, p + 2, c) + mpmath.gamma(p + 1)
     total = mpmath.exp(t - 1) / (1 + t) * head
     return total + t / (1 + t) * mp_shifted_exp_moment(p, t) if t > 0 else total
+
+
+def mp_folded_density(t, x):
+    """The density of |E_t| / scale(t) at x >= 0 as an mpf at the working
+    precision, from the two-branch formula."""
+    t, x = mpmath.mpf(t), mpmath.mpf(x)
+    mu = 2 * mpmath.exp(t - 1) / (1 + t)
+    y = mu * x
+    if y <= 1 - t:
+        return mu * mu * mpmath.cosh(y)
+    tail = mpmath.exp(-y) + (mpmath.exp((1 - y) / t - t) if t > 0 else 0)
+    return mu * mu / 2 * tail
+
+
+def mp_interpolant(p, q, nodes):
+    """(alpha, beta, gamma) with alpha + beta*x + gamma*x^q = x^p at the three
+    nodes, as mpf solved at 40 digits."""
+    with mpmath.workdps(40):
+        p, q = mpmath.mpf(p), mpmath.mpf(q)
+        xs = [mpmath.mpf(x) for x in nodes]
+        solved = mpmath.lu_solve(mpmath.matrix([[1, x, x**q] for x in xs]), mpmath.matrix([x**p for x in xs]))
+        return tuple(solved[i] for i in range(3))
 
 
 def _centred_draws(cfg):

@@ -1,6 +1,6 @@
 """Fresh interpreters: the package imports, and every subcommand and suite
-runs, without loading scipy; the family commands run without loading numpy,
-which the simplex, crossings and Monte-Carlo commands load on first use; no
+runs, without loading scipy; all but the simplex and Monte-Carlo commands
+run without loading numpy, which those load on first use; no
 thread outlives the import or a subcommand; and the package's public names
 resolve as when it imported all of its modules up front."""
 
@@ -26,7 +26,7 @@ _SCRIPT = textwrap.dedent(
     assert loaded("numpy") == [], loaded("numpy")
     assert threading.active_count() == 1
 
-    # the family layer computes in Python floats
+    # the family layer and the crossing certificates compute in Python floats
     without_numpy = [
         ["p0"],
         ["constant", "--which", "lp-l1-upper", "--p", "4"],
@@ -38,12 +38,12 @@ _SCRIPT = textwrap.dedent(
         ["verify", "--suite", "reduction"],
         ["verify", "--suite", "fradelizi"],
         ["verify", "--suite", "constants"],
+        ["crossings", "--t", "0.5"],
+        ["verify", "--suite", "crossings"],
     ]
     with_numpy = [
         ["slice", "--weights", "1,0,-1", "--project", "--volume"],
         ["max-section", "--n", "3", "--seed", "1"],
-        ["crossings", "--t", "0.5"],
-        ["verify", "--suite", "crossings"],
         ["verify", "--suite", "mc", "--samples", "300000"],  # three chunks, so both lanes run
     ]
     with contextlib.redirect_stdout(io.StringIO()):
@@ -78,7 +78,6 @@ _PUBLIC = {
         "ThreeCrossingsResult",
         "matching_order",
         "nonneg_decomposition_check",
-        "vandermonde_coeffs",
         "verify_3crossings",
     ],
     "errors": ["BracketError", "CrossingPatternError", "DegenerateSectionError", "DomainError", "NumericalError"],

@@ -229,11 +229,12 @@ class TestScanFamilyExtrema:
             scan_family_extrema(2.0, grid_size=50)
 
     @pytest.mark.parametrize("grid_size", [10**20, _MAX_GRID + 1, 1000.0, 1000.5])
-    def test_oversized_or_non_integer_grid_rejected_before_building(self, monkeypatch, grid_size):
-        def no_grid(*args, **kwargs):
-            raise AssertionError("the grid was built")
+    def test_oversized_or_non_integer_grid_rejected_before_building(self, grid_size):
+        def no_evaluation(x):
+            raise AssertionError("the objective was evaluated")
 
-        monkeypatch.setattr(np, "linspace", no_grid)
+        with pytest.raises(DomainError):
+            _grid_then_refine(no_evaluation, grid_size, True, (1.0, 0.0))
         with pytest.raises(DomainError):
             scan_family_extrema(2.0, grid_size=grid_size)
         with pytest.raises(DomainError):

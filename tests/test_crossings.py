@@ -1,9 +1,10 @@
 import math
+from itertools import pairwise
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
@@ -18,14 +19,14 @@ from lcmoments.crossings import (
     _exp_sum_zeros,
     _gap_crossings,
     _gap_pieces,
+    _power_gap_ends_positive,
     matching_order,
     nonneg_decomposition_check,
-    vandermonde_coeffs,
     verify_3crossings,
 )
 from lcmoments.errors import BracketError, CrossingPatternError, DomainError, NumericalError
 from lcmoments.expfamily import family_scale, moment_et
-from oracles import folded_density, mp_moment_et
+from oracles import folded_density, mp_folded_density, mp_interpolant, mp_moment_et
 
 
 def _term(c, rate):
@@ -41,6 +42,17 @@ def _laguerre_bound(terms):
         merged[rate] = merged.get(rate, 0.0) + c
     signs = [c > 0.0 for _, c in sorted(merged.items()) if c != 0.0]
     return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def _mp_power_gap_ends_positive(p, q, nodes):
+    """Whether x^p - alpha - beta*x - gamma*x^q, pinned at the nodes by the
+    40-digit interpolant, has a positive coefficient at its largest exponent;
+    the coefficients must alternate in sign by exponent, as Descartes' rule
+    says of a gap with three zeros."""
+    alpha, beta, gamma_q = mp_interpolant(p, q, nodes)
+    signs = [mpmath.sign(c) for _, c in sorted([(p, 1), (0.0, -alpha), (1.0, -beta), (q, -gamma_q)])]
+    assert all(a * b == -1 for a, b in pairwise(signs)), signs
+    return signs[-1] > 0
 
 
 class TestExpSumZeros:
@@ -119,14 +131,14 @@ class TestSignChangeReport:
 
 class TestVandermondeCoeffs:
     def test_interpolation_residuals(self):
-        alpha, beta, gamma_q = vandermonde_coeffs(-0.5, 3.0, 1.0, 2.0, 3.0)
+        alpha, beta, gamma_q = map(float, mp_interpolant(-0.5, 3.0, (1.0, 2.0, 3.0)))
         for x in (1.0, 2.0, 3.0):
             interp = alpha + beta * x + gamma_q * x**3.0
-            assert interp == pytest.approx(x**-0.5, abs=1e-10)
+            assert interp == pytest.approx(x**-0.5, abs=1e-14)
 
     @staticmethod
     def _pattern(p, q, nodes):
-        alpha, beta, gamma_q = vandermonde_coeffs(p, q, *nodes)
+        alpha, beta, gamma_q = map(float, mp_interpolant(p, q, nodes))
         xs = np.linspace(1e-4, nodes[-1] * 3.0, 1000)
         keep = np.all(np.abs(xs[:, None] - np.asarray(nodes)[None, :]) > 1e-3, axis=1)
         xs = xs[keep]
@@ -150,45 +162,19 @@ class TestVandermondeCoeffs:
     def test_fractional_order_pattern(self):
         assert self._pattern(0.5, 3.0, (1.0, 2.0, 3.0)) == "-+-+"
 
-    def test_pattern_sign_matches_exponent_product(self):
-        rng = np.random.default_rng(99)
-        for _ in range(50):
-            q = rng.uniform(2.1, 6.0)
-            p = rng.choice(
-                [rng.uniform(-0.9, -0.1), rng.uniform(0.1, 0.9), rng.uniform(1.1, q - 0.1), q + rng.uniform(0.2, 3.0)]
-            )
-            if min(abs(p), abs(p - 1.0), abs(p - q)) < 1e-2:
-                continue
-            nodes = np.sort(rng.uniform(0.2, 5.0, size=3))
-            if np.min(np.diff(nodes)) < 0.05:
-                continue
-            pattern = self._pattern(p, q, tuple(nodes))
-            expected_first = "+" if (0.0 - p) * (1.0 - p) * (q - p) > 0 else "-"
-            assert pattern[0] == expected_first
-            assert pattern in ("+-+-", "-+-+")
-
-    def test_degenerate_exponents_rejected(self):
-        with pytest.raises(DomainError):
-            vandermonde_coeffs(1.0, 3.0, 1.0, 2.0, 3.0)
-        with pytest.raises(DomainError):
-            vandermonde_coeffs(0.5, 2.0, 1.0, 2.0, 3.0)
-        with pytest.raises(DomainError):
-            vandermonde_coeffs(0.5, 3.0, 2.0, 1.0, 3.0)
-
-    @pytest.mark.parametrize("p, q", [(math.inf, 3.0), (math.nan, 3.0), (0.5, math.inf), (-math.inf, 3.0)])
-    def test_non_finite_exponents_rejected(self, p, q):
-        with pytest.raises(DomainError, match="finite"):
-            vandermonde_coeffs(p, q, 1.0, 2.0, 3.0)
-
-    @pytest.mark.parametrize("nodes", [(1.0, 2.0, math.inf), (1.0, 2.0, math.nan), (math.nan, 2.0, 3.0)])
-    def test_non_finite_nodes_rejected(self, nodes):
-        with pytest.raises(DomainError, match="finite"):
-            vandermonde_coeffs(3.5, 2.5, *nodes)
-
-    @pytest.mark.parametrize("p, q", [(1000.0, 3.0), (0.5, 1000.0)])
-    def test_overflow_at_the_nodes(self, p, q):
-        with pytest.raises(NumericalError, match="overflow"):
-            vandermonde_coeffs(p, q, 1.0, 2.0, 3.0)
+    @settings(max_examples=200, deadline=None)
+    @given(
+        p=st.floats(-0.99, 40.0),
+        q=st.floats(2.01, 10.0),
+        nodes=st.lists(st.floats(0.01, 30.0), min_size=3, max_size=3, unique=True).map(sorted),
+    )
+    def test_coefficients_alternate_from_the_rank_of_p(self, p, q, nodes):
+        # the theorem the decomposition verdict rests on: pinned at three
+        # positive nodes, the power gap's coefficients alternate in sign by
+        # exponent, so the rank of p alone gives its sign past the last node
+        assume(min(abs(p), abs(p - 1.0), abs(p - q)) > 1e-3)
+        assume(min(b / a for a, b in pairwise(nodes)) > 1.001)
+        assert _mp_power_gap_ends_positive(p, q, nodes) == _power_gap_ends_positive(p, q)
 
 
 class TestVerify3Crossings:
@@ -247,20 +233,9 @@ class TestVerify3Crossings:
             verify_3crossings(1.0)
 
 
-def _mp_density(t, x):
-    """The |Ebar_t| density at 40 digits, from the two-branch formula."""
-    t, x = mpmath.mpf(t), mpmath.mpf(x)
-    mu = 2 * mpmath.exp(t - 1) / (1 + t)
-    y = mu * x
-    if y <= 1 - t:
-        return mu * mu * mpmath.cosh(y)
-    tail = mpmath.exp(-y) + (mpmath.exp((1 - y) / t - t) if t > 0 else 0)
-    return mu * mu / 2 * tail
-
-
 def _mp_sign(s, t, x):
     with mpmath.workdps(40):
-        gap = _mp_density(s, x) - _mp_density(t, x)
+        gap = mp_folded_density(s, x) - mp_folded_density(t, x)
     assert gap != 0
     return "+" if gap > 0 else "-"
 
@@ -459,9 +434,11 @@ class TestNonnegDecomposition:
         with pytest.raises(DomainError, match="finite"):
             nonneg_decomposition_check(0.5, math.inf)
 
-    def test_overflowing_order_is_a_numerical_error(self):
-        with pytest.raises(NumericalError, match="overflow"):
-            nonneg_decomposition_check(0.5, 1000.0)
+    def test_overflowing_order_is_certified(self):
+        # x^p overflows a float at the nodes, where the rank rule reads no power
+        assert nonneg_decomposition_check(0.5, 1000.0) is True
+        _, _, q, nodes, _ = _interpolation(0.5, 1000.0)
+        assert _mp_power_gap_ends_positive(1000.0, q, nodes) == _power_gap_ends_positive(1000.0, q)
 
     def test_small_t_never_a_domain_error(self):
         # the matching order used to come back as the bracket end q = 2, and
@@ -483,17 +460,19 @@ class TestNonnegDecomposition:
         assert "matching order q=" in str(exc.value)
 
     @pytest.mark.parametrize("p", [1e-11, -1e-11, 1.0 - 1e-11, 1.0 + 1e-11])
-    def test_coalescing_exponents_fail_loudly(self, p):
-        # x^p nearly coincides with x^0 or x^1, so a solved coefficient lies
-        # within rounding of zero and its sign is not trusted
-        with pytest.raises(NumericalError):
-            nonneg_decomposition_check(0.5, p)
+    def test_coalescing_exponents_are_certified(self, p):
+        # x^p nearly coincides with x^0 or x^1, so a float solve puts a
+        # coefficient within rounding of zero; the rank rule reads none, and
+        # the 40-digit interpolant's signs agree with it
+        assert nonneg_decomposition_check(0.5, p) is True
+        _, _, q, nodes, _ = _interpolation(0.5, p)
+        assert _mp_power_gap_ends_positive(p, q, nodes) == _power_gap_ends_positive(p, q)
 
 
 _P0 = find_p0()
 
 # every regime, kept 1e-6 away from p = 0 and p = 1, where two exponents of
-# the power gap coalesce (test_coalescing_exponents_fail_loudly)
+# the power gap coalesce (test_coalescing_exponents_are_certified)
 _regime_p = st.one_of(
     st.floats(-1.0, -1e-6, exclude_min=True),
     st.floats(1e-6, 1.0 - 1e-6),
@@ -544,22 +523,16 @@ def _interpolation(t, p):
 @settings(max_examples=40, deadline=None)
 @given(t=st.floats(1e-4, 1.0 - 1e-4), p=_regime_p)
 def test_coefficient_signs_match_mpmath(t, p):
+    # the check's rank rule against the 40-digit interpolant at its own nodes
     _, _, q, nodes, _ = _interpolation(t, p)
-    coeffs = vandermonde_coeffs(p, q, *nodes)
-    with mpmath.workdps(40):
-        xs = [mpmath.mpf(x) for x in nodes]
-        exact = mpmath.lu_solve(
-            mpmath.matrix([[1, x, x ** mpmath.mpf(q)] for x in xs]),
-            mpmath.matrix([x ** mpmath.mpf(p) for x in xs]),
-        )
-        assert [c > 0.0 for c in coeffs] == [exact[i] > 0 for i in range(3)]
+    assert _mp_power_gap_ends_positive(p, q, nodes) == _power_gap_ends_positive(p, q)
 
 
 def _sampled_product(t, p):
     """(density gap) * (power gap), negated for p in (0, 1), on 10 000 points
     of (0, 48) plus the breakpoints and nodes: the check's former route."""
     baseline, flip, q, nodes, _ = _interpolation(t, p)
-    alpha, beta, gamma_q = vandermonde_coeffs(p, q, *nodes)
+    alpha, beta, gamma_q = map(float, mp_interpolant(p, q, nodes))
     extra = [(1.0 - t) / family_scale(t), (1.0 - baseline) / family_scale(baseline), *nodes]
     xs = np.unique(np.concatenate([np.linspace(0.0, 48.0, 10_002)[1:-1], [x for x in extra if 0.0 < x < 48.0]]))
     density_gap = folded_density(baseline, xs) - folded_density(t, xs)
@@ -589,9 +562,8 @@ def test_decomposition_agrees_with_the_two_report_selection(t, p):
     # match those read from both reports of verify_3crossings
     baseline, flip, q, nodes, ends_positive = _interpolation(t, p)
     assert _gap_crossings(baseline, t)[0] == nodes
-    alpha, beta, gamma_q = vandermonde_coeffs(p, q, *nodes)
-    signs = [c > 0.0 for _, c in sorted([(p, 1.0), (0.0, -alpha), (1.0, -beta), (q, -gamma_q)])]
-    assert nonneg_decomposition_check(t, p) is ((ends_positive == signs[-1]) != flip)
+    ends_up = _mp_power_gap_ends_positive(p, q, nodes)
+    assert nonneg_decomposition_check(t, p) is ((ends_positive == ends_up) != flip)
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,7 +1,7 @@
 """The package's import graph keeps its layers: the special functions and the
 root finder sit on the errors alone, the simplex on the special functions,
-only the package itself imports the command line, and neither the family
-layer nor the command line imports numpy."""
+only the package itself imports the command line, and only the simplex and
+the Monte-Carlo oracle import numpy."""
 
 import ast
 from pathlib import Path
@@ -58,9 +58,13 @@ def test_the_lowest_layers():
     assert GRAPH["specfun"] <= {"errors"}
 
 
-@pytest.mark.parametrize("module", ["errors", "search", "specfun", "expfamily", "constants", "cli"])
+@pytest.mark.parametrize("module", ["errors", "search", "specfun", "expfamily", "constants", "crossings", "cli"])
 def test_the_family_layer_imports_no_numpy(module):
     assert "numpy" not in _top_level_imports(PACKAGE / f"{module}.py")
+
+
+def test_only_simplex_and_mc_import_numpy():
+    assert {module for module in GRAPH if "numpy" in _top_level_imports(PACKAGE / f"{module}.py")} == {"simplex", "mc"}
 
 
 def test_simplex_sits_on_the_special_functions_alone():
