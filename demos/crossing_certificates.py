@@ -10,17 +10,21 @@ Descartes' rule of signs on its four coefficients, not from sampling: with
 three zeros they alternate in sign by exponent, so the rank of p among the
 exponents 0, 1, p, q fixes the sign past the last crossing.  The package
 solves for no coefficient; this script solves the 3x3 system with numpy
-only to show the alternation.
+only to show the alternation.  Nor does the package solve for q: each
+regime's bracket of q fixes that rank, so the regime fixes the sign the
+density gap must end with, and this script finds q only to show it.
 """
 
 import numpy as np
 
 from lcmoments import (
     NumericalError,
+    find_p0,
     matching_order,
     nonneg_decomposition_check,
     verify_3crossings,
 )
+from lcmoments.crossings import _decomposition_regime
 
 print("=== Three crossings, pattern (+,-,+,-), across the family ===")
 for t in (0.1, 0.3, 0.5, 0.7, 0.9):
@@ -54,6 +58,20 @@ for p in (-0.5, 0.5, 2.0):
         f"p = {p:4.1f}: interpolant ({alpha:+.5f}, {beta:+.5f}, {gamma_q:+.6f}), "
         f"signs at exponents ({', '.join(f'{e:.3g}' for e, _ in terms)}) {signs}; "
         f"x^p is exponent {rank} of 0..3, so the rank rule gives the last sign {lead}"
+    )
+print()
+
+print("=== Each regime's bracket of q fixes the density gap's last sign ===")
+t = 0.5
+for p in (-0.5, 0.5, 2.0, 3.5):
+    baseline, (lo, hi), last_sign = _decomposition_regime(p, find_p0())
+    q = matching_order(t, (lo, hi), baseline_t=baseline)
+    rank = sorted((0.0, 1.0, p, q)).index(p)
+    # for p in (0, 1) the product must be nonpositive, which flips the sign
+    lead = "+" if ((3 - rank) % 2 == 0) != (0.0 < p < 1.0) else "-"
+    print(
+        f"p = {p:4.1f}: baseline t = {baseline:.0f}, q = {q:.8f} in ({lo:.6f}, {hi:.6f}); "
+        f"the rank rule at q{', flipped,' if 0.0 < p < 1.0 else ''} gives {lead}, the regime's last sign is {last_sign}"
     )
 print()
 

@@ -23,12 +23,11 @@ exponent, have sign changes.  It vanishes at the three crossings, so the
 coefficients alternate in sign, the crossings are its only zeros and
 simple, and the product has the sign of both factors past the last one.
 The coefficient of x^p is +1, so p's rank among the exponents 0, 1, p, q
-fixes the leading sign, and no coefficient is solved for.  The
-decomposition check certifies only the density gap it reads.
-
-The interpolation exponent q is the matching order, where the baseline
-member's normalized q-th moment equals E_t's; it comes from the tie
-routine ``constants._tie`` that also locates p0.
+fixes the leading sign, and no coefficient is solved for.  The exponent q
+is the matching order, where the baseline member's normalized q-th moment
+equals E_t's.  Each regime's bracket of q fixes p's rank, so the
+decomposition check needs only that q exists, the member gap changing sign
+across the bracket, and certifies only the density gap it reads.
 """
 
 from __future__ import annotations
@@ -39,8 +38,8 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import pairwise
 
-from .constants import _tie, find_p0
-from .errors import CrossingPatternError, DomainError, NumericalError
+from .constants import _member_gap, _tie, find_p0
+from .errors import BracketError, CrossingPatternError, DomainError, NumericalError
 from .expfamily import family_scale
 from .search import bisect_root
 from .specfun import as_order
@@ -270,8 +269,7 @@ def matching_order(
     1.2e-10 at 1e-3 and 5.7e-6 at 1e-5; baseline 1, about 1.8e-12 at
     t = 0.99, 2.5e-11 at 0.999 and 1.3e-6 at 1 - 1e-5.  There the rounded
     gap changes sign many times around the root, and which of those sign
-    changes the root finder stops at sets the error.  Near the ends of t the
-    decomposition check runs on an order good to about that accuracy.
+    changes the root finder stops at sets the error.
     """
     lo, hi = bracket
     if not (0.0 < t < 1.0 and 0.0 <= baseline_t <= 1.0 and baseline_t != t):
@@ -282,24 +280,18 @@ def matching_order(
 
 
 def _decomposition_regime(p: float, p0: float):
-    """Baseline parameter, matching bracket, and product sign per regime."""
+    """Baseline parameter, bracket of q, and the sign the density gap must end
+    with: the bracket fixes p's rank among 0, 1, p, q (module docstring), and
+    for p in (0, 1) the product's sign is flipped."""
     if p == 1.0:
         raise DomainError("p = 1 is the L1 normalisation, where the power gap vanishes identically")
     if -1.0 < p < 1.0 and p != 0.0:
-        return 1.0, (2.0, 4.0), (p > 0.0)
+        return 1.0, (2.0, 4.0), "-"
     if 1.0 < p <= p0:
-        return 1.0, (p0, 4.0), False
+        return 1.0, (p0, 4.0), "-"
     if p >= p0:
-        return 0.0, (2.0, p0), False
+        return 0.0, (2.0, p0), "+"
     raise DomainError(f"no decomposition regime covers p = {p}")
-
-
-def _power_gap_ends_positive(p: float, q: float) -> bool:
-    """The sign of x^p - alpha - beta*x - gamma*x^q past its last zero, for
-    distinct exponents 0, 1, p, q: its coefficients alternate in sign by
-    exponent (module docstring), and that of x^p is +1."""
-    rank = sorted((0.0, 1.0, p, q)).index(p)
-    return (3 - rank) % 2 == 0
 
 
 def nonneg_decomposition_check(t: float, p) -> bool:
@@ -307,26 +299,24 @@ def nonneg_decomposition_check(t: float, p) -> bool:
     (power gap) is nonnegative on (0, inf), nonpositive for p in (0, 1).
 
     Only the gap the product reads, density(|Ebar_baseline|) -
-    density(|Ebar_t|), is certified.  Returns False if the product's one
-    sign is the wrong one.  Raises CrossingPatternError if that gap does not
-    cross three times, and NumericalError if a sign it reads is within
-    rounding of zero or the matching order q lies within 1e-12 of p, where
-    the interpolation exponents coincide.
-    t must lie where ``matching_order`` and the crossings resolve, about
-    [1e-5, 1 - 1e-5]; the exponent q carries ``matching_order``'s error, up
-    to about 6e-6 relative at those ends.
+    density(|Ebar_t|), is certified, and of q only that its bracket holds it.
+    Returns False if the product's one sign is the wrong one.  Raises
+    BracketError if the member gap has one sign at both bracket ends,
+    NumericalError if it is zero at one or a sign the crossings read is
+    within rounding of zero, and CrossingPatternError if the density gap
+    does not cross three times.  Both gaps resolve t in about [1e-5, 1 - 1e-5].
     """
     p = as_order(p)
     if not 0.0 < t < 1.0:
         raise DomainError(f"t must lie strictly inside (0, 1), got {t}")
-    baseline, bracket, flip = _decomposition_regime(p, find_p0())
-    q = matching_order(t, bracket, baseline_t=baseline)
+    baseline, bracket, last_sign = _decomposition_regime(p, find_p0())
+    ends = [_member_gap(q, baseline, t, family_scale) for q in bracket]
+    if not ends[0] * ends[1] < 0.0:
+        # a zero end is the matching order within rounding of that end
+        error = NumericalError if 0.0 in ends else BracketError
+        raise error(f"E_{baseline!r} against E_{t!r}: member gap {ends} at {bracket} certifies no matching order")
     nodes, pattern = _gap_crossings(baseline, t)
     if len(nodes) != 3:
         message = f"density gap E_{baseline!r} against E_{t!r}: {len(nodes)} crossings ({pattern}), not 3"
         raise CrossingPatternError(message, [SignChangeReport(nodes, pattern)])
-    if abs(q - p) <= 1e-12:
-        # a tie this close to p comes from the rounding of a cancelling gap near the ends of t
-        raise NumericalError(f"matching order q={q!r} lies within 1e-12 of p={p!r} at t={t!r}")
-    # the product's one sign is that of both factors past the last crossing
-    return ((pattern[-1] == "+") == _power_gap_ends_positive(p, q)) != flip
+    return pattern[-1] == last_sign

@@ -1,8 +1,9 @@
 """Independent routes that the tests check the package against: the catalogue
 densities and the quadrature of their moments, the folded |E_t| / scale(t)
 density, the family moment, that density and the decomposition's
-interpolant at mpmath's precision, and the Monte-Carlo estimators drawn
-serially (equal bit for bit) or summed as one array."""
+interpolant at mpmath's precision, the rank rule for the sign of its power
+gap, and the Monte-Carlo estimators drawn serially (equal bit for bit) or
+summed as one array."""
 
 import math
 from dataclasses import dataclass
@@ -189,6 +190,15 @@ def mp_interpolant(p, q, nodes):
         xs = [mpmath.mpf(x) for x in nodes]
         solved = mpmath.lu_solve(mpmath.matrix([[1, x, x**q] for x in xs]), mpmath.matrix([x**p for x in xs]))
         return tuple(solved[i] for i in range(3))
+
+
+def power_gap_ends_positive(p, q):
+    """The sign of x^p - alpha - beta*x - gamma*x^q past its last zero, for
+    distinct exponents 0, 1, p, q, with three positive zeros: by Descartes'
+    rule its coefficients alternate in sign by exponent, and that of x^p is
+    +1, so the rank of p among the exponents gives it."""
+    rank = sorted((0.0, 1.0, p, q)).index(p)
+    return (3 - rank) % 2 == 0
 
 
 def _centred_draws(cfg):

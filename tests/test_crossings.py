@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from lcmoments import crossings
-from lcmoments.constants import find_p0
+from lcmoments.constants import _member_gap, find_p0
 from lcmoments.crossings import (
     SignChangeReport,
     _decomposition_regime,
@@ -19,14 +19,13 @@ from lcmoments.crossings import (
     _exp_sum_zeros,
     _gap_crossings,
     _gap_pieces,
-    _power_gap_ends_positive,
     matching_order,
     nonneg_decomposition_check,
     verify_3crossings,
 )
 from lcmoments.errors import BracketError, CrossingPatternError, DomainError, NumericalError
 from lcmoments.expfamily import family_scale, moment_et
-from oracles import folded_density, mp_folded_density, mp_interpolant, mp_moment_et
+from oracles import folded_density, mp_folded_density, mp_interpolant, mp_moment_et, power_gap_ends_positive
 
 
 def _term(c, rate):
@@ -174,7 +173,7 @@ class TestVandermondeCoeffs:
         # exponent, so the rank of p alone gives its sign past the last node
         assume(min(abs(p), abs(p - 1.0), abs(p - q)) > 1e-3)
         assume(min(b / a for a, b in pairwise(nodes)) > 1.001)
-        assert _mp_power_gap_ends_positive(p, q, nodes) == _power_gap_ends_positive(p, q)
+        assert _mp_power_gap_ends_positive(p, q, nodes) == power_gap_ends_positive(p, q)
 
 
 class TestVerify3Crossings:
@@ -438,7 +437,7 @@ class TestNonnegDecomposition:
         # x^p overflows a float at the nodes, where the rank rule reads no power
         assert nonneg_decomposition_check(0.5, 1000.0) is True
         _, _, q, nodes, _ = _interpolation(0.5, 1000.0)
-        assert _mp_power_gap_ends_positive(1000.0, q, nodes) == _power_gap_ends_positive(1000.0, q)
+        assert _mp_power_gap_ends_positive(1000.0, q, nodes) == power_gap_ends_positive(1000.0, q)
 
     def test_small_t_never_a_domain_error(self):
         # the matching order used to come back as the bracket end q = 2, and
@@ -451,13 +450,16 @@ class TestNonnegDecomposition:
             assert isinstance(result, bool)
 
     @pytest.mark.parametrize("t", [1e-7, 4.4e-7])
-    def test_a_matching_order_at_p_is_a_numerical_error(self, t):
-        # at p = p0 and t near 0 the tie came back within 1e-12 of p, and the
-        # interpolation rejected the (t, p) as out of its domain
+    def test_a_matching_order_at_p_is_certified(self, t):
+        # at p = p0 and t near 0 the matching order lies within 1e-12 above p;
+        # the check reads only the bracket (p0, 4), which puts q above p, and
+        # the 40-digit root lies there
         p = find_p0()
-        with pytest.raises(NumericalError, match=f"within 1e-12 of p={p!r} at t={t!r}") as exc:
-            nonneg_decomposition_check(t, p)
-        assert "matching order q=" in str(exc.value)
+        assert nonneg_decomposition_check(t, p) is True
+        baseline, bracket, _ = _decomposition_regime(p, _P0)
+        assert bracket == (p, 4.0)
+        q = _mp_matching_order(matching_order(t, bracket, baseline_t=baseline), t, baseline, bracket)
+        assert p < q < 4.0
 
     @pytest.mark.parametrize("p", [1e-11, -1e-11, 1.0 - 1e-11, 1.0 + 1e-11])
     def test_coalescing_exponents_are_certified(self, p):
@@ -466,7 +468,7 @@ class TestNonnegDecomposition:
         # the 40-digit interpolant's signs agree with it
         assert nonneg_decomposition_check(0.5, p) is True
         _, _, q, nodes, _ = _interpolation(0.5, p)
-        assert _mp_power_gap_ends_positive(p, q, nodes) == _power_gap_ends_positive(p, q)
+        assert _mp_power_gap_ends_positive(p, q, nodes) == power_gap_ends_positive(p, q)
 
 
 _P0 = find_p0()
@@ -507,10 +509,12 @@ def test_decomposition_near_the_ends_true_or_typed_error(t, p):
 
 
 def _interpolation(t, p):
-    """The regime's baseline, matching order and crossing nodes, and whether
-    density(baseline) - density(t) ends positive: selected and re-oriented
-    from both ``verify_3crossings`` reports, the check's former route."""
-    baseline, bracket, flip = _decomposition_regime(p, _P0)
+    """The regime's baseline, whether the product's sign flips (p in (0, 1)),
+    the matching order and crossing nodes, and whether density(baseline) -
+    density(t) ends positive: selected and re-oriented from both
+    ``verify_3crossings`` reports, the check's former route."""
+    baseline, bracket, _ = _decomposition_regime(p, _P0)
+    flip = 0.0 < p < 1.0
     q = matching_order(t, bracket, baseline_t=baseline)
     certificates = verify_3crossings(t)
     # the gap is density(baseline) - density(t): report_upper's orientation,
@@ -525,7 +529,7 @@ def _interpolation(t, p):
 def test_coefficient_signs_match_mpmath(t, p):
     # the check's rank rule against the 40-digit interpolant at its own nodes
     _, _, q, nodes, _ = _interpolation(t, p)
-    assert _mp_power_gap_ends_positive(p, q, nodes) == _power_gap_ends_positive(p, q)
+    assert _mp_power_gap_ends_positive(p, q, nodes) == power_gap_ends_positive(p, q)
 
 
 def _sampled_product(t, p):
@@ -579,13 +583,70 @@ def test_one_sided_gap_is_the_negated_lower_gap(t):
 
 @pytest.mark.parametrize("p", [-0.5, 2.0, 3.5])
 def test_decomposition_certifies_one_gap(monkeypatch, p):
-    calls = []
+    # one density gap, and the member gap at the two bracket ends; no root
+    calls, member_gaps = [], []
 
     def counted(s, t):
         calls.append((s, t))
         return _gap_crossings(s, t)
 
+    def counted_member_gap(q, *args):
+        member_gaps.append(q)
+        return _member_gap(q, *args)
+
+    def no_root(*args, **kwargs):
+        raise AssertionError("the check solved for the matching order")
+
     monkeypatch.setattr(crossings, "_gap_crossings", counted)
+    monkeypatch.setattr(crossings, "_member_gap", counted_member_gap)
     monkeypatch.setattr(crossings, "verify_3crossings", None)
+    monkeypatch.setattr(crossings, "_tie", no_root)
+    monkeypatch.setattr(crossings, "matching_order", no_root)
     assert nonneg_decomposition_check(0.5, p) is True
-    assert calls == [(_decomposition_regime(p, _P0)[0], 0.5)]
+    baseline, bracket, _ = _decomposition_regime(p, _P0)
+    assert calls == [(baseline, 0.5)]
+    assert member_gaps == list(bracket)
+
+
+def _former_verdict(t, p):
+    """The check's former route: the matching order, the rank rule at it, the
+    flip for p in (0, 1), then the one density gap's crossings."""
+    baseline, bracket, _ = _decomposition_regime(p, _P0)
+    q = matching_order(t, bracket, baseline_t=baseline)
+    nodes, pattern = _gap_crossings(baseline, t)
+    if len(nodes) != 3:
+        raise CrossingPatternError(f"{len(nodes)} crossings ({pattern}), not 3")
+    return ((pattern[-1] == "+") == power_gap_ends_positive(p, q)) != (0.0 < p < 1.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    t=st.one_of(
+        st.floats(1e-4, 1.0 - 1e-4),
+        st.floats(-7.0, -4.0).map(lambda e: 10.0**e),
+        st.floats(-7.0, -4.0).map(lambda e: 1.0 - 10.0**e),
+    ),
+    p=_regime_p,
+)
+def test_decomposition_matches_the_route_through_the_matching_order(t, p):
+    # the bracket ends' signs stand in for the root: where the former route
+    # returns, the verdicts agree, and where it raises, the check raises the
+    # same type
+    try:
+        expected = _former_verdict(t, p)
+    except (BracketError, CrossingPatternError, NumericalError) as exc:
+        with pytest.raises(type(exc)):
+            nonneg_decomposition_check(t, p)
+    else:
+        assert nonneg_decomposition_check(t, p) is expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=_regime_p, data=st.data())
+def test_the_bracket_fixes_the_last_sign(p, data):
+    # the fact that makes the root unnecessary: every q inside a regime's
+    # bracket gives the rank rule, with the (0, 1) flip, the same last sign
+    _, (lo, hi), last_sign = _decomposition_regime(p, _P0)
+    q = data.draw(st.floats(lo, hi, exclude_min=True, exclude_max=True))
+    ends_positive = power_gap_ends_positive(p, q) != (0.0 < p < 1.0)
+    assert ("+" if ends_positive else "-") == last_sign
