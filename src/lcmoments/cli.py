@@ -13,14 +13,12 @@ import csv
 import functools
 import json
 import math
-import os
 import re
 import sys
 
-from . import constants, expfamily  # crossings, mc and simplex need numpy: the handlers import them
+from . import constants, expfamily  # the handlers that use crossings, mc and simplex import them
 from .errors import BracketError, CrossingPatternError, DomainError, NumericalError
 
-SEED_ENV_VAR = "LCMOMENTS_SEED"
 _DEFAULT_SEED = 20250808
 # sample count of the mc suite when --samples is not given
 _MC_SAMPLES = 1_000_000
@@ -37,13 +35,6 @@ def _record(command, inputs, outputs, tolerances=None, ok=True) -> dict:
     """One JSON record, as printed; a record whose check failed has status "violated"."""
     status = "ok" if ok else "violated"
     return {"command": command, "inputs": inputs, "outputs": outputs, "tolerances": tolerances or {}, "status": status}
-
-
-def _default_seed() -> int:
-    try:
-        return int(os.environ.get(SEED_ENV_VAR, _DEFAULT_SEED))
-    except ValueError:
-        raise DomainError(f"{SEED_ENV_VAR} must be an integer") from None
 
 
 def _write_profile_csv(path: str, profile, columns=("t", "value")) -> None:
@@ -143,15 +134,14 @@ def _cmd_slice(args):
 
 def _cmd_max_section(args):
     from . import simplex
-    seed = args.seed if args.seed is not None else _default_seed()
-    result = simplex.maximize_section(args.n, args.restarts, seed)
+    result = simplex.maximize_section(args.n, args.restarts, args.seed)
     outputs = {
         "a_star": list(result.a_star.a),
         "value": result.value,
         "max_evaluated": result.max_evaluated,
         "evaluations": result.evaluations,
     }
-    inputs = {"n": args.n, "restarts": args.restarts, "seed": seed}
+    inputs = {"n": args.n, "restarts": args.restarts, "seed": args.seed}
     return [_record("max-section", inputs, outputs)]
 
 
@@ -270,7 +260,7 @@ _SUITES = {
 
 def _cmd_verify(args):
     if args.suite == "mc":
-        seed = args.seed if args.seed is not None else _default_seed()
+        seed = args.seed if args.seed is not None else _DEFAULT_SEED
         return _suite_mc(seed, args.samples if args.samples is not None else _MC_SAMPLES)
     if args.samples is not None or args.seed is not None:
         raise DomainError(f"--samples and --seed apply only to the mc suite, not {args.suite}")
@@ -328,7 +318,7 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict]:
     p = sub.add_parser("max-section", help="maximise the section volume over normals")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--restarts", type=int, default=20)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=_DEFAULT_SEED)
     p.set_defaults(handler=_cmd_max_section)
 
     p = sub.add_parser("crossings", help="certify the three-crossings sign patterns")

@@ -10,7 +10,7 @@ class BracketError(RuntimeError):
 
 
 class NumericalError(RuntimeError):
-    """A numerical consistency check failed (near-singular system, method disagreement)."""
+    """A numerical result cannot be trusted (not finite, rounded away, or a sign within rounding of zero)."""
 
 
 class DegenerateSectionError(RuntimeError):

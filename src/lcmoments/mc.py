@@ -5,17 +5,17 @@ is strict: sampling is split into fixed-size chunks, the counter-based Philox
 generator for chunk c is keyed by (seed, c), and reductions run in chunk
 order, so identical configurations give bit-identical estimates.
 
-The chunks run on two lanes: the calling thread takes the even chunks and
-one helper thread the odd ones.  Each lane allocates its buffers once, and
-the per-chunk results are merged in chunk order, so every estimate is the
-one a serial loop over the chunks gives, whatever the thread scheduling.
+The chunks run on a pool of two worker threads, each of which allocates
+its buffers once, and the per-chunk results come back in chunk order, so
+every estimate is the one a serial loop over the chunks gives, whatever
+the thread scheduling.
 
 The draws (E, E') depend on the seed and the sample count alone, so every
 member a(E-1) - b(E'-1) of the two-sided family shares them under one
 configuration.  `estimate_xab_moments` makes one pass over the chunks that
 serves many (params, p) cases: each chunk is drawn once, and each case only
 adds its |x|^p to per-block sums, so memory stays at about three chunks per
-lane whatever the sample count.
+worker thread whatever the sample count.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from __future__ import annotations
 import contextvars
 import math
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,41 +74,26 @@ def _chunk_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, index))))
 
 
-def _two_lanes(sizes: list[int], buffers, work) -> list:
-    """[work(c, size, *lane) for c, size in enumerate(sizes)], on two lanes.
+def _map_chunks(sizes: list[int], buffers, work) -> list:
+    """[work(c, size, *buffers()) for c, size in enumerate(sizes)] on two
+    worker threads, each of which calls `buffers()` once.
 
-    The calling thread takes the even chunks and one helper thread, started
-    in a copy of the caller's context (so numpy's error state carries over),
-    the odd ones.  Each lane calls `buffers()` once and passes what it
-    returns to every `work` call it makes.  The results come back in chunk
-    order.  A lane stops before any chunk past one that failed, and once the
-    helper has ended, the error of the lowest failing chunk is raised here:
-    the one a serial loop over the chunks would raise.
+    Each chunk runs in a copy of the caller's context, so numpy's error
+    state carries over.  The results come back in chunk order; the error of
+    the lowest failing chunk is raised, as a serial loop would raise it, the
+    chunks not yet started are cancelled, and every worker has ended when
+    the call returns.
     """
-    results = [None] * len(sizes)
-    errors = []  # (chunk, exception); appends are atomic
+    local = threading.local()
 
-    def lane(first):
-        c = first
-        try:
-            lane_buffers = buffers()
-            for c in range(first, len(sizes), 2):
-                if any(failed < c for failed, _ in errors):
-                    return
-                results[c] = work(c, sizes[c], *lane_buffers)
-        except BaseException as exc:  # re-raised in the calling thread
-            errors.append((c, exc))
+    def chunk(c):
+        if not hasattr(local, "buffers"):
+            local.buffers = buffers()
+        return work(c, sizes[c], *local.buffers)
 
-    helper = None
-    if len(sizes) > 1:
-        helper = threading.Thread(target=contextvars.copy_context().run, args=(lane, 1), name="lcmoments-mc-lane")
-        helper.start()
-    lane(0)
-    if helper is not None:
-        helper.join()
-    if errors:
-        raise min(errors, key=lambda error: error[0])[1]
-    return results
+    contexts = [contextvars.copy_context() for _ in sizes]
+    with ThreadPoolExecutor(2) as pool:
+        return list(pool.map(lambda context, c: context.run(chunk, c), contexts, range(len(sizes))))
 
 
 def _draw_chunk(seed: int, c: int, size: int, e1, e2):
@@ -194,7 +180,7 @@ def estimate_xab_moments(cases, cfg: McConfig) -> list[McEstimate]:
         return (*np.empty((3, min(n, _CHUNK))), np.empty(_CHUNK // 4))
 
     block_sums = np.zeros((len(cases), _JACKKNIFE_BLOCKS))
-    for first, parts in _two_lanes(_chunk_sizes(n), buffers, work):
+    for first, parts in _map_chunks(_chunk_sizes(n), buffers, work):
         for sums, part in zip(block_sums, parts):
             sums[first : first + part.size] += part
     sizes = np.diff(edges)
@@ -227,7 +213,7 @@ def estimate_density_at_zero(weights, cfg: McConfig) -> McEstimate:
             count += int(np.count_nonzero(np.abs(s, out=s) <= half))
         return count
 
-    count = sum(_two_lanes(_chunk_sizes(cfg.samples), buffers, work))
+    count = sum(_map_chunks(_chunk_sizes(cfg.samples), buffers, work))
     frac = count / cfg.samples
     estimate = frac / (2.0 * half)
     se = math.sqrt(frac * (1.0 - frac) / cfg.samples) / (2.0 * half)

@@ -44,7 +44,7 @@ _SCRIPT = textwrap.dedent(
     with_numpy = [
         ["slice", "--weights", "1,0,-1", "--project", "--volume"],
         ["max-section", "--n", "3", "--seed", "1"],
-        ["verify", "--suite", "mc", "--samples", "300000"],  # three chunks, so both lanes run
+        ["verify", "--suite", "mc", "--samples", "300000"],  # three chunks, so the pool starts both workers
     ]
     with contextlib.redirect_stdout(io.StringIO()):
         for argv in without_numpy + with_numpy:

@@ -1,7 +1,7 @@
 """The package's import graph keeps its layers: the special functions and the
 root finder sit on the errors alone, the simplex on the special functions,
-only the package itself imports the command line, and only the simplex and
-the Monte-Carlo oracle import numpy."""
+only the package itself imports the command line, only the simplex and the
+Monte-Carlo oracle import numpy, and only the oracle starts threads."""
 
 import ast
 from pathlib import Path
@@ -65,6 +65,11 @@ def test_the_family_layer_imports_no_numpy(module):
 
 def test_only_simplex_and_mc_import_numpy():
     assert {module for module in GRAPH if "numpy" in _top_level_imports(PACKAGE / f"{module}.py")} == {"simplex", "mc"}
+
+
+def test_only_mc_imports_threads():
+    threads = {"threading", "concurrent"}
+    assert {module for module in GRAPH if threads & _top_level_imports(PACKAGE / f"{module}.py")} == {"mc"}
 
 
 def test_simplex_sits_on_the_special_functions_alone():
