@@ -9,7 +9,6 @@ inequality was violated, 2 usage, domain or numerical error.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import math
@@ -38,6 +37,7 @@ def _record(command, inputs, outputs, tolerances=None, ok=True) -> dict:
 
 
 def _write_profile_csv(path: str, profile, columns=("t", "value")) -> None:
+    import csv
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)

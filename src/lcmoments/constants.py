@@ -18,7 +18,7 @@ takes much more than three times plain bisection's count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache, partial
 
 from .errors import BracketError, DomainError, NumericalError
@@ -118,11 +118,10 @@ def lp_lq_ratio(p, q) -> float:
     return lower / gamma(q + 1.0) ** (1.0 / q)
 
 
-@dataclass(frozen=True)
-class ScanResult:
-    argopt_t: float
-    opt_value: float
-    profile: tuple[tuple[float, ...], tuple[float, ...]]  # columns: the grid, its values
+class ScanResult(namedtuple("ScanResult", "argopt_t opt_value profile")):
+    """A scan's extremiser, its value, and the profile's two columns: the grid, its values."""
+
+    __slots__ = ()
 
 
 def _grid_then_refine(objective, grid_size: int, maximize: bool, snap) -> ScanResult:

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import partial
 from itertools import pairwise
 
@@ -86,8 +86,7 @@ def _abs_ebar_terms(t: float):
     return (1.0 - t) / mu, head, tail
 
 
-@dataclass(frozen=True)
-class SignChangeReport:
+class SignChangeReport(namedtuple("SignChangeReport", "crossings pattern")):
     """The sign changes of a density gap on (0, inf), certified.
 
     ``pattern`` starts with the sign before the first crossing, e.g. "+-+-"
@@ -96,16 +95,18 @@ class SignChangeReport:
     isolation raised NumericalError.
     """
 
-    crossings: tuple[float, ...]
-    pattern: str
+    __slots__ = ()
+    # ``_replace`` builds through ``_make``, which would skip the checks
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __post_init__(self):
-        if any(b <= a for a, b in pairwise(self.crossings)):
+    def __new__(cls, crossings, pattern):
+        if any(b <= a for a, b in pairwise(crossings)):
             raise DomainError("crossings must be strictly increasing")
-        if len(self.crossings) + 1 != len(self.pattern):
+        if len(crossings) + 1 != len(pattern):
             raise DomainError("pattern length must be one more than the crossing count")
-        if any(a == b for a, b in pairwise(self.pattern)):
+        if any(a == b for a, b in pairwise(pattern)):
             raise DomainError("pattern signs must alternate")
+        return super().__new__(cls, crossings, pattern)
 
     def as_dict(self) -> dict:
         # "certified" is part of the record format: a report that exists is certified
@@ -217,17 +218,14 @@ def _gap_crossings(s: float, t: float):
     return tuple(crossings), pattern
 
 
-@dataclass(frozen=True)
-class ThreeCrossingsResult:
+class ThreeCrossingsResult(namedtuple("ThreeCrossingsResult", "t report_upper report_lower")):
     """Certificates for both density-gap comparisons at one family parameter.
 
     ``report_upper`` covers density(|Ebar_1|) - density(|Ebar_t|),
     ``report_lower`` covers density(|Ebar_t|) - density(|Ebar_0|).
     """
 
-    t: float
-    report_upper: SignChangeReport
-    report_lower: SignChangeReport
+    __slots__ = ()
 
 
 def verify_3crossings(t: float) -> ThreeCrossingsResult:

@@ -29,8 +29,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from typing import Callable
+from collections import namedtuple
 
 from .errors import DomainError, NumericalError
 from .search import bisect_root
@@ -67,18 +66,19 @@ COMPARISON_SLACK = 1e-8
 _MIN_ORDER = 1e-6
 
 
-@dataclass(frozen=True)
-class TwoSidedExpParams:
+class TwoSidedExpParams(namedtuple("TwoSidedExpParams", "a b")):
     """Scales (a, b) of the positive and negative exponential branches."""
 
-    a: float
-    b: float
+    __slots__ = ()
+    # ``_replace`` builds through ``_make``, which would skip the checks
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __post_init__(self):
-        if not (0.0 <= self.a < math.inf and 0.0 <= self.b < math.inf):
-            raise DomainError(f"branch scales must be finite and nonnegative, got ({self.a}, {self.b})")
-        if self.a + self.b <= 0.0:
+    def __new__(cls, a, b):
+        if not (0.0 <= a < math.inf and 0.0 <= b < math.inf):
+            raise DomainError(f"branch scales must be finite and nonnegative, got ({a}, {b})")
+        if a + b <= 0.0:
             raise DomainError("at least one branch scale must be positive")
+        return super().__new__(cls, a, b)
 
 
 def family_scale(t: float) -> float:
@@ -172,16 +172,12 @@ def _normal_power(x: float, p: float = 1.0) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LogConcaveTestDensity:
+class LogConcaveTestDensity(namedtuple("LogConcaveTestDensity", "name f0 moment prob_positive")):
     """A mean-zero log-concave density with its value ``f0`` at zero, its
     absolute moments ``moment(p) = E|X|^p`` (p > -1) and P(X > 0), all in
     closed form."""
 
-    name: str
-    f0: float
-    moment: Callable[[float], float]
-    prob_positive: float
+    __slots__ = ()
 
 
 def two_sided_exponential_density(a: float, b: float) -> LogConcaveTestDensity:
@@ -272,11 +268,10 @@ def abs_moment(density: LogConcaveTestDensity, p) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ComparisonCheck:
-    lhs: float
-    rhs: float
-    holds: bool
+class ComparisonCheck(namedtuple("ComparisonCheck", "lhs rhs holds")):
+    """The two sides of a comparison, and whether it holds within its slack."""
+
+    __slots__ = ()
 
 
 def reduction_check(density: LogConcaveTestDensity, p) -> ComparisonCheck:

@@ -23,8 +23,8 @@ from __future__ import annotations
 import contextvars
 import math
 import threading
+from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,19 +50,20 @@ _JACKKNIFE_BLOCKS = 100
 _DENSITY_WINDOW = 0.01
 
 
-@dataclass(frozen=True)
-class McConfig:
+class McConfig(namedtuple("McConfig", "seed samples")):
     """Sampling configuration; identical configs give identical estimates."""
 
-    seed: int
-    samples: int = 100_000
+    __slots__ = ()
+    # ``_replace`` builds through ``_make``, which would skip the checks
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __post_init__(self):
-        _as_seed(self.seed)
-        if not _is_integer(self.samples):
-            raise DomainError(f"samples must be an integer, got {self.samples!r}")
-        if self.samples < 100_000:
-            raise DomainError(f"need at least 1e5 samples, got {self.samples}")
+    def __new__(cls, seed, samples=100_000):
+        _as_seed(seed)
+        if not _is_integer(samples):
+            raise DomainError(f"samples must be an integer, got {samples!r}")
+        if samples < 100_000:
+            raise DomainError(f"need at least 1e5 samples, got {samples}")
+        return super().__new__(cls, seed, samples)
 
 
 def _chunk_sizes(total: int) -> list[int]:
@@ -118,10 +119,10 @@ def _xab_into(params: TwoSidedExpParams, d1, d2, out, scratch) -> None:
         np.subtract(out[part], tmp, out=out[part])
 
 
-@dataclass(frozen=True)
-class McEstimate:
-    estimate: float
-    standard_error: float
+class McEstimate(namedtuple("McEstimate", "estimate standard_error")):
+    """A Monte-Carlo mean and its standard error."""
+
+    __slots__ = ()
 
 
 def _abs_power_inplace(x: np.ndarray, p: float) -> None:

@@ -16,7 +16,7 @@ midpoint step reaches.)
 from __future__ import annotations
 
 import math
-from typing import Callable
+from collections.abc import Callable
 
 from .errors import BracketError, DomainError, NumericalError
 

@@ -19,6 +19,7 @@ polytope-slicing oracle covers n in {2, 3}.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -238,12 +239,10 @@ def geometry_oracle_volume(weights: WeightVector, n: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MaxSectionResult:
-    a_star: WeightVector
-    value: float
-    max_evaluated: float
-    evaluations: int
+class MaxSectionResult(namedtuple("MaxSectionResult", "a_star value max_evaluated evaluations")):
+    """The best normal found, its density at zero, the largest density evaluated, and the evaluation count."""
+
+    __slots__ = ()
 
 
 def _density_gradients(A: np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Fresh interpreters: the package imports, and every subcommand and suite
 runs, without loading scipy; all but the simplex and Monte-Carlo commands
-run without loading numpy, which those load on first use; no
+run without loading numpy, which those load on first use, nor
+``dataclasses``, ``inspect`` or ``csv`` (a ``--csv`` profile loads the last); no
 thread outlives the import or a subcommand; and the package's public names
 resolve as when it imported all of its modules up front."""
 
@@ -14,8 +15,10 @@ ROOT = Path(__file__).resolve().parents[1]
 
 _SCRIPT = textwrap.dedent(
     """
-    import contextlib, io, sys, threading
+    import contextlib, io, os, sys, tempfile, threading
 
+    # relative to what the interpreter loaded before the package, which differs with the site
+    before = set(sys.modules)
     import lcmoments
     from lcmoments import cli
 
@@ -46,12 +49,24 @@ _SCRIPT = textwrap.dedent(
         ["max-section", "--n", "3", "--seed", "1"],
         ["verify", "--suite", "mc", "--samples", "300000"],  # three chunks, so the pool starts both workers
     ]
-    with contextlib.redirect_stdout(io.StringIO()):
-        for argv in without_numpy + with_numpy:
-            assert cli.main(argv) == 0, argv
-            assert loaded("scipy") == [], (argv, loaded("scipy"))
-            assert threading.active_count() == 1, argv
-            assert (argv in without_numpy) == ("numpy" not in sys.modules), argv
+
+    def run(argv):
+        assert cli.main(argv) == 0, argv
+        assert loaded("scipy") == [], (argv, loaded("scipy"))
+        assert threading.active_count() == 1, argv
+        assert (argv in with_numpy) == ("numpy" in sys.modules), argv
+
+    with contextlib.redirect_stdout(io.StringIO()), tempfile.TemporaryDirectory() as tmp:
+        for argv in without_numpy:
+            run(argv)
+        added = {"dataclasses", "inspect", "csv"} & (set(sys.modules) - before)
+        assert not added, added
+        profile = os.path.join(tmp, "profile.csv")
+        run(["scan", "--p", "4", "--grid", "100", "--csv", profile])
+        with open(profile) as fh:
+            assert fh.readline() == "t,value\\n" and len(fh.readlines()) == 100
+        for argv in with_numpy:
+            run(argv)
 
     import scipy.integrate
 

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import warnings
 
@@ -434,7 +433,7 @@ class TestFradeliziCheck:
         stays tight, and a moment twice the Laplace side fails at every scale."""
         assert fradelizi_check(two_sided_exponential_density(scale, scale), 3.0).holds
         uniform = centred_uniform(scale)
-        doubled = dataclasses.replace(uniform, moment=lambda p: 2.0 * gamma(p + 1.0) / (2.0 * uniform.f0) ** p)
+        doubled = uniform._replace(moment=lambda p: 2.0 * gamma(p + 1.0) / (2.0 * uniform.f0) ** p)
         check = fradelizi_check(doubled, 3.0)
         assert check.lhs == pytest.approx(2.0 * check.rhs, rel=1e-12)
         assert not check.holds

@@ -1,7 +1,8 @@
 """The package's import graph keeps its layers: the special functions and the
 root finder sit on the errors alone, the simplex on the special functions,
 only the package itself imports the command line, only the simplex and the
-Monte-Carlo oracle import numpy, and only the oracle starts threads."""
+Monte-Carlo oracle import numpy, only the oracle starts threads, and no
+module imports ``typing`` or, but for the simplex, ``dataclasses``."""
 
 import ast
 from pathlib import Path
@@ -70,6 +71,12 @@ def test_only_simplex_and_mc_import_numpy():
 def test_only_mc_imports_threads():
     threads = {"threading", "concurrent"}
     assert {module for module in GRAPH if threads & _top_level_imports(PACKAGE / f"{module}.py")} == {"mc"}
+
+
+def test_records_are_named_tuples_and_no_module_imports_typing():
+    # WeightVector stays a frozen dataclass: its length is its dimension, not a field count
+    assert {module for module in GRAPH if "dataclasses" in _top_level_imports(PACKAGE / f"{module}.py")} == {"simplex"}
+    assert not any("typing" in _top_level_imports(PACKAGE / f"{module}.py") for module in GRAPH)
 
 
 def test_simplex_sits_on_the_special_functions_alone():

@@ -217,25 +217,25 @@ def test_coverage_calibration_quick():
 
 
 # p < 0, b = 0 and a != 1
-_LANE_CASES = [
+_POOL_CASES = [
     (TwoSidedExpParams(1.3, 0.4), -0.5),
     (TwoSidedExpParams(2.0, 0.0), 3.0),
     (TwoSidedExpParams(0.7, 1.1), 1.0),
 ]
-_LANE_WEIGHTS = [
+_POOL_WEIGHTS = [
     WeightVector.from_raw([2.0, -1.0, -1.0], project=True),
     WeightVector.from_raw([0.3, -1.2, 0.5, 0.9, -0.1, -0.4], project=True),
 ]
 
 
-class TestTwoLanes:
+class TestChunkPool:
     # 1, 2, 3 and 8 chunks: fewer chunks than workers, a one-sample last
     # chunk, an odd chunk count, and a short last chunk
     @pytest.mark.parametrize("samples", [100_000, 131_073, 393_216, 1_000_003])
     def test_bit_identical_to_the_serial_oracles(self, samples):
         cfg = McConfig(seed=61, samples=samples)
-        assert estimate_xab_moments(_LANE_CASES, cfg) == serial_xab_moments(_LANE_CASES, cfg)
-        for w in _LANE_WEIGHTS:
+        assert estimate_xab_moments(_POOL_CASES, cfg) == serial_xab_moments(_POOL_CASES, cfg)
+        for w in _POOL_WEIGHTS:
             assert estimate_density_at_zero(w, cfg) == one_shot_density_at_zero(w, cfg)
 
     def test_bit_identical_when_blocks_span_several_chunks(self, monkeypatch):
@@ -244,16 +244,16 @@ class TestTwoLanes:
         # three or four, so only a merge in chunk order matches the oracle
         monkeypatch.setattr(mc, "_CHUNK", 1 << 12)
         cfg = McConfig(seed=67, samples=1_000_003)
-        assert estimate_xab_moments(_LANE_CASES, cfg) == serial_xab_moments(_LANE_CASES, cfg)
-        assert estimate_density_at_zero(_LANE_WEIGHTS[1], cfg) == one_shot_density_at_zero(_LANE_WEIGHTS[1], cfg)
+        assert estimate_xab_moments(_POOL_CASES, cfg) == serial_xab_moments(_POOL_CASES, cfg)
+        assert estimate_density_at_zero(_POOL_WEIGHTS[1], cfg) == one_shot_density_at_zero(_POOL_WEIGHTS[1], cfg)
 
     def test_repeated_calls_agree(self):
         cfg = McConfig(seed=62, samples=393_216)
-        moments = estimate_xab_moments(_LANE_CASES, cfg)
-        density = estimate_density_at_zero(_LANE_WEIGHTS[1], cfg)
+        moments = estimate_xab_moments(_POOL_CASES, cfg)
+        density = estimate_density_at_zero(_POOL_WEIGHTS[1], cfg)
         for _ in range(20):
-            assert estimate_xab_moments(_LANE_CASES, cfg) == moments
-            assert estimate_density_at_zero(_LANE_WEIGHTS[1], cfg) == density
+            assert estimate_xab_moments(_POOL_CASES, cfg) == moments
+            assert estimate_density_at_zero(_POOL_WEIGHTS[1], cfg) == density
 
     def test_every_chunk_runs_in_the_callers_errstate_on_at_most_two_other_threads(self, monkeypatch):
         threads, errstates = {}, {}
@@ -266,19 +266,19 @@ class TestTwoLanes:
 
         monkeypatch.setattr(mc, "_chunk_rng", recording)
         with np.errstate(over="raise"):
-            estimate_xab_moments(_LANE_CASES, McConfig(seed=63, samples=1_000_003))
+            estimate_xab_moments(_POOL_CASES, McConfig(seed=63, samples=1_000_003))
         assert sorted(threads) == list(range(8))
         workers = set(threads.values())
         assert len(workers) <= 2 and threading.get_ident() not in workers
         assert set(errstates.values()) == {"raise"}
 
     def test_concurrent_callers_under_fast_thread_switching(self):
-        # four callers and their helpers: eight lanes at once, switching every microsecond
+        # four callers and their pools: eight workers at once, switching every microsecond
         cfg = McConfig(seed=66, samples=393_216)
-        expected = serial_xab_moments(_LANE_CASES, cfg)
+        expected = serial_xab_moments(_POOL_CASES, cfg)
         results = []
         callers = [
-            threading.Thread(target=lambda: results.append(estimate_xab_moments(_LANE_CASES, cfg))) for _ in range(4)
+            threading.Thread(target=lambda: results.append(estimate_xab_moments(_POOL_CASES, cfg))) for _ in range(4)
         ]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -295,14 +295,14 @@ class TestTwoLanes:
     @pytest.mark.parametrize(
         "call",
         [
-            lambda cfg: estimate_xab_moments(_LANE_CASES, cfg),
-            lambda cfg: estimate_density_at_zero(_LANE_WEIGHTS[0], cfg),
+            lambda cfg: estimate_xab_moments(_POOL_CASES, cfg),
+            lambda cfg: estimate_density_at_zero(_POOL_WEIGHTS[0], cfg),
         ],
         ids=["estimate_xab_moments", "estimate_density_at_zero"],
     )
     @pytest.mark.parametrize("failing", [{1}, {1, 2}])
-    def test_lane_error_propagates_and_no_thread_outlives_the_call(self, monkeypatch, call, failing):
-        # chunk 1 runs on the helper lane and chunk 2 on the caller's; a serial
+    def test_chunk_error_propagates_and_no_thread_outlives_the_call(self, monkeypatch, call, failing):
+        # chunks 1 and 2 may run on the pool's two workers at once; a serial
         # loop would stop at chunk 1, so its error is the one raised
         class ChunkError(RuntimeError):
             pass
@@ -322,7 +322,7 @@ class TestTwoLanes:
         assert threading.active_count() == before
 
     @pytest.mark.parametrize("first, second", [(2, 3), (2, 1)])
-    def test_lowest_failing_chunk_wins_whichever_lane_fails_first(self, monkeypatch, first, second):
+    def test_lowest_failing_chunk_wins_whichever_fails_first(self, monkeypatch, first, second):
         # chunk `first` fails only once `second` has started, and `second`
         # just after `first`: both errors are recorded, in that order
         class ChunkError(RuntimeError):
@@ -345,7 +345,7 @@ class TestTwoLanes:
 
         monkeypatch.setattr(mc, "_chunk_rng", failing_rng)
         with pytest.raises(ChunkError) as info:
-            estimate_xab_moments(_LANE_CASES, McConfig(seed=68, samples=4 * mc._CHUNK))
+            estimate_xab_moments(_POOL_CASES, McConfig(seed=68, samples=4 * mc._CHUNK))
         assert started.is_set() and failed.is_set()
         assert info.value.args == (min(first, second),)
 
