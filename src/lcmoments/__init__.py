@@ -3,16 +3,6 @@ variables, and central hyperplane sections of the regular simplex."""
 
 from importlib import import_module as _import_module
 
-from .constants import (
-    ScanResult,
-    branch_gap,
-    find_l2_transition,
-    find_p0,
-    lp_lq_ratio,
-    scan_family_extrema,
-    scan_l2_ratio,
-    sharp_constant,
-)
 from .errors import (
     BracketError,
     CrossingPatternError,
@@ -44,8 +34,18 @@ from .specfun import (
     shifted_exp_moment,
 )
 
-# the modules the family commands do not need, each imported when one of its names is first used
+# the modules a moment does not need, each imported when one of its names is first used
 _LAZY = {
+    "constants": (
+        "ScanResult",
+        "branch_gap",
+        "find_l2_transition",
+        "find_p0",
+        "lp_lq_ratio",
+        "scan_family_extrema",
+        "scan_l2_ratio",
+        "sharp_constant",
+    ),
     "crossings": (
         "SignChangeReport",
         "ThreeCrossingsResult",
@@ -54,6 +54,7 @@ _LAZY = {
         "verify_3crossings",
     ),
     "mc": ("McConfig", "McEstimate", "estimate_density_at_zero", "estimate_xab_moments"),
+    "search": (),
     "simplex": (
         "MaxSectionResult",
         "WeightVector",

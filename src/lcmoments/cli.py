@@ -15,7 +15,7 @@ import math
 import re
 import sys
 
-from . import constants, expfamily  # the handlers that use crossings, mc and simplex import them
+from . import expfamily  # the handlers that use constants, crossings, mc and simplex import them
 from .errors import BracketError, CrossingPatternError, DomainError, NumericalError
 
 _DEFAULT_SEED = 20250808
@@ -68,6 +68,7 @@ def _parse_weights(text: str) -> list[float]:
 
 
 def _cmd_constant(args):
+    from . import constants
     which = args.which
     if args.q is not None and which != "lp-lq":
         raise DomainError(f"--q applies only to lp-lq, not {which}")
@@ -85,6 +86,7 @@ def _cmd_constant(args):
 
 
 def _cmd_p0(args):
+    from . import constants
     p0 = constants.find_p0()
     residual = constants.branch_gap(p0)
     outputs = {"p0": p0, "residual": residual}
@@ -99,6 +101,7 @@ _SCANS = {
 
 
 def _cmd_scan(args):
+    from . import constants
     scanner, key, column = _SCANS[args.subcommand]
     result = getattr(constants, scanner)(args.p, args.grid)
     outputs = {key: result.argopt_t, "opt_value": result.opt_value}
@@ -204,6 +207,7 @@ def _suite_crossings():
 
 
 def _suite_constants():
+    from . import constants
     p0 = constants.find_p0()
     checks = [
         ("p0_bracket", 2.9414 < p0 < 2.9415, {"p0": p0}),
@@ -272,82 +276,86 @@ def _cmd_verify(args):
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    return _parsers()[0]
+_P = ("--p", dict(type=float, required=True))
+_SCAN = (_P, ("--grid", dict(type=int, default=1000)), ("--csv", dict(default=None)))
+
+# subcommand -> (its line in the top-level help, its handler, its arguments as (flag, add_argument's keywords))
+_COMMANDS = {
+    "constant": ("evaluate a sharp comparison constant", _cmd_constant, (
+        ("--which", dict(required=True, choices=["lp-l1-lower", "lp-l1-upper", "lp-l2-lower", "lp-lq"])),
+        _P,
+        ("--q", dict(type=float, default=None)),
+    )),
+    "p0": ("locate the branch-crossover order", _cmd_p0, ()),
+    "scan": ("profile the normalized family L_p norm over t", _cmd_scan, _SCAN),
+    "scan-l2": ("extremise the L_p/L_2 ratio over the family", _cmd_scan, _SCAN),
+    "moment": ("absolute moment of a family member", _cmd_moment, (
+        _P, ("--t", dict(type=float, required=True)), ("--normalized", dict(action="store_true")),
+    )),
+    "slice": ("density at zero / section volume for a weight vector", _cmd_slice, (
+        ("--weights", dict(required=True, help="comma-separated values or JSON array")),
+        ("--volume", dict(action="store_true")),
+        ("--project", dict(action="store_true", help="recentre and renormalise the weights")),
+    )),
+    "max-section": ("maximise the section volume over normals", _cmd_max_section, (
+        ("--n", dict(type=int, required=True)),
+        ("--restarts", dict(type=int, default=20)),
+        ("--seed", dict(type=int, default=_DEFAULT_SEED)),
+    )),
+    "crossings": ("certify the three-crossings sign patterns", _cmd_crossings, (
+        ("--t", dict(type=float, required=True)),
+    )),
+    "verify": ("run a verification suite", _cmd_verify, (
+        ("--suite", dict(required=True, choices=sorted(_SUITES))),
+        ("--seed", dict(type=int, default=None)),
+        ("--samples", dict(type=int, default=None, help="sample count for the mc suite")),
+    )),
+}
+
+
+def _with_arguments(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """``parser`` given subcommand ``name``'s arguments and handler, and negative numbers with exponents."""
+    parser._negative_number_matcher = _NEGATIVE_NUMBER
+    for flag, keywords in _COMMANDS[name][2]:
+        parser.add_argument(flag, **keywords)
+    parser.set_defaults(handler=_COMMANDS[name][1])
+    return parser
 
 
 @functools.cache
-def _parsers() -> tuple[argparse.ArgumentParser, dict]:
-    parser = argparse.ArgumentParser(
-        prog="lcmoments",
-        description="Sharp moment-comparison constants and simplex slicing, batch interface.",
-    )
+def build_parser() -> argparse.ArgumentParser:
+    """The top-level parser with every subcommand, for help and usage errors."""
+    description = "Sharp moment-comparison constants and simplex slicing, batch interface."
+    parser = argparse.ArgumentParser(prog="lcmoments", description=description)
+    parser._negative_number_matcher = _NEGATIVE_NUMBER
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    for name, (text, _, _) in _COMMANDS.items():
+        _with_arguments(sub.add_parser(name, help=text), name)
+    return parser
 
-    p = sub.add_parser("constant", help="evaluate a sharp comparison constant")
-    p.add_argument("--which", required=True, choices=["lp-l1-lower", "lp-l1-upper", "lp-l2-lower", "lp-lq"])
-    p.add_argument("--p", type=float, required=True)
-    p.add_argument("--q", type=float, default=None)
-    p.set_defaults(handler=_cmd_constant)
 
-    p = sub.add_parser("p0", help="locate the branch-crossover order")
-    p.set_defaults(handler=_cmd_p0)
+@functools.cache
+def _subcommand_parser(name: str) -> argparse.ArgumentParser:
+    """One subcommand's parser alone, as ``build_parser`` makes it: a call builds no other."""
+    return _with_arguments(argparse.ArgumentParser(prog=f"lcmoments {name}"), name)
 
-    for name, text in (
-        ("scan", "profile the normalized family L_p norm over t"),
-        ("scan-l2", "extremise the L_p/L_2 ratio over the family"),
-    ):
-        p = sub.add_parser(name, help=text)
-        p.add_argument("--p", type=float, required=True)
-        p.add_argument("--grid", type=int, default=1000)
-        p.add_argument("--csv", default=None)
-        p.set_defaults(handler=_cmd_scan)
 
-    p = sub.add_parser("moment", help="absolute moment of a family member")
-    p.add_argument("--p", type=float, required=True)
-    p.add_argument("--t", type=float, required=True)
-    p.add_argument("--normalized", action="store_true")
-    p.set_defaults(handler=_cmd_moment)
-
-    p = sub.add_parser("slice", help="density at zero / section volume for a weight vector")
-    p.add_argument("--weights", required=True, help="comma-separated values or JSON array")
-    p.add_argument("--volume", action="store_true")
-    p.add_argument("--project", action="store_true", help="recentre and renormalise the weights")
-    p.set_defaults(handler=_cmd_slice)
-
-    p = sub.add_parser("max-section", help="maximise the section volume over normals")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--restarts", type=int, default=20)
-    p.add_argument("--seed", type=int, default=_DEFAULT_SEED)
-    p.set_defaults(handler=_cmd_max_section)
-
-    p = sub.add_parser("crossings", help="certify the three-crossings sign patterns")
-    p.add_argument("--t", type=float, required=True)
-    p.set_defaults(handler=_cmd_crossings)
-
-    p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("--suite", required=True, choices=sorted(_SUITES))
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--samples", type=int, default=None, help="sample count for the mc suite")
-    p.set_defaults(handler=_cmd_verify)
-
-    for each in (parser, *sub.choices.values()):
-        each._negative_number_matcher = _NEGATIVE_NUMBER
-    return parser, sub.choices
+def _parse_args(argv) -> argparse.Namespace:
+    """The parsed arguments of ``argv``, or SystemExit as ``build_parser().parse_args`` raises it."""
+    if not (argv and argv[0] in _COMMANDS):
+        return build_parser().parse_args(argv)
+    # straight to the subcommand's parser: the top level's pass cost as much again
+    args, extra = _subcommand_parser(argv[0]).parse_known_args(argv[1:])
+    if extra:
+        build_parser().error(f"unrecognized arguments: {' '.join(extra)}")
+    args.subcommand = argv[0]
+    return args
 
 
 def main(argv=None) -> int:
-    parser, subparsers = _parsers()
     argv = sys.argv[1:] if argv is None else argv
     try:
-        if argv and argv[0] in subparsers:
-            # straight to the subcommand's parser: the top level's pass cost as much again
-            args, extra = subparsers[argv[0]].parse_known_args(argv[1:])
-            if extra:
-                parser.error(f"unrecognized arguments: {' '.join(extra)}")
-            args.subcommand = argv[0]
-        else:
-            args = parser.parse_args(argv)
+        args = _parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

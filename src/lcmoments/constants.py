@@ -129,8 +129,8 @@ def _grid_then_refine(objective, grid_size: int, maximize: bool, snap) -> ScanRe
     refinement to 1e-10 around the best grid point.
 
     The grid guards against multimodality.  A ``snap`` candidate whose value
-    is within _ENDPOINT_SNAP of the refined optimum is reported instead,
-    the first such candidate winning.
+    is within _ENDPOINT_SNAP of the refined optimum is reported instead, the
+    first such candidate winning; the grid's ends 0 and 1 keep their values.
     """
     if not _is_integer(grid_size):
         raise DomainError(f"grid_size must be an integer, got {grid_size!r}")
@@ -150,7 +150,7 @@ def _grid_then_refine(objective, grid_size: int, maximize: bool, snap) -> ScanRe
     argopt, opt = golden_section_min(lambda x: sign * objective(x), lo, hi)
     opt *= sign
     for c in snap:
-        vc = objective(c)
+        vc = vals[0] if c == 0.0 else vals[-1] if c == 1.0 else objective(c)
         if ((opt - vc) if maximize else (vc - opt)) <= _ENDPOINT_SNAP:
             return ScanResult(argopt_t=c, opt_value=vc, profile=(xs, vals))
     return ScanResult(argopt_t=argopt, opt_value=opt, profile=(xs, vals))

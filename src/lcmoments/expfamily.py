@@ -32,7 +32,6 @@ import sys
 from collections import namedtuple
 
 from .errors import DomainError, NumericalError
-from .search import bisect_root
 from .specfun import _finite, _gamma1p, _lower_gamma, _lower_series, _shifted_exp_moment
 from .specfun import as_order, exp_power_integral, gamma
 
@@ -115,6 +114,7 @@ def match_two_sided(alpha: float, l1: float) -> TwoSidedExpParams:
     if alpha - _INV_E <= 1e-15:
         # the map is flat to second order at u = 0; the endpoint is exact
         return TwoSidedExpParams(a, 0.0)
+    from .search import bisect_root  # here, so that a moment alone does not load the root finder
     u = bisect_root(lambda v: math.exp(v - 1.0) / (1.0 + v) - alpha, 0.0, 1.0)
     return TwoSidedExpParams(a, u * a)
 

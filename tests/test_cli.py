@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lcmoments import constants, crossings
+from lcmoments import cli, constants, crossings
 from lcmoments.cli import build_parser, main
 from lcmoments.constants import _MAX_GRID
 from lcmoments.errors import CrossingPatternError
@@ -429,6 +430,11 @@ def test_stdout_is_the_records_as_sorted_json(capsys, argv):
         ["moment", "--t", "0.5"],
         ["moment", "--p", "-x", "--t", "0.5"],
         ["--", "moment", "--p", "2", "--t", "0.5"],
+        ["scan", "--grid", "200"],
+        ["constant", "--which", "lp-l9", "--p", "1"],
+        ["verify", "--suite", "no-such-suite"],
+        ["verify", "--s", "mc"],
+        ["p0", "extra"],
     ],
     ids=" ".join,
 )
@@ -442,17 +448,54 @@ def test_usage_errors_and_help_match_the_top_parser(capsys, argv):
     assert "usage: lcmoments" in new[1] + new[2]
 
 
-def test_module_run_prints_what_main_prints(capsys):
-    argv = ["moment", "--p", "3", "--t", "0.2", "--normalized"]
-    assert main(argv) == 0
-    expected = capsys.readouterr().out
+# valid argv of every subcommand, option abbreviations, `--opt=value` and negative numbers among them
+_VALID_ARGV = [
+    *_EVERY_COMMAND,
+    ["constant", "--wh", "lp-l1-lower", "--p=-6.3e-05"],
+    ["scan", "--p=2.5", "--gr", "200", "--csv", "x.csv"],
+    ["scan-l2", "--p", "3"],
+    ["moment", "--p=2.5", "--t", "0.5", "--norm"],
+    ["moment", "--normalized", "--t=1", "--p", "-0.5"],
+    ["slice", "--weights=-1,2,-1", "--vol", "--proj"],
+    ["max-section", "--n", "4", "--re", "3"],
+    ["verify", "--suite", "mc", "--sam", "10"],
+]
+
+
+@pytest.mark.parametrize("argv", _VALID_ARGV, ids=" ".join)
+def test_the_subcommand_parser_reads_argv_as_the_top_parser(argv):
+    assert cli._parse_args(argv) == build_parser().parse_args(argv)
+
+
+def test_top_level_help_lists_every_subcommand(capsys):
+    assert main(["--help"]) == 0
+    out = capsys.readouterr().out
+    names = ["constant", "p0", "scan", "scan-l2", "moment", "slice", "max-section", "crossings", "verify"]
+    assert f"{{{','.join(names)}}}" in out
+    for name in names:
+        assert re.search(rf"^    {re.escape(name)} +\S", out, re.MULTILINE), name
+
+
+def test_module_run_prints_what_main_prints(capsys, monkeypatch):
+    # argparse wraps its usage text to the width in COLUMNS
+    monkeypatch.setenv("COLUMNS", "80")
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, "-m", "lcmoments.cli", *argv], cwd=root, env=env, capture_output=True, text=True, timeout=300
-    )
-    assert (result.returncode, result.stdout, result.stderr) == (0, expected, "")
+    for argv, code in [
+        (["moment", "--p", "3", "--t", "0.2", "--normalized"], 0),
+        (["moment", "--p", "2", "--t", "0.5"], 0),
+        (["moment", "--p", "2"], 2),
+    ]:
+        assert main(argv) == code
+        expected = capsys.readouterr()
+        command = [sys.executable, "-m", "lcmoments.cli", *argv]
+        result = subprocess.run(command, cwd=root, env=env, capture_output=True, text=True, timeout=300)
+        assert (result.returncode, result.stdout, result.stderr) == (code, expected.out, expected.err)
+        if code == 0:
+            _assert_records([json.loads(result.stdout)])  # one record
+        else:
+            assert "the following arguments are required: --t" in result.stderr
 
 
 @pytest.mark.parametrize(

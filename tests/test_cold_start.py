@@ -1,15 +1,19 @@
 """Fresh interpreters: the package imports, and every subcommand and suite
 runs, without loading scipy; all but the simplex and Monte-Carlo commands
 run without loading numpy, which those load on first use, nor
-``dataclasses``, ``inspect`` or ``csv`` (a ``--csv`` profile loads the last); no
-thread outlives the import or a subcommand; and the package's public names
-resolve as when it imported all of its modules up front."""
+``dataclasses``, ``inspect`` or ``csv`` (a ``--csv`` profile loads the last); a
+first ``moment`` loads neither the constants nor the root finder, and builds
+its own parser alone; no thread outlives the import or a subcommand; and the
+package's public names resolve as when it imported all of its modules up
+front."""
 
 import os
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
+
+from lcmoments import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -166,22 +170,58 @@ _SURFACE_SCRIPT = textwrap.dedent(
 ).format(public=_PUBLIC)
 
 
-def _run(script: str) -> None:
+# records a fresh interpreter prints after its first moment, to compare with this one's
+_AFTER_MOMENT = [["p0"], ["scan", "--p", "4", "--grid", "100"], ["scan-l2", "--p", "1.5", "--grid", "100"]]
+
+_MOMENT_SCRIPT = textwrap.dedent(
+    """
+    import contextlib, io, sys
+
+    import lcmoments
+    from lcmoments import cli
+
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["moment", "--p", "2.5", "--t", "0.5"]) == 0
+    loaded = {{"lcmoments.constants", "lcmoments.search"}} & set(sys.modules)
+    assert not loaded, loaded
+    # the moment's own parser, and not the top level's with every subcommand
+    assert cli._subcommand_parser.cache_info().currsize == 1
+    assert cli.build_parser.cache_info().currsize == 0
+
+    # the handlers that need the constants import them
+    for argv in {after!r}:
+        assert cli.main(argv) == 0, argv
+    print("ok")
+    """
+).format(after=_AFTER_MOMENT)
+
+
+def _run(script: str) -> list[str]:
+    """The lines the script printed before its closing "ok"."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-c", script], cwd=ROOT, env=env, capture_output=True, text=True, timeout=300
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "ok"
+    lines = result.stdout.splitlines()
+    assert lines[-1:] == ["ok"], result.stdout
+    return lines[:-1]
 
 
 def test_no_subcommand_imports_scipy_integrate():
-    _run(_SCRIPT)
+    assert _run(_SCRIPT) == []
+
+
+def test_a_cold_moment_loads_no_constants_and_builds_its_parser_alone(capsys):
+    cold = _run(_MOMENT_SCRIPT)
+    for argv in _AFTER_MOMENT:
+        assert cli.main(argv) == 0
+    assert cold == capsys.readouterr().out.splitlines()
 
 
 def test_public_names_resolve_to_their_modules_objects():
-    _run(_SURFACE_SCRIPT)
+    assert _run(_SURFACE_SCRIPT) == []
 
 
 def test_a_lazy_name_follows_a_rebinding_in_its_module(monkeypatch):

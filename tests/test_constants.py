@@ -224,6 +224,25 @@ class TestScanFamilyExtrema:
         ts, _ = _grid_then_refine(lambda t: 0.0, grid_size, False, ()).profile
         assert np.array(ts).tobytes() == np.linspace(0.0, 1.0, grid_size).tobytes()
 
+    @pytest.mark.parametrize(
+        "objective, maximize, expected",
+        [
+            (lambda x: -((x - 0.3) ** 2), True, None),  # an interior optimum: no candidate snaps
+            (lambda x: x, True, (1.0, 1.0)),  # the grid's last end snaps
+            (lambda x: x, False, (0.0, 0.0)),  # the grid's first end snaps
+            (lambda x: abs(x - 0.5), False, (0.5, 0.0)),  # the candidate off the grid snaps
+        ],
+        ids=["interior", "last-end", "first-end", "off-grid"],
+    )
+    def test_snap_candidates_on_the_grid_take_its_values(self, objective, maximize, expected):
+        calls = []
+        scan = _grid_then_refine(lambda x: calls.append(x) or objective(x), 100, maximize, (0.0, 1.0, 0.5))
+        # 0 and 1 are the grid's ends, evaluated once there; 0.5 lies off the grid
+        assert calls.count(0.0) == calls.count(1.0) == 1
+        assert calls.count(0.5) == (expected is None or expected[0] == 0.5)
+        if expected is not None:
+            assert (scan.argopt_t, scan.opt_value) == expected
+
     def test_small_grid_rejected(self):
         with pytest.raises(DomainError):
             scan_family_extrema(2.0, grid_size=50)

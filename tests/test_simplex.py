@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -174,8 +175,29 @@ class TestWeightVector:
     )
     def test_projection_of_a_power_of_two_multiple_is_bit_identical(self, raw, exponent):
         assume(max(raw) > min(raw))
-        expected = WeightVector.from_raw(raw, project=True).a
+        try:
+            expected = WeightVector.from_raw(raw, project=True).a
+        except DomainError as exc:
+            # refused only when the exact zero-sum part, scaled as from_raw scales it, is at the
+            # cutoff up to rounding, as in [-99418, -99417.99999999999]; every multiple is refused too
+            assert "no zero-sum component" in str(exc)
+            mean = sum(map(Fraction, raw)) / len(raw)
+            scale = Fraction(2) ** -math.frexp(max(map(abs, raw)))[1]
+            assert sum((Fraction(x) - mean) ** 2 for x in raw) * scale**2 <= Fraction(1e-14 + len(raw) * 2**-52) ** 2
+            with pytest.raises(DomainError, match="no zero-sum component"):
+                WeightVector.from_raw(np.ldexp(raw, exponent), project=True)
+            return
         assert np.array_equal(WeightVector.from_raw(np.ldexp(raw, exponent), project=True).a, expected)
+
+    @pytest.mark.parametrize(
+        "raw", [[-99415.0, -99417.99999999999], [26676.047418385384, 26676.04741847641, 26676.047418393988]]
+    )
+    def test_projection_of_a_zero_sum_part_small_against_the_mean(self, raw):
+        # centred once, the unit vector kept the mean's rounding (sums 6.9e-12 and 1.0e-4) and was refused
+        mean = sum(map(Fraction, raw)) / len(raw)
+        centred = [float(Fraction(x) - mean) for x in raw]
+        w = WeightVector.from_raw(raw, project=True)
+        assert w.a == pytest.approx(np.divide(centred, math.hypot(*centred)), rel=1e-15, abs=1e-16)
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_projection_rejects_a_coordinate_that_is_not_finite(self, bad):
