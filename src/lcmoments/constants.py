@@ -13,6 +13,11 @@ each divided by the p-th power of a norm of the member (``family_scale``
 for L_1, ``_L2_NORM`` for L_2).  It locates p0, the 1.68 transition and
 ``crossings.matching_order`` in 12 to 14 gap evaluations each, and never
 takes much more than three times plain bisection's count.
+
+The scans, ``scan_family_extrema`` and ``scan_l2_ratio``, sample their
+objective on a uniform grid and report the grid's first extremum, or an end
+whose value lies within 1e-8 of it: they check that no interior member
+beats the family's two ends.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from functools import cache, partial
 
 from .errors import BracketError, DomainError, NumericalError
 from .expfamily import _member_norms, family_scale, moment_et, norm_ebar
-from .search import bisect_root, golden_section_min
+from .search import bisect_root
 from .specfun import _SMALL_ORDER, _is_integer, _log_gamma1p_over, as_order, gamma
 
 __all__ = [
@@ -38,7 +43,7 @@ __all__ = [
     "small_t_bound_coefficient",
 ]
 
-# scans snap to an endpoint when its value is this close to the refined optimum
+# scans snap to an endpoint when its value is this close to the grid optimum
 _ENDPOINT_SNAP = 1e-8
 
 # the largest grid a scan accepts: ten million objective evaluations take over a minute
@@ -124,13 +129,13 @@ class ScanResult(namedtuple("ScanResult", "argopt_t opt_value profile")):
     __slots__ = ()
 
 
-def _grid_then_refine(objective, grid_size: int, maximize: bool, snap) -> ScanResult:
-    """Extremise ``objective`` over [0, 1]: a uniform grid, then golden-section
-    refinement to 1e-10 around the best grid point.
+def _grid_extremum(objective, grid_size: int, maximize: bool, snap) -> ScanResult:
+    """Extremise ``objective`` over [0, 1] on a uniform grid of grid_size points.
 
-    The grid guards against multimodality.  A ``snap`` candidate whose value
-    is within _ENDPOINT_SNAP of the refined optimum is reported instead, the
-    first such candidate winning; the grid's ends 0 and 1 keep their values.
+    The optimum is the grid's first extremum.  A ``snap`` candidate whose
+    value is within _ENDPOINT_SNAP of it is reported instead, the first such
+    candidate winning; the grid's ends 0 and 1 keep their values, and a
+    candidate off the grid is evaluated once.
     """
     if not _is_integer(grid_size):
         raise DomainError(f"grid_size must be an integer, got {grid_size!r}")
@@ -142,28 +147,22 @@ def _grid_then_refine(objective, grid_size: int, maximize: bool, snap) -> ScanRe
     xs = (*[i * step for i in range(grid_size - 1)], 1.0)  # np.linspace(0, 1, grid_size), bit for bit
     vals = tuple([objective(x) for x in xs])
 
-    idx = vals.index(max(vals) if maximize else min(vals))  # the first extremum
-    lo = xs[max(idx - 1, 0)]
-    hi = xs[min(idx + 1, grid_size - 1)]
-    # maximising is minimising the negated objective; the sign flips are exact
-    sign = -1.0 if maximize else 1.0
-    argopt, opt = golden_section_min(lambda x: sign * objective(x), lo, hi)
-    opt *= sign
+    opt = max(vals) if maximize else min(vals)
     for c in snap:
         vc = vals[0] if c == 0.0 else vals[-1] if c == 1.0 else objective(c)
         if ((opt - vc) if maximize else (vc - opt)) <= _ENDPOINT_SNAP:
             return ScanResult(argopt_t=c, opt_value=vc, profile=(xs, vals))
-    return ScanResult(argopt_t=argopt, opt_value=opt, profile=(xs, vals))
+    return ScanResult(argopt_t=xs[vals.index(opt)], opt_value=opt, profile=(xs, vals))
 
 
 def scan_family_extrema(p, grid_size: int = 1000) -> ScanResult:
-    """Profile of t -> ||E_t||_p / scale(t) with grid-then-refine optimisation.
+    """Profile of t -> ||E_t||_p / scale(t) on a grid, and its extremum there.
 
     Minimises for p <= 1, maximises for p >= 1.  Ties within 1e-8 of an
     endpoint report the endpoint.
     """
     norms = _member_norms(p)
-    return _grid_then_refine(lambda t: norms(t) / family_scale(t), grid_size, as_order(p) > 1.0, (1.0, 0.0))
+    return _grid_extremum(lambda t: norms(t) / family_scale(t), grid_size, as_order(p) > 1.0, (1.0, 0.0))
 
 
 def scan_l2_ratio(p, grid_size: int = 1000) -> ScanResult:
@@ -185,7 +184,7 @@ def scan_l2_ratio(p, grid_size: int = 1000) -> ScanResult:
     if p <= 1.0 or p == 2.0:
         raise DomainError(f"the ratio scan needs p > 1, p != 2, got {p}")
     norms = _member_norms(p)
-    scan = _grid_then_refine(lambda u: norms(u) / _L2_NORM(u), grid_size, p > 2.0, (0.0, 1.0))
+    scan = _grid_extremum(lambda u: norms(u) / _L2_NORM(u), grid_size, p > 2.0, (0.0, 1.0))
     us, values = scan.profile
     profile = (tuple([u / (1.0 + u) for u in us]), values)
     return ScanResult(argopt_t=scan.argopt_t / (1.0 + scan.argopt_t), opt_value=scan.opt_value, profile=profile)

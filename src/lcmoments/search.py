@@ -1,4 +1,4 @@
-"""One-dimensional root finding by Brent's method and golden-section refinement.
+"""One-dimensional root finding by Brent's method.
 
 ``bisect_root`` is Brent's method (R. P. Brent, Algorithms for Minimization
 without Derivatives, 1973, ch. 4): inverse quadratic and secant steps, with
@@ -11,6 +11,9 @@ one of its ends, so the contract is bisection's: the result is an exact
 zero or one end of a bracket of adjacent floats.  (A bracket across a
 binade edge one ulp of its larger end wide holds one float, which only the
 midpoint step reaches.)
+
+It is the package's one one-dimensional routine: the scans in ``constants``
+read their extrema off a grid and need no minimiser.
 """
 
 from __future__ import annotations
@@ -20,21 +23,12 @@ from collections.abc import Callable
 
 from .errors import BracketError, DomainError, NumericalError
 
-# inverse golden ratio, the fraction of the interval kept each step
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-_GOLDEN_TOL = 1e-10  # the bracket width at which golden-section search stops
-
 
 def _value(f: Callable[[float], float], x: float, known=None) -> float:
     fx = float(f(x) if known is None else known)
     if not math.isfinite(fx):
         raise NumericalError(f"the function is not finite at {x}: {fx}")
     return fx
-
-
-def _finite_bracket(lo: float, hi: float) -> None:
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise DomainError(f"bracket ends must be finite, got [{lo}, {hi}]")
 
 
 def bisect_root(f: Callable[[float], float], lo: float, hi: float, *, ends=None) -> float:
@@ -52,7 +46,8 @@ def bisect_root(f: Callable[[float], float], lo: float, hi: float, *, ends=None)
     within 1e-9 of 0 takes 1047 evaluations on [-1, 1], halving 85.  No
     caller in the package looks for a root at 0.
     """
-    _finite_bracket(lo, hi)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise DomainError(f"bracket ends must be finite, got [{lo}, {hi}]")
     flo, fhi = ends or (None, None)
     if hi < lo:
         lo, hi, flo, fhi = hi, lo, fhi, flo
@@ -102,28 +97,3 @@ def bisect_root(f: Callable[[float], float], lo: float, hi: float, *, ends=None)
         b, fb = x, fx
         stale = stale + 1 if abs(c - b) > 0.5 * width else 0
 
-
-def golden_section_min(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
-    """Golden-section minimisation on [lo, hi] down to _GOLDEN_TOL; returns (argmin, min value).
-
-    Raises DomainError for a non-finite or inverted bracket and
-    NumericalError when f is not finite at a point it is evaluated at.
-    """
-    _finite_bracket(lo, hi)
-    if lo > hi:
-        raise DomainError(f"minimisation bracket must have lo <= hi, got [{lo}, {hi}]")
-    a, b = lo, hi
-    x1 = b - _INVPHI * (b - a)
-    x2 = a + _INVPHI * (b - a)
-    f1, f2 = _value(f, x1), _value(f, x2)
-    while (b - a) > _GOLDEN_TOL:
-        if f1 < f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _INVPHI * (b - a)
-            f1 = _value(f, x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _INVPHI * (b - a)
-            f2 = _value(f, x2)
-    x = 0.5 * (a + b)
-    return x, _value(f, x)

@@ -17,10 +17,11 @@ from lcmoments.constants import (
     small_t_bound_coefficient,
 )
 from lcmoments import constants
-from lcmoments.constants import _MAX_GRID, _grid_then_refine, _member_gap
+from lcmoments.constants import _MAX_GRID, _grid_extremum, _member_gap
 from lcmoments.crossings import matching_order
 from lcmoments.errors import DomainError
-from lcmoments.expfamily import _member_norms, norm_ebar
+from lcmoments.expfamily import _member_norms, abs_moment, catalogue, fradelizi_check, norm_ebar
+from lcmoments.expfamily import two_sided_exponential_density
 from lcmoments.specfun import gamma
 import enclosures
 from oracles import mp_moment_et
@@ -190,6 +191,47 @@ class TestClosedFormConstants:
             lp_lq_ratio(0.5, 3.5)
 
 
+# the lower bound's end p -> -1, where (1+p)/2 E|X|^p tends to f(0)
+_NEAR_MINUS_ONE = -1.0 + 1e-7
+_WEBB_ORDERS = (1.0, 1.5, 2.0, 2.5, find_p0())
+
+
+def _lower_bound_sides(density, q):
+    """lp_lq_ratio(p, q) ||X||_q and ||X||_p at p = -1 + 1e-7."""
+    p = _NEAR_MINUS_ONE
+    return lp_lq_ratio(p, q) * abs_moment(density, q) ** (1.0 / q), abs_moment(density, p) ** (1.0 / p)
+
+
+class TestLowerBoundNearMinusOne:
+    """As p -> -1, ||X||_p >= lp_lq_ratio(p, q) ||X||_q becomes Fradelizi's
+    f(0) ||X||_q <= Gamma(q+1)^(1/q) / 2, which at q = 2 on a section, where
+    ||X||_2 = 1, is Webb's ceiling f(0) <= 2^(-1/2): one inequality."""
+
+    @pytest.mark.parametrize("q", _WEBB_ORDERS)
+    @pytest.mark.parametrize("density", catalogue(), ids=lambda d: d.name)
+    def test_the_bound_tends_to_fradelizi(self, density, q):
+        lower, norm_p = _lower_bound_sides(density, q)
+        # the symmetric exponential attains the bound, up to rounding
+        assert lower <= norm_p * (1.0 + 1e-14)
+        fradelizi = density.f0 * abs_moment(density, q) ** (1.0 / q) / (gamma(q + 1.0) ** (1.0 / q) / 2.0)
+        assert lower / norm_p == pytest.approx(fradelizi, abs=1e-6)
+        assert fradelizi_check(density, q).holds
+
+    @pytest.mark.parametrize("q", _WEBB_ORDERS)
+    def test_equality_at_the_symmetric_exponential(self, q):
+        lower, norm_p = _lower_bound_sides(two_sided_exponential_density(1.0, 1.0), q)
+        assert lower / norm_p == pytest.approx(1.0, abs=1e-6)
+
+    def test_at_order_two_the_bound_is_webbs_ceiling(self):
+        assert gamma(3.0) ** 0.5 / 2.0 == pytest.approx(2.0**-0.5, rel=1e-15)
+
+    def test_one_sided_member_ties_at_p0_and_one(self):
+        # p0 is the order where E_0's normalized L_q norm ties with E_1's, as at q = 1
+        one_sided = two_sided_exponential_density(1.0, 0.0)
+        ratios = [lower / norm_p for lower, norm_p in (_lower_bound_sides(one_sided, q) for q in (find_p0(), 1.0))]
+        assert ratios[0] == pytest.approx(ratios[1], rel=0.0, abs=1e-12)
+
+
 class TestScanFamilyExtrema:
     @pytest.mark.parametrize("p", [-0.9, -0.5, 0.5, 1.0])
     def test_minimum_at_symmetric_member(self, p):
@@ -221,7 +263,7 @@ class TestScanFamilyExtrema:
 
     @pytest.mark.parametrize("grid_size", [100, 101, 150, 257, 1000, 2999, 10**5])
     def test_grid_is_numpy_linspace_bit_for_bit(self, grid_size):
-        ts, _ = _grid_then_refine(lambda t: 0.0, grid_size, False, ()).profile
+        ts, _ = _grid_extremum(lambda t: 0.0, grid_size, False, ()).profile
         assert np.array(ts).tobytes() == np.linspace(0.0, 1.0, grid_size).tobytes()
 
     @pytest.mark.parametrize(
@@ -236,12 +278,26 @@ class TestScanFamilyExtrema:
     )
     def test_snap_candidates_on_the_grid_take_its_values(self, objective, maximize, expected):
         calls = []
-        scan = _grid_then_refine(lambda x: calls.append(x) or objective(x), 100, maximize, (0.0, 1.0, 0.5))
+        scan = _grid_extremum(lambda x: calls.append(x) or objective(x), 100, maximize, (0.0, 1.0, 0.5))
         # 0 and 1 are the grid's ends, evaluated once there; 0.5 lies off the grid
         assert calls.count(0.0) == calls.count(1.0) == 1
         assert calls.count(0.5) == (expected is None or expected[0] == 0.5)
         if expected is not None:
             assert (scan.argopt_t, scan.opt_value) == expected
+
+    @pytest.mark.parametrize("grid_size", [100, 400, 1000])
+    @pytest.mark.parametrize(
+        "snap, off_grid",
+        [((1.0, 0.0), 0), ((0.0, 0.5, 1.0), 1), ((0.5, 0.0, 0.7, 1.0), 2)],
+        ids=["ends", "one-off-grid", "two-off-grid"],
+    )
+    def test_one_evaluation_per_grid_point_and_off_grid_candidate(self, grid_size, snap, off_grid):
+        calls = []
+        # an interior maximum, so that every candidate is tried
+        scan = _grid_extremum(lambda x: calls.append(x) or -((x - 0.3) ** 2), grid_size, True, snap)
+        assert len(calls) == grid_size + off_grid
+        ts, values = scan.profile
+        assert scan.argopt_t == ts[values.index(max(values))] and scan.opt_value == max(values)
 
     def test_small_grid_rejected(self):
         with pytest.raises(DomainError):
@@ -253,7 +309,7 @@ class TestScanFamilyExtrema:
             raise AssertionError("the objective was evaluated")
 
         with pytest.raises(DomainError):
-            _grid_then_refine(no_evaluation, grid_size, True, (1.0, 0.0))
+            _grid_extremum(no_evaluation, grid_size, True, (1.0, 0.0))
         with pytest.raises(DomainError):
             scan_family_extrema(2.0, grid_size=grid_size)
         with pytest.raises(DomainError):
@@ -287,7 +343,7 @@ def _s_grid_l2_scan(p, grid_size):
         u = min(s, 1.0 - s) / max(s, 1.0 - s)
         return _member_norms(p)(u) / math.sqrt(1.0 + u * u)
 
-    return _grid_then_refine(ratio, grid_size, p > 2.0, (0.0, 1.0, 0.5))
+    return _grid_extremum(ratio, grid_size, p > 2.0, (0.0, 1.0, 0.5))
 
 
 class TestScanL2Ratio:
@@ -336,6 +392,33 @@ class TestScanL2Ratio:
         oracle = _s_grid_l2_scan(p, grid_size)
         assert result.argopt_t == oracle.argopt_t
         assert result.opt_value == oracle.opt_value
+
+
+def _assert_reports_an_end(result):
+    """argopt_t is an end of the profile, and opt_value the profile's value there, bit for bit."""
+    ts, values = result.profile
+    assert result.argopt_t in (ts[0], ts[-1])
+    assert result.opt_value == values[ts.index(result.argopt_t)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=st.floats(-0.9, 8.0), grid_size=st.integers(100, 1000))
+@example(p=find_p0(), grid_size=1000)
+@example(p=1.0, grid_size=100)
+def test_family_scan_reports_an_end(p, grid_size):
+    assume(abs(p) >= 1e-6)
+    _assert_reports_an_end(scan_family_extrema(p, grid_size))
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=st.floats(1.0, 6.0, exclude_min=True), grid_size=st.integers(100, 1000))
+@example(p=find_l2_transition(), grid_size=1000)
+@example(p=2.0 + 1e-9, grid_size=137)
+def test_l2_scan_reports_an_end(p, grid_size):
+    assume(p != 2.0)
+    result = scan_l2_ratio(p, grid_size)
+    assert result.argopt_t in (0.0, 0.5)
+    _assert_reports_an_end(result)
 
 
 def test_l2_transition_near_published_estimate():

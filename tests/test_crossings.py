@@ -380,6 +380,52 @@ class TestMatchingOrder:
             matching_order(1.0313897683787221e-06, (2.0, _P0), baseline_t=0.0)
 
 
+def _mp_order_slopes(baseline):
+    """(q - q*) / |t - baseline| at 50 digits for |t - baseline| = 1e-3 .. 1e-6, q the
+    tie of the baseline with t started near its limit q*: 2 at baseline 0, 4 at 1."""
+    end, guess = (2, 2.2) if baseline == 0 else (4, -1.78)
+    slopes = []
+    with mpmath.workdps(50):
+        b = mpmath.mpf(baseline)
+        for d in (mpmath.mpf(10) ** -e for e in range(3, 7)):
+            t = d if baseline == 0 else 1 - d
+            root = mpmath.findroot(lambda x: _mp_normalized_moment(x, b) - _mp_normalized_moment(x, t), end + guess * d)
+            slopes.append((root - end) / d)
+    return slopes
+
+
+class TestMatchingOrderLimits:
+    """The limits and slopes at which the matching order nears 2 (baseline 0)
+    and 4 (baseline 1), from 50-digit roots: what a matching order free of the
+    member gap's cancellation must reach near the ends of t."""
+
+    def test_slope_at_the_one_sided_end(self):
+        # The log of the normalized moment ratio is (2/3) t^3 + O(t^4) at q = 2,
+        # and its q-derivative there is (1 + E log|X| - E X^2 log|X|) t^2 + O(t^3)
+        # with X = E - 1, so (q - 2) / t tends to -2 / (3 (1 + both means)).
+        with mpmath.workdps(50):
+            means = [
+                mpmath.quad(lambda x: g(x) * mpmath.exp(-x), [0, 1, mpmath.inf])
+                for g in (lambda x: mpmath.log(abs(x - 1)), lambda x: -((x - 1) ** 2) * mpmath.log(abs(x - 1)))
+            ]
+            limit = -2 / (3 * (1 + sum(means)))
+        assert float(means[0]) == pytest.approx(float(-mpmath.ei(1) / mpmath.e), rel=1e-15)
+        assert float(limit) == pytest.approx(2.2014906616, abs=1e-10)
+        self._assert_tenfold_per_decade(_mp_order_slopes(0), limit)
+
+    def test_slope_at_the_symmetric_end(self):
+        # t = 1 is a stationary point of the normalized moments: (4 - q) / (1 - t) -> 16/9
+        self._assert_tenfold_per_decade([-s for s in _mp_order_slopes(1)], mpmath.mpf(16) / 9)
+
+    @staticmethod
+    def _assert_tenfold_per_decade(slopes, limit):
+        distances = [limit - s for s in slopes]
+        assert all(d > 0 for d in distances)  # approached from below
+        assert 1e-7 < distances[-1] < 1e-5
+        for wide, narrow in pairwise(distances):
+            assert 9.5 < wide / narrow < 10.5
+
+
 class TestSingleCrossingFirstMoment:
     def test_scaled_exponential_differences(self):
         # h = lam e^{-lam x} - nu e^{-nu x} with lam < nu integrates to zero,

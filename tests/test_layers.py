@@ -1,8 +1,9 @@
 """The package's import graph keeps its layers: the special functions and the
-root finder sit on the errors alone, the simplex on the special functions,
-only the package itself imports the command line, only the simplex and the
-Monte-Carlo oracle import numpy, only the oracle starts threads, and no
-module imports ``typing`` or, but for the simplex, ``dataclasses``."""
+root finder, the one search routine, sit on the errors alone, the simplex on
+the special functions, only the package itself imports the command line,
+only the simplex and the Monte-Carlo oracle import numpy, only the oracle
+starts threads, and no module imports ``typing`` or, but for the simplex,
+``dataclasses``."""
 
 import ast
 from pathlib import Path
@@ -57,6 +58,13 @@ def test_the_lowest_layers():
     assert GRAPH["errors"] == set()
     assert GRAPH["search"] <= {"errors"}
     assert GRAPH["specfun"] <= {"errors"}
+
+
+def test_the_root_finder_is_the_one_search_routine():
+    # the scans read their extrema off a grid: a second 1-D routine is a deliberate change here
+    tree = ast.parse((PACKAGE / "search.py").read_text())
+    defined = [node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    assert [name for name in defined if not name.startswith("_")] == ["bisect_root"]
 
 
 @pytest.mark.parametrize("module", ["errors", "search", "specfun", "expfamily", "constants", "crossings", "cli"])

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lcmoments.errors import BracketError, DomainError, NumericalError
-from lcmoments.search import bisect_root, golden_section_min
+from lcmoments.search import bisect_root
 
 _finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
 
@@ -196,22 +196,6 @@ def test_bisect_root_on_a_bracket_near_the_largest_float():
     assert abs(root - 1.5e308) <= math.ulp(1.5e308)
 
 
-def test_golden_section_min_rejects_an_objective_that_is_not_finite():
-    with pytest.raises(NumericalError):
-        golden_section_min(lambda x: math.nan, 0.0, 1.0)
-
-
-def test_golden_section_min_rejects_an_inverted_bracket():
-    with pytest.raises(DomainError):
-        golden_section_min(lambda x: (x - 0.3) ** 2, 1.0, 0.0)
-
-
-@pytest.mark.parametrize("lo, hi", [(0.0, math.inf), (math.nan, 1.0)])
-def test_golden_section_min_rejects_a_bracket_end_that_is_not_finite(lo, hi):
-    with pytest.raises(DomainError):
-        golden_section_min(lambda x: (x - 0.3) ** 2, lo, hi)
-
-
 @settings(max_examples=200, deadline=None)
 @given(_finite, st.floats(1e-6, 1e3), st.floats(1e-6, 1e3))
 def test_bisect_root_of_a_line_to_one_ulp(r, below, above):
@@ -236,12 +220,3 @@ def test_bisect_root_needs_a_sign_change(r, gap, width):
         bisect_root(lambda x: x - r, lo, lo + width)
     with pytest.raises(BracketError):
         bisect_root(lambda x: (x - r) ** 2 + 1.0, r - width, r + width)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.floats(-10.0, 10.0), st.floats(0.1, 10.0), st.floats(-5.0, 5.0), st.floats(0.1, 5.0))
-def test_golden_section_min_finds_the_parabola_vertex(vertex, curvature, offset, half_width):
-    lo, hi = vertex - half_width, vertex + half_width
-    x, value = golden_section_min(lambda t: curvature * (t - vertex) ** 2 + offset, lo, hi)
-    assert abs(x - vertex) <= 1e-7
-    assert value == pytest.approx(offset, abs=1e-12)
