@@ -19,11 +19,12 @@ import numpy as np
 
 from lcmoments import (
     NumericalError,
+    family_scale,
     find_p0,
-    matching_order,
     nonneg_decomposition_check,
     verify_3crossings,
 )
+from lcmoments.constants import _tie
 from lcmoments.crossings import _decomposition_regime
 
 print("=== Three crossings, pattern (+,-,+,-), across the family ===")
@@ -35,15 +36,18 @@ for t in (0.1, 0.3, 0.5, 0.7, 0.9):
     print(f"  member vs one-sided: {low.pattern}  at " + ", ".join(f"{c:.5f}" for c in low.crossings))
 print()
 
+# The package solves for no q; this script takes it from the tie routine
+# behind p0, _tie(baseline, t, bracket ends, norm), at mid-range t only: near
+# the baseline the two members' moments nearly coincide and their gap cancels.
 print("=== The matching order q(t) where the symmetric member's moments tie ===")
 for t in (0.2, 0.5, 0.8):
-    q = matching_order(t)
+    q = _tie(1.0, t, 2.0, 4.0, family_scale)
     print(f"t = {t:3.1f}: q(t) = {q:.8f}  (inside (2, 4))")
 print()
 
 print("=== Building the pointwise-nonnegative decomposition at t = 0.5 ===")
 t = 0.5
-q = matching_order(t)
+q = _tie(1.0, t, 2.0, 4.0, family_scale)
 nodes = verify_3crossings(t).report_upper.crossings
 print(f"matching order q = {q:.8f}, crossing nodes {[f'{x:.5f}' for x in nodes]}")
 print("three sign changes in x^p - alpha - beta x - gamma x^q: the crossings are its only zeros")
@@ -65,7 +69,7 @@ print("=== Each regime's bracket of q fixes the density gap's last sign ===")
 t = 0.5
 for p in (-0.5, 0.5, 2.0, 3.5):
     baseline, (lo, hi), last_sign = _decomposition_regime(p, find_p0())
-    q = matching_order(t, (lo, hi), baseline_t=baseline)
+    q = _tie(baseline, t, lo, hi, family_scale)
     rank = sorted((0.0, 1.0, p, q)).index(p)
     # for p in (0, 1) the product must be nonpositive, which flips the sign
     lead = "+" if ((3 - rank) % 2 == 0) != (0.0 < p < 1.0) else "-"

@@ -49,7 +49,6 @@ _LAZY = {
     "crossings": (
         "SignChangeReport",
         "ThreeCrossingsResult",
-        "matching_order",
         "nonneg_decomposition_check",
         "verify_3crossings",
     ),

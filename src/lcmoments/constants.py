@@ -10,9 +10,9 @@ Every order at which two family members compare equally comes from one
 tie routine, ``_tie``: Brent's method (``search.bisect_root``) on
 ``_member_gap``, the signed gap between the p-th moments of E_s and E_t,
 each divided by the p-th power of a norm of the member (``family_scale``
-for L_1, ``_L2_NORM`` for L_2).  It locates p0, the 1.68 transition and
-``crossings.matching_order`` in 12 to 14 gap evaluations each, and never
-takes much more than three times plain bisection's count.
+for L_1, ``_L2_NORM`` for L_2).  Its two callers, ``find_p0`` and
+``find_l2_transition``, locate p0 and the 1.68 transition in 12 to 14 gap
+evaluations each, never much more than three times plain bisection's count.
 
 The scans, ``scan_family_extrema`` and ``scan_l2_ratio``, sample their
 objective on a uniform grid and report the grid's first extremum, or an end
@@ -59,7 +59,8 @@ def _member_gap(p: float, s: float, t: float, norm) -> float:
 
 
 def _tie(s: float, t: float, lo: float, hi: float, norm) -> float:
-    """The order in (lo, hi) where ``_member_gap`` of E_s and E_t vanishes.
+    """The order in (lo, hi) where ``_member_gap`` of E_s and E_t vanishes:
+    p0 for ``find_p0`` and the 1.68 transition for ``find_l2_transition``.
 
     Raises NumericalError when the root falls on a bracket end, and
     BracketError when the bracket holds no sign change or the root's
@@ -67,8 +68,7 @@ def _tie(s: float, t: float, lo: float, hi: float, norm) -> float:
     """
     root = bisect_root(lambda p: _member_gap(p, s, t, norm), lo, hi)
     if root in (lo, hi):
-        # the gap rounds to zero at the bracket end: at order 2 all L_1-normalized
-        # members match, so the root is not told apart from that one
+        # the gap rounds to zero at the bracket end, so the root is not told apart from it
         raise NumericalError(f"tie of E_{s} and E_{t} lies within rounding of the bracket end {root}")
     moments = (moment_et(root, s) / norm(s) ** root, moment_et(root, t) / norm(t) ** root)
     residual = moments[0] - moments[1]
@@ -132,10 +132,9 @@ class ScanResult(namedtuple("ScanResult", "argopt_t opt_value profile")):
 def _grid_extremum(objective, grid_size: int, maximize: bool, snap) -> ScanResult:
     """Extremise ``objective`` over [0, 1] on a uniform grid of grid_size points.
 
-    The optimum is the grid's first extremum.  A ``snap`` candidate whose
-    value is within _ENDPOINT_SNAP of it is reported instead, the first such
-    candidate winning; the grid's ends 0 and 1 keep their values, and a
-    candidate off the grid is evaluated once.
+    The optimum is the grid's first extremum.  ``snap`` lists grid indices in
+    order of preference; the first whose value lies within _ENDPOINT_SNAP of
+    the optimum is reported instead.
     """
     if not _is_integer(grid_size):
         raise DomainError(f"grid_size must be an integer, got {grid_size!r}")
@@ -148,10 +147,9 @@ def _grid_extremum(objective, grid_size: int, maximize: bool, snap) -> ScanResul
     vals = tuple([objective(x) for x in xs])
 
     opt = max(vals) if maximize else min(vals)
-    for c in snap:
-        vc = vals[0] if c == 0.0 else vals[-1] if c == 1.0 else objective(c)
-        if ((opt - vc) if maximize else (vc - opt)) <= _ENDPOINT_SNAP:
-            return ScanResult(argopt_t=c, opt_value=vc, profile=(xs, vals))
+    for i in snap:
+        if ((opt - vals[i]) if maximize else (vals[i] - opt)) <= _ENDPOINT_SNAP:
+            return ScanResult(argopt_t=xs[i], opt_value=vals[i], profile=(xs, vals))
     return ScanResult(argopt_t=xs[vals.index(opt)], opt_value=opt, profile=(xs, vals))
 
 
@@ -162,7 +160,7 @@ def scan_family_extrema(p, grid_size: int = 1000) -> ScanResult:
     endpoint report the endpoint.
     """
     norms = _member_norms(p)
-    return _grid_extremum(lambda t: norms(t) / family_scale(t), grid_size, as_order(p) > 1.0, (1.0, 0.0))
+    return _grid_extremum(lambda t: norms(t) / family_scale(t), grid_size, as_order(p) > 1.0, (-1, 0))
 
 
 def scan_l2_ratio(p, grid_size: int = 1000) -> ScanResult:
@@ -184,7 +182,7 @@ def scan_l2_ratio(p, grid_size: int = 1000) -> ScanResult:
     if p <= 1.0 or p == 2.0:
         raise DomainError(f"the ratio scan needs p > 1, p != 2, got {p}")
     norms = _member_norms(p)
-    scan = _grid_extremum(lambda u: norms(u) / _L2_NORM(u), grid_size, p > 2.0, (0.0, 1.0))
+    scan = _grid_extremum(lambda u: norms(u) / _L2_NORM(u), grid_size, p > 2.0, (0, -1))
     us, values = scan.profile
     profile = (tuple([u / (1.0 + u) for u in us]), values)
     return ScanResult(argopt_t=scan.argopt_t / (1.0 + scan.argopt_t), opt_value=scan.opt_value, profile=profile)

@@ -38,7 +38,7 @@ from collections import namedtuple
 from functools import partial
 from itertools import pairwise
 
-from .constants import _member_gap, _tie, find_p0
+from .constants import _member_gap, find_p0
 from .errors import BracketError, CrossingPatternError, DomainError, NumericalError
 from .expfamily import family_scale
 from .search import bisect_root
@@ -48,7 +48,6 @@ __all__ = [
     "SignChangeReport",
     "ThreeCrossingsResult",
     "verify_3crossings",
-    "matching_order",
     "nonneg_decomposition_check",
 ]
 
@@ -248,35 +247,6 @@ def verify_3crossings(t: float) -> ThreeCrossingsResult:
     return ThreeCrossingsResult(t, *reports)
 
 
-def matching_order(
-    t: float,
-    bracket: tuple[float, float] = (2.0, 4.0),
-    baseline_t: float = 1.0,
-) -> float:
-    """The order q where E|Ebar_baseline|^q = E|Ebar_t|^q inside the bracket.
-
-    The default baseline is the symmetric member t = 1; the one-sided member
-    t = 0 serves the high-order regime of the decomposition check.  The
-    root comes from ``constants._tie`` under the L_1 normalisation, which
-    raises NumericalError when the root falls on a bracket end, and
-    BracketError when the bracket holds no sign change or the root's
-    residual exceeds 1e-10 of the moments' size.  Against a 40-digit root
-    the relative error is at most 5e-14 for t in [0.05, 0.95] and grows as t
-    nears the baseline, where the members coincide and the gap of two nearly
-    equal normalized moments cancels: baseline 0, 3.4e-13 at t = 0.01,
-    1.2e-10 at 1e-3 and 5.7e-6 at 1e-5; baseline 1, about 1.8e-12 at
-    t = 0.99, 2.5e-11 at 0.999 and 1.3e-6 at 1 - 1e-5.  There the rounded
-    gap changes sign many times around the root, and which of those sign
-    changes the root finder stops at sets the error.
-    """
-    lo, hi = bracket
-    if not (0.0 < t < 1.0 and 0.0 <= baseline_t <= 1.0 and baseline_t != t):
-        raise DomainError(f"need t in (0, 1) and a distinct baseline_t in [0, 1], got t={t}, baseline_t={baseline_t}")
-    if not -1.0 < lo < hi < math.inf:
-        raise DomainError(f"bracket must be finite orders with -1 < lo < hi, got {bracket}")
-    return _tie(baseline_t, t, lo, hi, family_scale)
-
-
 def _decomposition_regime(p: float, p0: float):
     """Baseline parameter, bracket of q, and the sign the density gap must end
     with: the bracket fixes p's rank among 0, 1, p, q (module docstring), and
@@ -302,7 +272,9 @@ def nonneg_decomposition_check(t: float, p) -> bool:
     BracketError if the member gap has one sign at both bracket ends,
     NumericalError if it is zero at one or a sign the crossings read is
     within rounding of zero, and CrossingPatternError if the density gap
-    does not cross three times.  Both gaps resolve t in about [1e-5, 1 - 1e-5].
+    does not cross three times.  The bracket-end signs carry no rounding
+    margin: they agree with the 40-digit member gap's for t in [1e-5, 1e-2]
+    and its mirror, and a wrong one first appears about 5e-6 from an end.
     """
     p = as_order(p)
     if not 0.0 < t < 1.0:

@@ -95,7 +95,6 @@ _PUBLIC = {
     "crossings": [
         "SignChangeReport",
         "ThreeCrossingsResult",
-        "matching_order",
         "nonneg_decomposition_check",
         "verify_3crossings",
     ],

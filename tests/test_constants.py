@@ -17,10 +17,9 @@ from lcmoments.constants import (
     small_t_bound_coefficient,
 )
 from lcmoments import constants
-from lcmoments.constants import _MAX_GRID, _grid_extremum, _member_gap
-from lcmoments.crossings import matching_order
+from lcmoments.constants import _MAX_GRID, _grid_extremum, _member_gap, _tie
 from lcmoments.errors import DomainError
-from lcmoments.expfamily import _member_norms, abs_moment, catalogue, fradelizi_check, norm_ebar
+from lcmoments.expfamily import _member_norms, abs_moment, catalogue, family_scale, fradelizi_check, norm_ebar
 from lcmoments.expfamily import two_sided_exponential_density
 from lcmoments.specfun import gamma
 import enclosures
@@ -127,7 +126,7 @@ class TestFindP0:
 
 @pytest.mark.parametrize(
     "tie",
-    [find_p0.__wrapped__, find_l2_transition, lambda: matching_order(0.5)],
+    [find_p0.__wrapped__, find_l2_transition, lambda: _tie(1.0, 0.5, 2.0, 4.0, family_scale)],
     ids=["p0", "l2-transition", "matching-order"],
 )
 def test_gap_evaluations_per_tie(tie, monkeypatch):
@@ -270,32 +269,32 @@ class TestScanFamilyExtrema:
         "objective, maximize, expected",
         [
             (lambda x: -((x - 0.3) ** 2), True, None),  # an interior optimum: no candidate snaps
-            (lambda x: x, True, (1.0, 1.0)),  # the grid's last end snaps
-            (lambda x: x, False, (0.0, 0.0)),  # the grid's first end snaps
-            (lambda x: abs(x - 0.5), False, (0.5, 0.0)),  # the candidate off the grid snaps
+            (lambda x: x, True, -1),  # the grid's last end snaps
+            (lambda x: x, False, 0),  # the grid's first end snaps
+            (lambda x: abs(x - 0.5), False, 50),  # the candidate inside the grid snaps
         ],
-        ids=["interior", "last-end", "first-end", "off-grid"],
+        ids=["interior", "last-end", "first-end", "inside"],
     )
     def test_snap_candidates_on_the_grid_take_its_values(self, objective, maximize, expected):
         calls = []
-        scan = _grid_extremum(lambda x: calls.append(x) or objective(x), 100, maximize, (0.0, 1.0, 0.5))
-        # 0 and 1 are the grid's ends, evaluated once there; 0.5 lies off the grid
-        assert calls.count(0.0) == calls.count(1.0) == 1
-        assert calls.count(0.5) == (expected is None or expected[0] == 0.5)
+        scan = _grid_extremum(lambda x: calls.append(x) or objective(x), 100, maximize, (0, -1, 50))
+        # a candidate is a grid index, read off the grid's values with no evaluation of its own
+        xs, values = scan.profile
+        assert calls == list(xs)
         if expected is not None:
-            assert (scan.argopt_t, scan.opt_value) == expected
+            assert (scan.argopt_t, scan.opt_value) == (xs[expected], values[expected])
 
     @pytest.mark.parametrize("grid_size", [100, 400, 1000])
     @pytest.mark.parametrize(
-        "snap, off_grid",
-        [((1.0, 0.0), 0), ((0.0, 0.5, 1.0), 1), ((0.5, 0.0, 0.7, 1.0), 2)],
-        ids=["ends", "one-off-grid", "two-off-grid"],
+        "snap",
+        [(-1, 0), (0, 50, -1), (50, 0, 70, -1)],
+        ids=["ends", "one-inside", "two-inside"],
     )
-    def test_one_evaluation_per_grid_point_and_off_grid_candidate(self, grid_size, snap, off_grid):
+    def test_one_evaluation_per_grid_point(self, grid_size, snap):
         calls = []
         # an interior maximum, so that every candidate is tried
         scan = _grid_extremum(lambda x: calls.append(x) or -((x - 0.3) ** 2), grid_size, True, snap)
-        assert len(calls) == grid_size + off_grid
+        assert len(calls) == grid_size
         ts, values = scan.profile
         assert scan.argopt_t == ts[values.index(max(values))] and scan.opt_value == max(values)
 
@@ -309,7 +308,7 @@ class TestScanFamilyExtrema:
             raise AssertionError("the objective was evaluated")
 
         with pytest.raises(DomainError):
-            _grid_extremum(no_evaluation, grid_size, True, (1.0, 0.0))
+            _grid_extremum(no_evaluation, grid_size, True, (-1, 0))
         with pytest.raises(DomainError):
             scan_family_extrema(2.0, grid_size=grid_size)
         with pytest.raises(DomainError):
@@ -336,14 +335,21 @@ def test_small_t_slope_coefficient():
 
 
 def _s_grid_l2_scan(p, grid_size):
-    """The L_p/L_2 scan on a grid over all of s in [0, 1]: each s < 1/2 and
-    its mirror 1 - s evaluate the same branch ratio u = min(s, 1-s)/max(s, 1-s)."""
+    """(argopt, opt) of the L_p/L_2 scan on a grid over all of s in [0, 1]: each
+    s < 1/2 and its mirror 1 - s evaluate the same branch ratio
+    u = min(s, 1-s)/max(s, 1-s).  s = 0 or else s = 1/2, on the grid or not,
+    is reported where its ratio lies within 1e-8 of the grid's optimum."""
 
     def ratio(s):
         u = min(s, 1.0 - s) / max(s, 1.0 - s)
         return _member_norms(p)(u) / math.sqrt(1.0 + u * u)
 
-    return _grid_extremum(ratio, grid_size, p > 2.0, (0.0, 1.0, 0.5))
+    scan = _grid_extremum(ratio, grid_size, p > 2.0, ())
+    sign = 1.0 if p > 2.0 else -1.0
+    for s in (0.0, 0.5):
+        if sign * (scan.opt_value - ratio(s)) <= 1e-8:
+            return s, ratio(s)
+    return scan.argopt_t, scan.opt_value
 
 
 class TestScanL2Ratio:
@@ -389,9 +395,7 @@ class TestScanL2Ratio:
         # where the endpoints tie: elsewhere both scans snap to the same member
         assume(abs(p - 2.0) > 0.01 and abs(p - find_l2_transition()) > 0.01)
         result = scan_l2_ratio(p, grid_size)
-        oracle = _s_grid_l2_scan(p, grid_size)
-        assert result.argopt_t == oracle.argopt_t
-        assert result.opt_value == oracle.opt_value
+        assert (result.argopt_t, result.opt_value) == _s_grid_l2_scan(p, grid_size)
 
 
 def _assert_reports_an_end(result):

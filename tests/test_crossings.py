@@ -8,8 +8,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from lcmoments import crossings
-from lcmoments.constants import _member_gap, find_p0
+from lcmoments import constants, crossings
+from lcmoments.constants import _member_gap, _tie, find_p0
 from lcmoments.crossings import (
     SignChangeReport,
     _decomposition_regime,
@@ -19,7 +19,6 @@ from lcmoments.crossings import (
     _exp_sum_zeros,
     _gap_crossings,
     _gap_pieces,
-    matching_order,
     nonneg_decomposition_check,
     verify_3crossings,
 )
@@ -303,8 +302,11 @@ def _mp_matching_order(q, t, baseline, bracket):
 
 
 class TestMatchingOrder:
+    """The matching order from the tie routine at the decomposition regimes'
+    brackets, as the tests' oracles read it; the package solves for no q."""
+
     def test_default_bracket(self):
-        q = matching_order(0.5)
+        q = _tie(1.0, 0.5, 2.0, 4.0, family_scale)
         assert 2.0 < q < 4.0
         gap = moment_et(q, 1.0) - moment_et(q, 0.5) / family_scale(0.5) ** q
         assert abs(gap) < 1e-10
@@ -326,7 +328,7 @@ class TestMatchingOrder:
         qs = np.linspace(2.0, 4.0, 20001)
         vals = np.array([gap(q) for q in qs])
         flip = np.nonzero(np.sign(vals[1:]) != np.sign(vals[:-1]))[0][0]
-        assert matching_order(t) == pytest.approx(qs[flip], abs=2e-4)
+        assert _tie(1.0, t, 2.0, 4.0, family_scale) == pytest.approx(qs[flip], abs=2e-4)
 
     # the decomposition regimes: symmetric baseline on [2, 4] and [p0, 4],
     # one-sided baseline on [2, p0]
@@ -337,7 +339,7 @@ class TestMatchingOrder:
     )
     @pytest.mark.parametrize("t", np.linspace(0.05, 0.95, 10))
     def test_matches_mpmath_root(self, t, baseline, bracket):
-        q = matching_order(t, bracket, baseline_t=baseline)
+        q = _tie(baseline, t, *bracket, family_scale)
         assert q == pytest.approx(_mp_matching_order(q, t, baseline, bracket), rel=1e-12, abs=0.0)
 
     # near its baseline t's member nearly coincides with it, and the root
@@ -349,35 +351,18 @@ class TestMatchingOrder:
     )
     @pytest.mark.parametrize("t", [1e-3, 0.01, 0.99, 0.999])
     def test_matches_mpmath_root_near_the_baseline(self, t, baseline, bracket):
-        q = matching_order(t, bracket, baseline_t=baseline)
+        q = _tie(baseline, t, *bracket, family_scale)
         rel = max(1e-12, 1e-14 / (t - baseline) ** 2)
         assert q == pytest.approx(_mp_matching_order(q, t, baseline, bracket), rel=rel, abs=0.0)
 
-    @pytest.mark.parametrize(
-        "t, bracket, baseline",
-        [
-            (0.5, (2.0, 4.0), 0.5),
-            (0.5, (4.0, 2.0), 1.0),
-            (0.5, (math.nan, 4.0), 1.0),
-            (0.5, (2.0, math.inf), 1.0),
-            (0.5, (-2.0, 4.0), 1.0),
-            (0.5, (2.0, 4.0), 1.5),
-            (0.5, (2.0, 4.0), math.nan),
-            (1.0, (2.0, 4.0), 0.0),
-        ],
-    )
-    def test_bad_arguments_rejected_up_front(self, t, bracket, baseline):
-        with pytest.raises(DomainError):
-            matching_order(t, bracket, baseline_t=baseline)
-
     def test_bad_bracket(self):
         with pytest.raises(BracketError):
-            matching_order(0.5, bracket=(2.0, 2.1))
+            _tie(1.0, 0.5, 2.0, 2.1, family_scale)
 
     def test_root_on_the_trivial_bracket_end_is_a_numerical_error(self):
         # the gap rounds to exactly 0.0 at q = 2, which bisection returned
         with pytest.raises(NumericalError, match="bracket end"):
-            matching_order(1.0313897683787221e-06, (2.0, _P0), baseline_t=0.0)
+            _tie(0.0, 1.0313897683787221e-06, 2.0, _P0, family_scale)
 
 
 def _mp_order_slopes(baseline):
@@ -504,7 +489,7 @@ class TestNonnegDecomposition:
         assert nonneg_decomposition_check(t, p) is True
         baseline, bracket, _ = _decomposition_regime(p, _P0)
         assert bracket == (p, 4.0)
-        q = _mp_matching_order(matching_order(t, bracket, baseline_t=baseline), t, baseline, bracket)
+        q = _mp_matching_order(_tie(baseline, t, *bracket, family_scale), t, baseline, bracket)
         assert p < q < 4.0
 
     @pytest.mark.parametrize("p", [1e-11, -1e-11, 1.0 - 1e-11, 1.0 + 1e-11])
@@ -554,6 +539,40 @@ def test_decomposition_near_the_ends_true_or_typed_error(t, p):
     assert result is True
 
 
+# 30 log-spaced distances from an end of t, where the member gap at a bracket
+# end cancels toward rounding: O(t) at baseline 0, O((1-t)^2) at baseline 1
+_NEAR_END = np.geomspace(1e-5, 1e-2, 30)
+
+
+@pytest.mark.parametrize(
+    "baseline, bracket",
+    [(1.0, (2.0, 4.0)), (1.0, (_P0, 4.0)), (0.0, (2.0, _P0))],
+    ids=["symmetric-2-4", "symmetric-p0-4", "one-sided-2-p0"],
+)
+@pytest.mark.parametrize("end", [0, 1], ids=["lower-bracket-end", "upper-bracket-end"])
+@pytest.mark.parametrize("near_one", [False, True], ids=["t-near-0", "t-near-1"])
+def test_bracket_end_signs_match_40_digits(baseline, bracket, end, near_one):
+    # the check reads these signs with no rounding margin; on [1e-5, 1 - 1e-5]
+    # they agree with the 40-digit gap, and wrong nonzero signs first appear
+    # about 5e-6 from an end
+    q = bracket[end]
+    ts = [1.0 - float(d) if near_one else float(d) for d in _NEAR_END]
+    with mpmath.workdps(40):
+        for t in ts:
+            exact = _mp_normalized_moment(q, baseline) - _mp_normalized_moment(q, t)
+            assert np.sign(_member_gap(q, baseline, t, family_scale)) == mpmath.sign(exact), t
+
+
+def test_the_matching_order_is_no_public_name():
+    # the package solves for no q outside p0 and the 1.68 transition
+    import lcmoments
+
+    for module in (lcmoments, crossings):
+        with pytest.raises(AttributeError, match="matching_order"):
+            module.matching_order
+    assert "matching_order" not in crossings.__all__
+
+
 def _interpolation(t, p):
     """The regime's baseline, whether the product's sign flips (p in (0, 1)),
     the matching order and crossing nodes, and whether density(baseline) -
@@ -561,7 +580,7 @@ def _interpolation(t, p):
     ``verify_3crossings`` reports, the check's former route."""
     baseline, bracket, _ = _decomposition_regime(p, _P0)
     flip = 0.0 < p < 1.0
-    q = matching_order(t, bracket, baseline_t=baseline)
+    q = _tie(baseline, t, *bracket, family_scale)
     certificates = verify_3crossings(t)
     # the gap is density(baseline) - density(t): report_upper's orientation,
     # report_lower's negated
@@ -646,8 +665,7 @@ def test_decomposition_certifies_one_gap(monkeypatch, p):
     monkeypatch.setattr(crossings, "_gap_crossings", counted)
     monkeypatch.setattr(crossings, "_member_gap", counted_member_gap)
     monkeypatch.setattr(crossings, "verify_3crossings", None)
-    monkeypatch.setattr(crossings, "_tie", no_root)
-    monkeypatch.setattr(crossings, "matching_order", no_root)
+    monkeypatch.setattr(constants, "_tie", no_root)
     assert nonneg_decomposition_check(0.5, p) is True
     baseline, bracket, _ = _decomposition_regime(p, _P0)
     assert calls == [(baseline, 0.5)]
@@ -658,7 +676,7 @@ def _former_verdict(t, p):
     """The check's former route: the matching order, the rank rule at it, the
     flip for p in (0, 1), then the one density gap's crossings."""
     baseline, bracket, _ = _decomposition_regime(p, _P0)
-    q = matching_order(t, bracket, baseline_t=baseline)
+    q = _tie(baseline, t, *bracket, family_scale)
     nodes, pattern = _gap_crossings(baseline, t)
     if len(nodes) != 3:
         raise CrossingPatternError(f"{len(nodes)} crossings ({pattern}), not 3")

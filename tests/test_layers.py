@@ -2,8 +2,8 @@
 root finder, the one search routine, sit on the errors alone, the simplex on
 the special functions, only the package itself imports the command line,
 only the simplex and the Monte-Carlo oracle import numpy, only the oracle
-starts threads, and no module imports ``typing`` or, but for the simplex,
-``dataclasses``."""
+starts threads, only the constants name the tie routine, and no module
+imports ``typing`` or, but for the simplex, ``dataclasses``."""
 
 import ast
 from pathlib import Path
@@ -95,6 +95,18 @@ def test_simplex_sits_on_the_special_functions_alone():
 def test_crossings_sit_above_the_constants():
     assert "constants" in GRAPH["crossings"]
     assert "crossings" not in GRAPH["constants"]
+
+
+def _names(path: Path) -> set[str]:
+    """Every identifier a source file names: variables, attributes, imports and definitions."""
+    fields = ("id", "attr", "name", "asname")
+    return {getattr(node, field, None) for node in ast.walk(ast.parse(path.read_text())) for field in fields}
+
+
+def test_only_the_constants_solve_for_a_tie():
+    # the tie routine behind p0 and the 1.68 transition; the decomposition
+    # check reads the member gap's signs at its bracket ends and solves for no q
+    assert {module for module in GRAPH if "_tie" in _names(PACKAGE / f"{module}.py")} == {"constants"}
 
 
 def test_only_the_package_imports_the_command_line():
