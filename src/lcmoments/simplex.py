@@ -65,10 +65,13 @@ class WeightVector:
 
     def __post_init__(self):
         arr = _weight_array(self.a)
-        if abs(float(arr.sum())) > 1e-12:
-            raise DomainError(f"coordinates must sum to zero, got sum {arr.sum():.3e}")
-        if abs(float(np.linalg.norm(arr)) - 1.0) > 1e-12:
-            raise DomainError(f"vector must have unit norm, got {np.linalg.norm(arr):.15f}")
+        # a Python float sum overflows to inf without numpy's warning, and hypot scales its squares
+        values = arr.tolist()
+        total, norm = sum(values), math.hypot(*values)
+        if abs(total) > 1e-12:
+            raise DomainError(f"coordinates must sum to zero, got sum {total:.3e}")
+        if abs(norm - 1.0) > 1e-12:
+            raise DomainError(f"vector must have unit norm, got {norm:.15f}")
         arr.flags.writeable = False
         object.__setattr__(self, "a", arr)
 

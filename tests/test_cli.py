@@ -157,6 +157,19 @@ def test_slice_volume_where_the_factorial_overflows(capsys, n):
         assert "overflows" in json.loads(err)["message"]
 
 
+def test_slice_overflowing_norm_prints_one_error_record():
+    # the norm of [1e300, -1e300] overflowed with a RuntimeWarning printed ahead of the record
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    command = [sys.executable, "-m", "lcmoments.cli", "slice", "--weights", "[1e300,-1e300]"]
+    result = subprocess.run(command, cwd=root, env=env, capture_output=True, text=True, timeout=300)
+    assert (result.returncode, result.stdout) == (2, "")
+    (line,) = result.stderr.splitlines()
+    record = json.loads(line)
+    assert record["status"] == "error" and "unit norm" in record["message"]
+
+
 def test_slice_json_weights(capsys):
     code, payload = _run(capsys, ["slice", "--weights", "[0.7071067811865476, -0.7071067811865476]"])
     assert code == 0

@@ -24,6 +24,7 @@ from lcmoments.crossings import (
 )
 from lcmoments.errors import BracketError, CrossingPatternError, DomainError, NumericalError
 from lcmoments.expfamily import family_scale, moment_et
+from lcmoments.search import bisect_root
 from oracles import folded_density, mp_folded_density, mp_interpolant, mp_moment_et, power_gap_ends_positive
 
 
@@ -96,6 +97,74 @@ class TestExpSumZeros:
         value, bound = _exp_sum_bounded(pairs, lo, x)
         assert _exp_sum_value(pairs, lo, x).hex() == value.hex()
         assert bound >= 0.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(coef=st.lists(st.floats(-10.0, 10.0).filter(bool), min_size=1, max_size=4), rates=st.data())
+    def test_value_at_the_run_start_is_the_coefficients(self, coef, rates):
+        # at lo every exponent is zero, so the certificate reads the sign there off the coefficients
+        pairs = [(c, rates.draw(st.floats(-20.0, 20.0))) for c in coef]
+        value, bound = _exp_sum_bounded(pairs, 1.5, 1.5)
+        assert value.hex() == math.fsum(coef).hex()
+        assert bound.hex() == (crossings._SIGN_MARGIN * sum(map(abs, coef))).hex()
+
+    @pytest.mark.parametrize("k, certified", [(127, False), (128, True)])
+    def test_sign_at_the_run_start_against_its_bound(self, k, certified):
+        # (1 - k u) e^-x - e^-2x at x = 0 is -k u against the bound 64 u (2 - k u), u = 2^-52
+        terms = [_term(1.0 - k * 2.0**-52, -1.0), _term(-1.0, -2.0)]
+        if certified:
+            assert len(_exp_sum_zeros(terms, 0.0, math.inf)[0]) == 1
+        else:
+            with pytest.raises(NumericalError, match=r"the sign at x=0\.0 "):
+                _exp_sum_zeros(terms, 0.0, math.inf)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        signs=st.tuples(st.sampled_from([1.0, -1.0]), st.sampled_from([1.0, -1.0])),
+        rho=st.floats(-3.0, 3.0),
+        apart=st.floats(0.0, 4.0),
+        sign=st.sampled_from([1.0, -1.0]),
+        power=st.integers(-20, 20),
+        ratio=st.floats(1e-12, 1.0, exclude_max=True),
+        lo=st.floats(0.0, 10.0),
+        past=st.floats(0.0, 1.0),
+    )
+    def test_two_term_zero_matches_mpmath(self, signs, rho, apart, sign, power, ratio, lo, past):
+        # 2^power * (e^(r0 (x - lo)) - ratio * e^(r1 (x - lo))), r0 < r1, vanishes once past lo;
+        # the recursion's base case solves it in closed form, within 8 ulps of the 40-digit zero
+        keys = sorted({(signs[0], rho), (signs[1], rho + apart)}, key=lambda k: (k[0], k[0] * k[1]))
+        assume(len(keys) == 2)
+        (s0, r0), (s1, r1) = keys
+        with mpmath.workdps(40):
+            e0, e1 = mpmath.exp(r0), mpmath.exp(r1)
+            # rate difference r0 - r1, through expm1 where the signs agree
+            d = s0 * e0 - s1 * e1 if s0 != s1 else -s0 * e0 * mpmath.expm1(mpmath.mpf(r1) - r0)
+            root = lo + mpmath.log(ratio) / (2 / mpmath.e * d)
+            hi = float(root + (root - lo) * past) + 1.0
+        assume(math.isfinite(hi))
+        terms = [(math.ldexp(sign, power), s0, r0), (-math.ldexp(sign, power) * ratio, s1, r1)]
+        try:
+            zeros, first = _exp_sum_zeros(terms, lo, hi)
+        except NumericalError:
+            assume(False)  # the sign at lo or hi lies within rounding
+        assert len(zeros) == 1
+        assert lo < zeros[0] < hi
+        assert abs(zeros[0] - root) <= 8 * math.ulp(zeros[0])
+        assert first == ("+" if sign > 0.0 else "-")
+
+    def test_root_finder_never_sees_two_terms(self, monkeypatch):
+        # the recursion's two-term base case is solved in closed form
+        sizes = []
+
+        def counted(f, lo, hi, **kwargs):
+            sizes.append(len(f.args[0]))
+            return bisect_root(f, lo, hi, **kwargs)
+
+        monkeypatch.setattr(crossings, "bisect_root", counted)
+        for t in np.linspace(0.01, 0.99, 25):
+            verify_3crossings(float(t))
+            for p in (-0.5, 0.5, 2.0, 3.5):
+                nonneg_decomposition_check(float(t), p)
+        assert sizes and min(sizes) >= 3
 
 
 class TestGapPieces:
@@ -184,9 +253,10 @@ class TestVerify3Crossings:
             assert report.pattern == "+-+-"
 
     def test_evaluations_per_certificate(self, monkeypatch):
-        # a count, not a time, so it cannot flake: Brent's method takes about
-        # 66 evaluations of the exponential sums per certificate, halving
-        # down to adjacent floats took 357
+        # a count, not a time, so it cannot flake: with the two-term zeros in
+        # closed form and Brent's method on the rest, a certificate takes about
+        # 53 evaluations of the exponential sums; halving down to adjacent
+        # floats took 357 and Brent's method on every run 66
         calls = []
 
         def counted(pairs, lo, x):
@@ -197,7 +267,7 @@ class TestVerify3Crossings:
         ts = np.linspace(0.01, 0.99, 99)
         for t in ts:
             verify_3crossings(float(t))
-        assert len(calls) / len(ts) <= 100
+        assert len(calls) / len(ts) <= 58
 
     @pytest.mark.parametrize("t", [0.1, 0.5, 0.9])
     def test_no_run_end_is_summed_twice(self, monkeypatch, t):
@@ -266,6 +336,23 @@ def test_certificates_match_mpmath_and_laguerre(t):
             assert _mp_sign(s, u, x + r) == report.pattern[i + 1]
         for lo, hi, terms in _gap_pieces(s, u):
             assert len(_exp_sum_zeros(terms, lo, hi)[0]) <= _laguerre_bound(terms)
+
+
+def test_crossings_match_40_digit_roots():
+    # every crossing at 99 values of t within 5e-12 relative of the 40-digit
+    # gap's root next to it; the t = 0 density's jump is a crossing at its kink
+    jump = 1.0 / family_scale(0.0)
+    with mpmath.workdps(40):
+        for t in map(float, np.linspace(0.01, 0.99, 99)):
+            result = verify_3crossings(t)
+            for (s, u), report in (((1.0, t), result.report_upper), ((t, 0.0), result.report_lower)):
+                for x in report.crossings:
+                    if x == jump and u == 0.0:
+                        root = mpmath.e / 2
+                    else:
+                        gap = lambda y: mp_folded_density(s, y) - mp_folded_density(u, y)  # noqa: E731
+                        root = mpmath.findroot(gap, (x, x * (1.0 + 1e-10)))
+                    assert abs(x - root) <= 5e-12 * root, (t, s, u, x)
 
 
 _outside_t = st.one_of(

@@ -415,12 +415,12 @@ class TestFradeliziCheck:
 
     @pytest.mark.parametrize("exponent", [1.0, 2.0, 2.5, 3.0])
     def test_comparison_side_matches_laplace_quadrature(self, exponent):
+        # the closed form against the Laplace integral by 40-digit quadrature
         for density in catalogue():
             rate = 2.0 * density.f0
-            laplace, _ = integrate.quad(
-                lambda x: x**exponent * rate * math.exp(-rate * x), 0.0, math.inf, epsabs=0.0, epsrel=1e-13
-            )
-            assert fradelizi_check(density, exponent).rhs == pytest.approx(laplace, rel=1e-11)
+            with mpmath.workdps(40):
+                laplace = mpmath.quad(lambda x: x**exponent * rate * mpmath.exp(-rate * x), [0, mpmath.inf])
+            assert fradelizi_check(density, exponent).rhs == pytest.approx(float(laplace), rel=1e-14)
 
     @pytest.mark.parametrize("exponent", [math.nan, math.inf, 0.5, -1.0])
     def test_exponent_must_be_finite_and_at_least_one(self, exponent):

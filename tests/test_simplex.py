@@ -151,6 +151,19 @@ class TestWeightVector:
         with pytest.raises(DomainError):
             WeightVector(np.array([1.0]))
 
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            ([1.7e308, 1.7e308, -1.7e308], "sum to zero, got sum inf"),
+            ([1e160, -1e160], "unit norm, got 14142135623730951"),
+            ([1e300, -1e300], "unit norm, got 1414213562373095"),
+        ],
+    )
+    def test_overflowing_sum_or_norm_is_a_domain_error(self, raw, message):
+        # the suite turns warnings into errors, so an overflow warning would surface here
+        with pytest.raises(DomainError, match=message):
+            WeightVector(raw)
+
     def test_projection(self):
         w = WeightVector.from_raw([3.0, 1.0, -1.0], project=True)
         assert abs(w.a.sum()) < 1e-14
