@@ -36,7 +36,7 @@ def _record(command, inputs, outputs, tolerances=None, ok=True) -> dict:
     return {"command": command, "inputs": inputs, "outputs": outputs, "tolerances": tolerances or {}, "status": status}
 
 
-def _write_profile_csv(path: str, profile, columns=("t", "value")) -> None:
+def _write_profile_csv(path: str, profile, columns) -> None:
     import csv
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)

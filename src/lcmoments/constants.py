@@ -31,18 +31,6 @@ from .expfamily import _member_norms, family_scale, moment_et, norm_ebar
 from .search import bisect_root
 from .specfun import _SMALL_ORDER, _is_integer, _log_gamma1p_over, as_order, gamma
 
-__all__ = [
-    "sharp_constant",
-    "branch_gap",
-    "find_p0",
-    "lp_lq_ratio",
-    "ScanResult",
-    "scan_family_extrema",
-    "scan_l2_ratio",
-    "find_l2_transition",
-    "small_t_bound_coefficient",
-]
-
 # scans snap to an endpoint when its value is this close to the grid optimum
 _ENDPOINT_SNAP = 1e-8
 

@@ -44,13 +44,6 @@ from .expfamily import family_scale
 from .search import bisect_root
 from .specfun import as_order
 
-__all__ = [
-    "SignChangeReport",
-    "ThreeCrossingsResult",
-    "verify_3crossings",
-    "nonneg_decomposition_check",
-]
-
 # a sign is trusted when the sum exceeds this multiple of the rounding of its terms
 _SIGN_MARGIN = 64.0 * sys.float_info.epsilon
 
@@ -235,6 +228,11 @@ class ThreeCrossingsResult(namedtuple("ThreeCrossingsResult", "t report_upper re
 
 def verify_3crossings(t: float) -> ThreeCrossingsResult:
     """Certify that both density gaps cross exactly three times as (+,-,+,-).
+
+    The sign pattern is certified; the crossing locations are floats whose
+    relative error grows like 1e-16 / (1-t)^2 near t = 1, where the gaps'
+    terms nearly cancel: against a 50-digit bisection, 1.4e-6 at 1 - t =
+    1e-5 and 3e-4 to 1.3e-3 for 1 - t from 1e-6 to 3e-7.
 
     Raises NumericalError if a sign the isolation relies on lies within
     rounding of zero, and CrossingPatternError, with the reports attached,

@@ -35,25 +35,6 @@ from .errors import DomainError, NumericalError
 from .specfun import _finite, _gamma1p, _lower_gamma, _lower_series, _shifted_exp_moment
 from .specfun import as_order, exp_power_integral, gamma
 
-__all__ = [
-    "TwoSidedExpParams",
-    "LogConcaveTestDensity",
-    "ComparisonCheck",
-    "family_scale",
-    "prob_positive",
-    "match_two_sided",
-    "moment_et",
-    "norm_ebar",
-    "abs_moment",
-    "reduction_check",
-    "fradelizi_check",
-    "two_sided_exponential_density",
-    "centred_uniform",
-    "centred_gaussian",
-    "truncated_exponential",
-    "catalogue",
-]
-
 _INV_E = 1.0 / math.e
 
 # relative slack of the comparison checks.  Both sides are closed forms, so it

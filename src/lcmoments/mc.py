@@ -33,13 +33,6 @@ from .expfamily import TwoSidedExpParams
 from .simplex import _weight_array
 from .specfun import _as_seed, _is_integer, as_order
 
-__all__ = [
-    "McConfig",
-    "McEstimate",
-    "estimate_xab_moments",
-    "estimate_density_at_zero",
-]
-
 # fixed draws per chunk; the chunk index keys the RNG
 _CHUNK = 1 << 17
 

@@ -27,15 +27,6 @@ import numpy as np
 from .errors import DegenerateSectionError, DomainError, NumericalError
 from .specfun import _as_seed, _is_integer
 
-__all__ = [
-    "WeightVector",
-    "density_at_zero",
-    "section_volume",
-    "MaxSectionResult",
-    "maximize_section",
-    "geometry_oracle_volume",
-]
-
 # weights at or below this magnitude are treated as exactly zero
 ZERO_WEIGHT_TOL = 1e-12
 
@@ -71,7 +62,7 @@ class WeightVector:
         if abs(total) > 1e-12:
             raise DomainError(f"coordinates must sum to zero, got sum {total:.3e}")
         if abs(norm - 1.0) > 1e-12:
-            raise DomainError(f"vector must have unit norm, got {norm:.15f}")
+            raise DomainError(f"vector must have unit norm, got {norm:.15g}")
         arr.flags.writeable = False
         object.__setattr__(self, "a", arr)
 

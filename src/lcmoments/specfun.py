@@ -15,13 +15,6 @@ import numbers
 
 from .errors import DomainError, NumericalError
 
-__all__ = [
-    "as_order",
-    "gamma",
-    "exp_power_integral",
-    "shifted_exp_moment",
-]
-
 _MAX_TERMS = 5000  # the package's arguments need at most about 1000 (c = 712 in the power integral)
 _SMALL_ORDER = 0.25  # |x| below which log Gamma(1+x) / x comes from its series
 

@@ -168,6 +168,7 @@ def test_slice_overflowing_norm_prints_one_error_record():
     (line,) = result.stderr.splitlines()
     record = json.loads(line)
     assert record["status"] == "error" and "unit norm" in record["message"]
+    assert len(record["message"]) < 120  # the norm in short form, not its 301 digits
 
 
 def test_slice_json_weights(capsys):

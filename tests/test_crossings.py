@@ -657,7 +657,7 @@ def test_the_matching_order_is_no_public_name():
     for module in (lcmoments, crossings):
         with pytest.raises(AttributeError, match="matching_order"):
             module.matching_order
-    assert "matching_order" not in crossings.__all__
+    assert "matching_order" not in lcmoments._LAZY["crossings"]
 
 
 def _interpolation(t, p):

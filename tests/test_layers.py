@@ -3,7 +3,8 @@ root finder, the one search routine, sit on the errors alone, the simplex on
 the special functions, only the package itself imports the command line,
 only the simplex and the Monte-Carlo oracle import numpy, only the oracle
 starts threads, only the constants name the tie routine, and no module
-imports ``typing`` or, but for the simplex, ``dataclasses``."""
+imports ``typing`` or, but for the simplex, ``dataclasses``; and only
+``__init__.py`` declares the public names."""
 
 import ast
 from pathlib import Path
@@ -111,3 +112,27 @@ def test_only_the_constants_solve_for_a_tie():
 
 def test_only_the_package_imports_the_command_line():
     assert {module for module, imported in GRAPH.items() if "cli" in imported} <= {"__init__"}
+
+
+def _top_level(path: Path) -> list[ast.stmt]:
+    return ast.parse(path.read_text()).body
+
+
+def test_only_the_package_declares_its_public_names():
+    # __init__.py is the one declaration; a module's own __all__ would be a second copy to keep in step
+    assert {module for module in GRAPH if "__all__" in _names(PACKAGE / f"{module}.py")} == {"__init__"}
+
+
+def test_every_lazy_name_is_defined_at_the_top_of_its_module():
+    (lazy,) = [
+        ast.literal_eval(node.value)
+        for node in _top_level(PACKAGE / "__init__.py")
+        if isinstance(node, ast.Assign) and [target.id for target in node.targets] == ["_LAZY"]
+    ]
+    for module, names in lazy.items():
+        defined = {
+            node.name
+            for node in _top_level(PACKAGE / f"{module}.py")
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        }
+        assert set(names) <= defined, (module, set(names) - defined)

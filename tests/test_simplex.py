@@ -155,8 +155,8 @@ class TestWeightVector:
         "raw, message",
         [
             ([1.7e308, 1.7e308, -1.7e308], "sum to zero, got sum inf"),
-            ([1e160, -1e160], "unit norm, got 14142135623730951"),
-            ([1e300, -1e300], "unit norm, got 1414213562373095"),
+            ([1e160, -1e160], r"unit norm, got 1\.4142135623731e\+160"),
+            ([1e300, -1e300], r"unit norm, got 1\.4142135623731e\+300"),
         ],
     )
     def test_overflowing_sum_or_norm_is_a_domain_error(self, raw, message):

@@ -349,6 +349,18 @@ def test_each_series_and_fraction_stops_at_its_term_cap(monkeypatch, call):
         call()
 
 
+def test_legendre_fraction_converges_within_128_steps_just_above_its_switch(monkeypatch):
+    # the fraction is slowest just above its switch u = p + 2, most of all near
+    # p = -1, where this sweep needs 95 steps; a uniform expansion there would lower the cap
+    orders = [-1.0 + 10.0**-k for k in range(12, 0, -1)] + [-0.9 + 0.05 * i for i in range(19)]
+    orders += [0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 170.0]
+    offsets = [10.0 ** (k / 4) for k in range(-56, 5)]  # u - (p + 2), 1e-14 to 10
+    points = [(p, 1.0 / (p + 3.0 + offset)) for p in orders for offset in offsets]
+    expected = [shifted_exp_moment(p, t) for p, t in points]
+    monkeypatch.setattr(specfun, "_MAX_TERMS", 128)
+    assert [shifted_exp_moment(p, t) for p, t in points] == expected
+
+
 @pytest.mark.parametrize("k", range(2, 33))
 def test_log_gamma_series_coefficients_match_mpmath_zeta(k):
     """The coefficient (-1)^k zeta(k) / k of log Gamma(1+x) / x, within 2 ulp."""
