@@ -3,17 +3,21 @@
 Every computation is exposed as a subcommand emitting one JSON record (or a
 list of records for the verification suites) on stdout; scan profiles can
 additionally be exported as CSV.  Exit codes: 0 all checks ok, 1 a verified
-inequality was violated, 2 usage, domain or numerical error.
+inequality was violated, 2 usage, domain or numerical error.  Options are read
+off the ``_COMMANDS`` table, where a negative number, exponent notation
+included, is a value by the same pattern as in argparse; argparse, imported
+only then, writes the help and usage errors and reads abbreviations and
+``--flag=value``.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import math
 import re
 import sys
+import types
 
 from . import expfamily  # the handlers that use constants, crossings, mc and simplex import them
 from .errors import BracketError, CrossingPatternError, DomainError, NumericalError
@@ -25,8 +29,8 @@ _MC_SAMPLES = 1_000_000
 # the q of lp_lq_ratio behind each named lower constant
 _LOWER_CONSTANT_Q = {"lp-l1-lower": 1.0, "lp-l2-lower": 2.0}
 
-# a negative number, exponent notation included; the pattern of Python 3.11's
-# argparse has no exponent, so it would take "-6.3e-05" for an option name
+# a negative number, exponent notation included: a value to the table's reader and to argparse,
+# whose own pattern in Python 3.11 has no exponent and would take "-6.3e-05" for an option name
 _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
@@ -131,7 +135,7 @@ def _cmd_slice(args):
     outputs = {"density_at_zero": simplex.density_at_zero(weights)}
     if args.volume:
         outputs["volume"] = simplex.section_volume(weights)
-    inputs = {"weights": list(weights.a), "n": len(values) - 1, "project": bool(args.project)}
+    inputs = {"weights": weights.a.tolist(), "n": len(values) - 1, "project": bool(args.project)}
     return [_record("slice", inputs, outputs)]
 
 
@@ -139,7 +143,7 @@ def _cmd_max_section(args):
     from . import simplex
     result = simplex.maximize_section(args.n, args.restarts, args.seed)
     outputs = {
-        "a_star": list(result.a_star.a),
+        "a_star": result.a_star.a.tolist(),
         "value": result.value,
         "max_evaluated": result.max_evaluated,
         "evaluations": result.evaluations,
@@ -313,43 +317,55 @@ _COMMANDS = {
 }
 
 
-def _with_arguments(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
-    """``parser`` given subcommand ``name``'s arguments and handler, and negative numbers with exponents."""
-    parser._negative_number_matcher = _NEGATIVE_NUMBER
-    for flag, keywords in _COMMANDS[name][2]:
-        parser.add_argument(flag, **keywords)
-    parser.set_defaults(handler=_COMMANDS[name][1])
-    return parser
-
-
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The top-level parser with every subcommand, for help and usage errors."""
+def build_parser():
+    """The top-level parser with every subcommand, for help, usage errors and what ``_read_args`` leaves."""
+    import argparse
     description = "Sharp moment-comparison constants and simplex slicing, batch interface."
     parser = argparse.ArgumentParser(prog="lcmoments", description=description)
     parser._negative_number_matcher = _NEGATIVE_NUMBER
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, (text, _, _) in _COMMANDS.items():
-        _with_arguments(sub.add_parser(name, help=text), name)
+    for name, (text, handler, arguments) in _COMMANDS.items():
+        subparser = sub.add_parser(name, help=text)
+        subparser._negative_number_matcher = _NEGATIVE_NUMBER
+        for flag, keywords in arguments:
+            subparser.add_argument(flag, **keywords)
+        subparser.set_defaults(handler=handler)
     return parser
 
 
-@functools.cache
-def _subcommand_parser(name: str) -> argparse.ArgumentParser:
-    """One subcommand's parser alone, as ``build_parser`` makes it: a call builds no other."""
-    return _with_arguments(argparse.ArgumentParser(prog=f"lcmoments {name}"), name)
+def _read_args(argv):
+    """``argv``'s arguments read off ``_COMMANDS`` as argparse reads them, or None where argparse alone
+    reads them: help, abbreviations, ``--flag=value``, ``--`` and every usage error."""
+    _, handler, arguments = _COMMANDS[argv[0]]
+    options = dict(arguments)
+    # argparse's defaults; a required flag has none, so its absence leaves ``values`` short
+    values = {f: kw.get("default", False if "action" in kw else None) for f, kw in arguments if not kw.get("required")}
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        keywords = options.get(flag)
+        if keywords is None:
+            return None
+        if "action" in keywords:  # store_true
+            values[flag] = True
+            continue
+        text = next(tokens, "-")  # a missing value reads as an option name
+        if text.startswith("-") and not _NEGATIVE_NUMBER.match(text):
+            return None
+        try:
+            value = values[flag] = keywords.get("type", str)(text)
+        except ValueError:
+            return None
+        if value not in keywords.get("choices", [value]):
+            return None
+    if len(values) == len(arguments):
+        return types.SimpleNamespace(subcommand=argv[0], **{flag[2:]: v for flag, v in values.items()}, handler=handler)
 
 
-def _parse_args(argv) -> argparse.Namespace:
+def _parse_args(argv):
     """The parsed arguments of ``argv``, or SystemExit as ``build_parser().parse_args`` raises it."""
-    if not (argv and argv[0] in _COMMANDS):
-        return build_parser().parse_args(argv)
-    # straight to the subcommand's parser: the top level's pass cost as much again
-    args, extra = _subcommand_parser(argv[0]).parse_known_args(argv[1:])
-    if extra:
-        build_parser().error(f"unrecognized arguments: {' '.join(extra)}")
-    args.subcommand = argv[0]
-    return args
+    args = _read_args(argv) if argv and argv[0] in _COMMANDS else None
+    return args or build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:

@@ -4,9 +4,11 @@ import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -30,11 +32,22 @@ def _run(capsys, argv):
 _RECORD_KEYS = {"command", "inputs", "outputs", "tolerances", "status"}
 
 
+def _plain(value) -> bool:
+    """Whether ``value`` is a str, int, float, bool or None, or a list or str-keyed dict of such values,
+    and not, say, a numpy scalar, a float subclass that json writes as a float."""
+    if type(value) is list:
+        return all(map(_plain, value))
+    if type(value) is dict:
+        return all(type(key) is str and _plain(item) for key, item in value.items())
+    return type(value) in (str, int, float, bool, type(None))
+
+
 def _assert_records(records):
-    """Each record holds exactly the five keys, and its status is ok or violated."""
+    """Each record is a plain dict of exactly the five keys, and its status is ok or violated."""
     for record in records:
         assert set(record) == _RECORD_KEYS
         assert record["status"] in ("ok", "violated")
+        assert _plain(record), record
 
 
 def test_p0_command(capsys):
@@ -478,7 +491,21 @@ _VALID_ARGV = [
 
 @pytest.mark.parametrize("argv", _VALID_ARGV, ids=" ".join)
 def test_the_subcommand_parser_reads_argv_as_the_top_parser(argv):
-    assert cli._parse_args(argv) == build_parser().parse_args(argv)
+    # the table's reader returns a SimpleNamespace, argparse a Namespace: their fields compare
+    assert vars(cli._parse_args(argv)) == vars(build_parser().parse_args(argv))
+
+
+def _readme_commands():
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    return [shlex.split(line, comments=True)[1:] for line in lines if line.startswith("lcmoments ")]
+
+
+@pytest.mark.parametrize("argv", [*_EVERY_COMMAND, *_readme_commands()], ids=" ".join)
+def test_the_table_reader_itself_reads_every_command(argv):
+    # the oracle property below would hold for a reader that left every argv to argparse
+    args = cli._read_args(argv)
+    assert args is not None
+    assert vars(args) == vars(build_parser().parse_args(argv))
 
 
 def test_top_level_help_lists_every_subcommand(capsys):
@@ -585,3 +612,35 @@ def test_main_returns_an_exit_code_and_never_raises(argv):
     if out.getvalue():
         payload = json.loads(out.getvalue())
         _assert_records(payload if isinstance(payload, list) else [payload])
+
+
+# edits that leave argv to argparse (abbreviations, `--flag=value`, a dropped value or option, `--`,
+# `-h`, an unknown option) or keep it with the table's reader (a flag repeated with another value)
+_ABBREVIATIONS = {"--normalized": "--norm", "--which": "--wh", "--grid": "--gr", "--project": "--p", "--suite": "--s"}
+_EDITS = [
+    lambda argv, i: argv,
+    lambda argv, i: [_ABBREVIATIONS.get(token, token) for token in argv],
+    lambda argv, i: [*argv[:1], f"{argv[1]}={argv[2]}", *argv[3:]] if len(argv) > 2 else argv,
+    lambda argv, i: [*argv, argv[1], argv[-1]] if len(argv) > 2 else argv,
+    lambda argv, i: argv[:-1] if i % 3 == 2 or len(argv) < 3 else argv[:1] + argv[2 + i % 3 :],
+    lambda argv, i: [*argv[: i % (len(argv) + 1)], "--", *argv[i % (len(argv) + 1) :]],
+    lambda argv, i: [*argv[: i % (len(argv) + 1)], "-h", *argv[i % (len(argv) + 1) :]],
+    lambda argv, i: [*argv[: i % (len(argv) + 1)], ["--bogus", "-x", "--p"][i % 3], *argv[i % (len(argv) + 1) :]],
+]
+
+
+def _main_output(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=_ARGV, edit=st.sampled_from(_EDITS), i=st.integers(0, 12))
+def test_main_prints_what_the_top_parser_and_the_handler_print(argv, edit, i):
+    argv = edit(argv, i)
+    new = _main_output(argv)
+    # the oracle: every argv through argparse's top parser, then the handler
+    with mock.patch.object(cli, "_read_args", lambda argv: None):
+        assert _main_output(argv) == new

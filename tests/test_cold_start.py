@@ -2,10 +2,10 @@
 runs, without loading scipy; all but the simplex and Monte-Carlo commands
 run without loading numpy, which those load on first use, nor
 ``dataclasses``, ``inspect`` or ``csv`` (a ``--csv`` profile loads the last); a
-first ``moment`` loads neither the constants nor the root finder, and builds
-its own parser alone; no thread outlives the import or a subcommand; and the
-package's public names resolve as when it imported all of its modules up
-front."""
+first ``moment`` loads neither the constants nor the root finder, nor argparse
+and gettext, and builds no parser, which a following ``--help`` builds; no
+thread outlives the import or a subcommand; and the package's public names
+resolve as when it imported all of its modules up front."""
 
 import os
 import subprocess
@@ -169,8 +169,9 @@ _SURFACE_SCRIPT = textwrap.dedent(
 ).format(public=_PUBLIC)
 
 
-# records a fresh interpreter prints after its first moment, to compare with this one's
+# the help and records a fresh interpreter prints after its first moment, to compare with this one's
 _AFTER_MOMENT = [["p0"], ["scan", "--p", "4", "--grid", "100"], ["scan-l2", "--p", "1.5", "--grid", "100"]]
+_HELP = ["moment", "--help"]
 
 _MOMENT_SCRIPT = textwrap.dedent(
     """
@@ -181,18 +182,20 @@ _MOMENT_SCRIPT = textwrap.dedent(
 
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["moment", "--p", "2.5", "--t", "0.5"]) == 0
-    loaded = {{"lcmoments.constants", "lcmoments.search"}} & set(sys.modules)
+    loaded = {{"lcmoments.constants", "lcmoments.search", "argparse", "gettext"}} & set(sys.modules)
     assert not loaded, loaded
-    # the moment's own parser, and not the top level's with every subcommand
-    assert cli._subcommand_parser.cache_info().currsize == 1
+    # the table's reader read the options: no parser was built
     assert cli.build_parser.cache_info().currsize == 0
+    # help builds the top-level parser, and prints as it does in this test's interpreter
+    assert cli.main({help!r}) == 0
+    assert cli.build_parser.cache_info().currsize == 1
 
     # the handlers that need the constants import them
     for argv in {after!r}:
         assert cli.main(argv) == 0, argv
     print("ok")
     """
-).format(after=_AFTER_MOMENT)
+).format(after=_AFTER_MOMENT, help=_HELP)
 
 
 def _run(script: str) -> list[str]:
@@ -212,8 +215,11 @@ def test_no_subcommand_imports_scipy_integrate():
     assert _run(_SCRIPT) == []
 
 
-def test_a_cold_moment_loads_no_constants_and_builds_its_parser_alone(capsys):
+def test_a_cold_moment_loads_no_constants_and_builds_no_parser(capsys, monkeypatch):
+    # argparse wraps its help to the width in COLUMNS, which the fresh interpreter inherits
+    monkeypatch.setenv("COLUMNS", "80")
     cold = _run(_MOMENT_SCRIPT)
+    assert cli.main(_HELP) == 0
     for argv in _AFTER_MOMENT:
         assert cli.main(argv) == 0
     assert cold == capsys.readouterr().out.splitlines()

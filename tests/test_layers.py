@@ -3,8 +3,10 @@ root finder, the one search routine, sit on the errors alone, the simplex on
 the special functions, only the package itself imports the command line,
 only the simplex and the Monte-Carlo oracle import numpy, only the oracle
 starts threads, only the constants name the tie routine, and no module
-imports ``typing`` or, but for the simplex, ``dataclasses``; and only
-``__init__.py`` declares the public names."""
+imports ``typing`` or, but for the simplex, ``dataclasses``; no module imports
+``argparse`` at its top level, and only the command line's ``build_parser``
+imports it, inside the function; and only ``__init__.py`` declares the public
+names."""
 
 import ast
 from pathlib import Path
@@ -108,6 +110,31 @@ def test_only_the_constants_solve_for_a_tie():
     # the tie routine behind p0 and the 1.68 transition; the decomposition
     # check reads the member gap's signs at its bracket ends and solves for no q
     assert {module for module in GRAPH if "_tie" in _names(PACKAGE / f"{module}.py")} == {"constants"}
+
+
+def _argparse_importers(path: Path) -> list[str]:
+    """Where a source file imports argparse: "<module>" at its top level, else the enclosing function's name."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+            elif isinstance(child, ast.Import) and "argparse" in {a.name.split(".")[0] for a in child.names}:
+                found.append(scope)
+            elif isinstance(child, ast.ImportFrom) and child.level == 0 and child.module.split(".")[0] == "argparse":
+                found.append(scope)
+            else:
+                visit(child, scope)
+
+    visit(ast.parse(path.read_text()), "<module>")
+    return found
+
+
+def test_only_build_parser_imports_argparse():
+    # a call reads its options off the command table; argparse loads for help and usage errors alone
+    found = {module: _argparse_importers(PACKAGE / f"{module}.py") for module in GRAPH}
+    assert {module: scopes for module, scopes in found.items() if scopes} == {"cli": ["build_parser"]}
 
 
 def test_only_the_package_imports_the_command_line():
