@@ -25,7 +25,7 @@ from lcmoments import (
     verify_3crossings,
 )
 from lcmoments.constants import _tie
-from lcmoments.crossings import _decomposition_regime
+from lcmoments.crossings import _decomposition_regime, _exp_sum_zeros, _gap_pieces, _term_rate
 
 print("=== Three crossings, pattern (+,-,+,-), across the family ===")
 for t in (0.1, 0.3, 0.5, 0.7, 0.9):
@@ -34,6 +34,25 @@ for t in (0.1, 0.3, 0.5, 0.7, 0.9):
     print(f"t = {t:3.1f}:")
     print(f"  symmetric vs member: {up.pattern}  at " + ", ".join(f"{c:.5f}" for c in up.crossings))
     print(f"  member vs one-sided: {low.pattern}  at " + ", ".join(f"{c:.5f}" for c in low.crossings))
+print()
+
+# Between breakpoints a gap is a sum of exponentials; Descartes' rule bounds
+# its zeros by the sign changes of its coefficients ordered by rate, so a
+# piece with one change is settled by its end signs and only the others are
+# split at the zeros of their derivative.
+print("=== Each gap piece at t = 0.5: coefficient signs by rate, sign changes, certified zeros ===")
+for s, u in ((1.0, 0.5), (0.5, 0.0)):
+    for lo, hi, terms in _gap_pieces(s, u):
+        merged = {}
+        for c, sign, rho in terms:
+            rate = _term_rate(sign, rho)
+            merged[rate] = merged.get(rate, 0.0) + c
+        signs = "".join("+" if c > 0.0 else "-" for _, c in sorted(merged.items()) if c != 0.0)
+        changes = sum(a != b for a, b in zip(signs, signs[1:]))
+        zeros, _ = _exp_sum_zeros(terms, lo, hi)
+        how = "settled by its end signs" if changes < 2 else "split at its derivative's zeros"
+        piece = f"E_{s:g} vs E_{u:g} on [{lo:.5f}, {hi:.5f})"
+        print(f"  {piece}: {signs:4s} {changes} change(s), {len(zeros)} zero(s), {how}")
 print()
 
 # The package solves for no q; this script takes it from the tie routine

@@ -6,14 +6,18 @@ density gap's three crossings.  Between breakpoints each gap is a sum of at
 most four exponentials (``_abs_ebar_terms``), whose zeros Rolle recursion
 isolates exactly, the constructive proof of Laguerre's rule of signs
 (Polya-Szego, Problems and Theorems in Analysis II, Part V).  The recursion
-ends at two terms, whose zero is a logarithm; a run of three or four terms
-has its root from ``search.bisect_root``, Brent's method down to adjacent
-floats, run on the sum's value alone and handed its values at the run's
-ends.  The rounding bound is taken only at run ends and stationary points,
-where the certificate reads a sign.  A certificate holds or raises: a sign
-within that bound raises NumericalError, naming the gap and the point, so
-every report returned is certified.  It takes about 53 evaluations of the
-sums (the mean over 99 values of t in [0.01, 0.99]).
+ends by Descartes' rule: a sum has no more zeros than its coefficients,
+ordered by rate, have sign changes, so a sum with one change is one run,
+with a zero if its end signs differ.  Three of a certificate's five pieces
+end there and the other two one derivative down, 7 coefficient frames.  A
+two-term run's zero is a logarithm; a run of three or four terms has its
+root from ``search.bisect_root``, Brent's method down to adjacent floats,
+run on the sum's value alone and handed its values at the run's ends.  The
+rounding bound is taken only at run ends and stationary points, where the
+certificate reads a sign.  A certificate holds or raises: a sign within
+that bound raises NumericalError, naming the gap and the point, so every
+report returned is certified.  It takes about 53 evaluations of the sums
+(the mean over 99 values of t in [0.01, 0.99]).
 A sign change across a breakpoint (the t = 0 jump at e/2) is a crossing there.
 
 By Descartes' rule of signs for real exponents (same source; G. J. O.
@@ -148,13 +152,19 @@ def _exp_sum_zeros(terms, lo: float, hi: float, gap: str = "g"):
     ]
 
     def zeros(coef):
-        """Rolle recursion: the zeros of the derivative, in the frame of the
-        median rate (which keeps the shifted rates moderate), cut (lo, hi)
-        into monotone runs, each with a root if its ends differ in sign."""
-        if len(coef) < 2:
+        """Rolle recursion ended by Descartes' rule: a sum has no more zeros
+        on the line than its coefficients, by rate, have sign changes.  With
+        none it has no zero; with one, its signs at lo and hi settle it, as
+        one run.  Any other sum is cut into monotone runs by the zeros of its
+        derivative, in the frame of the median rate (which keeps the shifted
+        rates moderate), each run with a root if its ends differ in sign."""
+        changes = sum((a < 0.0) != (b < 0.0) for a, b in pairwise(coef.values()))
+        if not changes:
             return []
-        k = list(coef)[len(coef) // 2]
-        stationary = zeros(_normalized({i: c * diff[i][k] for i, c in coef.items() if i != k}))
+        stationary = []
+        if changes > 1:
+            k = list(coef)[len(coef) // 2]
+            stationary = zeros(_normalized({i: c * diff[i][k] for i, c in coef.items() if i != k}))
         # (c, rate) pairs in the frame of the fastest-growing term
         top = max(coef)
         pairs = [(c, diff[i][top]) for i, c in coef.items()]

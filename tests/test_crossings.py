@@ -1,5 +1,5 @@
 import math
-from itertools import pairwise
+from itertools import accumulate, pairwise
 
 import mpmath
 import numpy as np
@@ -41,6 +41,22 @@ def _laguerre_bound(terms):
         merged[rate] = merged.get(rate, 0.0) + c
     signs = [c > 0.0 for _, c in sorted(merged.items()) if c != 0.0]
     return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def _mp_exp_sum(terms, lo, x):
+    """The sum of c * exp(rate * (x - lo)) over (c, sign, rho) terms, at the working precision."""
+    return mpmath.fsum(c * mpmath.exp(sign * 2 / mpmath.e * mpmath.exp(rho) * (x - lo)) for c, sign, rho in terms)
+
+
+def _mp_bisection(terms, lo, hi):
+    """A zero of the 40-digit sum on [lo, hi], bisected to 1e-48 of the bracket."""
+    with mpmath.workdps(40):
+        a, b = mpmath.mpf(lo), mpmath.mpf(hi)
+        negative = _mp_exp_sum(terms, lo, a) < 0
+        for _ in range(160):
+            m = (a + b) / 2
+            a, b = (m, b) if (_mp_exp_sum(terms, lo, m) < 0) == negative else (a, m)
+        return a
 
 
 def _mp_power_gap_ends_positive(p, q, nodes):
@@ -151,8 +167,44 @@ class TestExpSumZeros:
         assert abs(zeros[0] - root) <= 8 * math.ulp(zeros[0])
         assert first == ("+" if sign > 0.0 else "-")
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        start=st.floats(-3.0, 1.0),
+        steps=st.lists(st.floats(0.25, 2.0), min_size=2, max_size=3),
+        sizes=st.lists(st.tuples(st.floats(1.0, 2.0), st.integers(-3, 3)), min_size=4, max_size=4),
+        split=st.integers(1, 3),
+        sign=st.sampled_from([1.0, -1.0]),
+        lo=st.floats(1.0, 5.0),
+        width=st.floats(0.1, 12.0),
+    )
+    def test_one_sign_change_is_settled_by_the_end_signs(self, start, steps, sizes, split, sign, lo, width):
+        # three or four terms whose coefficients, by rate, change sign at most
+        # once have at most one zero (Descartes' rule): one exactly when the
+        # signs at lo and hi differ, within 8 ulps of the 40-digit zero (a
+        # zero of at least 1: close to 0 an ulp is finer than the sum's
+        # rounding over its slope, which bounds any root finder, and with
+        # lo = 0 the zero of 7.5 e^x - 2 e^2x - 5 e^3x, near 0.04, is 8.6 ulps off)
+        rates = list(accumulate(steps, initial=start))
+        assume(min(map(abs, rates)) > 1e-3)
+        coef = [(sign if i < split else -sign) * math.ldexp(m, e) for i, (m, e) in enumerate(sizes[: len(rates)])]
+        terms = [_term(c, rate) for c, rate in zip(coef, rates)]
+        assert _laguerre_bound(terms) <= 1
+        hi = lo + width
+        try:
+            zeros, first = _exp_sum_zeros(terms, lo, hi)
+        except NumericalError:
+            assume(False)  # the sign at lo or hi lies within rounding
+        with mpmath.workdps(40):
+            ends = [_mp_exp_sum(terms, lo, mpmath.mpf(x)) for x in (lo, hi)]
+        assert first == ("+" if ends[0] > 0 else "-")
+        assert len(zeros) == ((ends[0] < 0) != (ends[1] < 0))
+        for x in zeros:
+            assert lo < x < hi
+            assert abs(x - _mp_bisection(terms, lo, hi)) <= 8 * math.ulp(x)
+
     def test_root_finder_never_sees_two_terms(self, monkeypatch):
-        # the recursion's two-term base case is solved in closed form
+        # a two-term sum changes sign at most once, so Descartes' base case
+        # settles it, and its zero is a logarithm
         sizes = []
 
         def counted(f, lo, hi, **kwargs):
@@ -253,7 +305,7 @@ class TestVerify3Crossings:
             assert report.pattern == "+-+-"
 
     def test_evaluations_per_certificate(self, monkeypatch):
-        # a count, not a time, so it cannot flake: with the two-term zeros in
+        # a count, not a time, so it cannot flake: with two-term zeros in
         # closed form and Brent's method on the rest, a certificate takes about
         # 53 evaluations of the exponential sums; halving down to adjacent
         # floats took 357 and Brent's method on every run 66
@@ -268,6 +320,30 @@ class TestVerify3Crossings:
         for t in ts:
             verify_3crossings(float(t))
         assert len(calls) / len(ts) <= 58
+
+    def test_frames_and_sign_reads_per_certificate(self, monkeypatch):
+        # Descartes' rule settles the pieces whose coefficients change sign
+        # once (+--, ++--, ++-) by their end signs and stops the other two one
+        # derivative down: 7 frames and about 8.4 bounded reads per
+        # certificate, where recursing to two terms took 17 and 13.5
+        calls = {"_normalized": 0, "_exp_sum_bounded": 0}
+
+        def counted(name):
+            f = getattr(crossings, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return f(*args)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(crossings, name, counted(name))
+        ts = np.linspace(0.01, 0.99, 99)
+        for t in ts:
+            verify_3crossings(float(t))
+        assert calls["_normalized"] / len(ts) <= 7
+        assert calls["_exp_sum_bounded"] / len(ts) <= 9
 
     @pytest.mark.parametrize("t", [0.1, 0.5, 0.9])
     def test_no_run_end_is_summed_twice(self, monkeypatch, t):
